@@ -181,8 +181,8 @@ def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
         on = np.zeros_like(in_block)
         kk = np.where(in_block, k, size)
         on[in_block] = ((kk[in_block] - size - lvl.start) % size) < lvl.n
-        vals = 0.5 * np.asarray(psi0((scaled - k) / 2.0))
-        out += np.where(on, vals, 0.0)
+        # bumps of off-cells would be added as 0.0: evaluate on-cells only
+        out[on] += 0.5 * np.asarray(psi0((scaled[on] - k[on]) / 2.0))
     return out
 
 
@@ -266,10 +266,6 @@ def partial_map(field: AtomicField, y: float):
 
     g.level_weights = weights
     return g
-
-
-def partial_map_level_weight(field: AtomicField, j: int, y: float) -> float:
-    return float(level_weight(field, j, np.array([y]))[0])
 
 
 def level_box(field: AtomicField, j: int) -> Box:

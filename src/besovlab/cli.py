@@ -23,7 +23,7 @@ from .atoms import AtomicField, Box, BoxDomain, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
 from .params import load_config, validate
 from .reporting import read_csv, write_json, write_svg_lines
-from .slowly_varying import slow_variation_deviation, summability_partial
+from .slowly_varying import slow_variation_deviation, summability_partial, table_depth
 
 
 def _load_experiment_config(path: str | None) -> ExperimentConfig:
@@ -32,14 +32,29 @@ def _load_experiment_config(path: str | None) -> ExperimentConfig:
     return config_from_dict(load_config(path))
 
 
+def _check_depth(config: ExperimentConfig, J: int, least: int = 1) -> None:
+    """Reject a --J that builds no blocks or reads past a tabulated psi."""
+    if J < least:
+        raise ConfigError(f"--J must be >= {least}, got {J}")
+    for psi in (config.psi, config.control_psi):
+        if psi is not None and table_depth(psi) < J:
+            raise ConfigError(
+                f"tabulated psi covers j = 0..{table_depth(psi)}, the command reads j = 0..{J}"
+            )
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+PSI_CHECK_DEPTHS = (8, 64, 512)
+
+
 def cmd_psi_check(args) -> int:
     config = _load_experiment_config(args.config)
+    _check_depth(config, max(PSI_CHECK_DEPTHS))
     kappa = config.params.kappa
     result = {
         "classification": experiments.classify_condition(config.psi, kappa),
@@ -48,7 +63,7 @@ def cmd_psi_check(args) -> int:
     }
     if math.isfinite(kappa):
         result["summability_partials"] = {
-            str(J): summability_partial(config.psi, kappa, J) for J in (8, 64, 512)
+            str(J): summability_partial(config.psi, kappa, J) for J in PSI_CHECK_DEPTHS
         }
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -57,6 +72,7 @@ def cmd_psi_check(args) -> int:
 
 def cmd_seq_build(args) -> int:
     config = _load_experiment_config(args.config)
+    _check_depth(config, args.J)
     blocks = sequences.build_lambda_blocks(config.psi, config.params, args.J)
     if not args.no_rearrange:
         blocks = sequences.rearrange(blocks)
@@ -113,6 +129,7 @@ def cmd_seq_verify(args) -> int:
 
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
+    _check_depth(config, args.J)
     blocks = sequences.rearrange(sequences.build_lambda_blocks(config.psi, config.params, args.J))
     field = AtomicField(config.params, blocks, args.J)
     pts = []
@@ -143,10 +160,17 @@ def cmd_norm_est(args) -> int:
     params = config.params
     start = time.perf_counter()
     if args.target == "indicator":
+        _check_depth(config, args.J, least=0)
         f = lambda x: ((np.asarray(x) >= 0) & (np.asarray(x) < 1)).astype(float)
         domain = BoxDomain((Box((0.0,), (1.0,)),), 2.0**-12)
         est = norms.besov_norm(f, config.psi, params.s, params.p, params.q, params.M, domain, args.J)
     else:
+        _check_depth(config, args.J)
+        cap = fieldnorms.grid_depth_cap(params.M)
+        if args.J > cap:
+            raise ConfigError(f"--J {args.J} is above the grid-tier depth cap {cap}")
+        if params.N != 2 or params.d != 1:
+            raise ConfigError("grid-tier field norms support N = 2, d = 1 only")
         blocks = sequences.rearrange(
             sequences.build_lambda_blocks(config.psi, config.params, args.J)
         )
@@ -233,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to JSON experiment configuration")
     parser.add_argument("--out", help="output directory (default: ./out)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; computation is deterministic")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property tests only")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("psi-check", help="classify the summability condition for psi")

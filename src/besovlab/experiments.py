@@ -25,11 +25,14 @@ from .slowly_varying import (
     SATISFIED,
     PsiDescriptor,
     classify_condition,
+    constant,
     psi_from_dict,
+    table_depth,
 )
 
 LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100_000, 200_000, 1_000_000)
 DIVERGENCE_PARTIAL_THRESHOLD = 10.0
+MAX_PROBES = 127
 CAUCHY_REL_TOL = 1e-3
 
 
@@ -54,10 +57,28 @@ class ExperimentConfig:
     emit_svg: bool = True
 
     def __post_init__(self):
-        for name in ("J_norm", "J_seq", "J_mixed"):
+        # J_mixed needs two depths for its Cauchy test; run_pathology takes
+        # the extremes of the others
+        for name, least in (("J_norm", 1), ("J_seq", 1), ("J_mixed", 2)):
             vals = getattr(self, name)
             if list(vals) != sorted(set(vals)):
                 raise ConfigError(f"{name} must be strictly increasing, got {vals}")
+            if len(vals) < least:
+                raise ConfigError(f"{name} needs at least {least} entries, got {vals}")
+        for name in ("x_probes", "y_probes"):
+            # the probes are 1 + i/count + 1/128, which reach 2 at count = 128
+            count = getattr(self, name)
+            if not 1 <= count <= MAX_PROBES:
+                raise ConfigError(f"{name} must lie in 1..{MAX_PROBES}, got {count}")
+        cap = fieldnorms.grid_depth_cap(self.params.M)
+        if max(self.J_norm) > cap:
+            raise ConfigError(f"J_norm reaches {max(self.J_norm)}, above the grid-tier cap {cap}")
+        deepest = max(self.J_norm + self.J_seq + self.J_mixed)
+        for psi in (self.psi, self.control_psi):
+            if psi is not None and table_depth(psi) < deepest:
+                raise ConfigError(
+                    f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{deepest}"
+                )
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
@@ -188,7 +209,6 @@ def _forced_bound(desc: PsiDescriptor, kappa: float, L: float, p: float, J: int)
 
 def run_sequence_experiment(config: ExperimentConfig) -> Report:
     params, desc = config.params, config.psi
-    classification = classify_condition(desc, params.kappa)
     J_top = max(max(config.J_seq), max(config.J_mixed))
     blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, J_top))
     rows = []
@@ -227,9 +247,7 @@ def run_sequence_experiment(config: ExperimentConfig) -> Report:
         )
     report = Report("sequence", ["kind", "tier", "J", "probe", "value"], rows)
     report.verdicts = sequence_verdicts(rows, config.J_mixed, config.diag_threshold)
-    report.verdicts["condition_classification"] = classification
-    if classification == SATISFIED:
-        report.verdicts["note"] = "control run: condition satisfied, divergence not expected"
+    report.verdicts.update(config_verdicts("sequence", config))
     return report
 
 
@@ -290,7 +308,6 @@ def run_pathology(config: ExperimentConfig) -> Report:
         raise ConfigError("; ".join(violations))
     if params.N != 2 or params.d != 1:
         raise ConfigError("pathology run supports N = 2, d = 1 only")
-    classification = classify_condition(desc, params.kappa)
     J_top = max(max(config.J_seq), max(config.J_norm))
     blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, J_top))
     rows = []
@@ -298,7 +315,7 @@ def run_pathology(config: ExperimentConfig) -> Report:
     for J in config.J_norm:
         field = AtomicField(params, blocks, J)
         est = fieldnorms.field_besov_norm(
-            field, desc=_classical(), s=params.s, p=params.p, q=params.q,
+            field, desc=constant(1.0), s=params.s, p=params.p, q=params.q,
             M=params.M, j_max=j_max, res_scale=config.res_scale,
         )
         rows.append({"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": est.value})
@@ -334,7 +351,6 @@ def run_pathology(config: ExperimentConfig) -> Report:
     x_probes = x_probe_points(config.x_probes)
     rows.extend(_diagnostic_rows(blocks, desc, params.p, config.J_seq, x_probes))
     if config.control_psi is not None:
-        control_class = classify_condition(config.control_psi, params.kappa)
         for J in (min(config.J_seq), max(config.J_seq)):
             rows.append(
                 {
@@ -347,20 +363,28 @@ def run_pathology(config: ExperimentConfig) -> Report:
             )
     report = Report("pathology", ["kind", "tier", "J", "probe", "value"], rows)
     report.verdicts = pathology_verdicts(rows, config.diag_threshold)
-    report.verdicts["condition_classification"] = classification
-    if config.control_psi is not None:
-        report.verdicts["control_classification"] = control_class
-    report.verdicts["caveat"] = (
-        "finite probe sample: almost-everywhere statements about y are not "
-        "addressed; divergence means monotone growth past the threshold, not infinity"
-    )
+    report.verdicts.update(config_verdicts("pathology", config))
     return report
 
 
-def _classical() -> PsiDescriptor:
-    from .slowly_varying import constant
-
-    return constant(1.0)
+def config_verdicts(name: str, config: ExperimentConfig) -> dict:
+    """The verdict keys of report `name` that follow from the configuration,
+    not from the recorded rows."""
+    if name == "lemma_le":
+        return {}
+    kappa = config.params.kappa
+    classification = classify_condition(config.psi, kappa)
+    out = {"condition_classification": classification}
+    if name == "sequence" and classification == SATISFIED:
+        out["note"] = "control run: condition satisfied, divergence not expected"
+    if name == "pathology":
+        if config.control_psi is not None:
+            out["control_classification"] = classify_condition(config.control_psi, kappa)
+        out["caveat"] = (
+            "finite probe sample: almost-everywhere statements about y are not "
+            "addressed; divergence means monotone growth past the threshold, not infinity"
+        )
+    return out
 
 
 def _by_probe_and_depth(rows: list[dict], kind: str) -> dict[float, dict[int, float]]:
@@ -477,7 +501,8 @@ def _trend_series(report: Report) -> dict[str, list[tuple[float, float]]]:
 
 
 def verdicts_from_csv_rows(name: str, rows: list[dict], config: ExperimentConfig) -> dict:
-    """Recompute a report's verdicts from parsed CSV rows (strings allowed)."""
+    """Recompute a report's verdicts from parsed CSV rows (strings allowed),
+    plus the keys that follow from the configuration."""
     parsed = []
     for row in rows:
         r = dict(row)
@@ -489,9 +514,12 @@ def verdicts_from_csv_rows(name: str, rows: list[dict], config: ExperimentConfig
                 r[key] = int(r[key])
         parsed.append(r)
     if name == "lemma_le":
-        return lemma_le_verdicts(parsed)
-    if name == "sequence":
-        return sequence_verdicts(parsed, config.J_mixed, config.diag_threshold)
-    if name == "pathology":
-        return pathology_verdicts(parsed, config.diag_threshold)
-    raise ValueError(f"unknown report name {name!r}")
+        verdicts = lemma_le_verdicts(parsed)
+    elif name == "sequence":
+        verdicts = sequence_verdicts(parsed, config.J_mixed, config.diag_threshold)
+    elif name == "pathology":
+        verdicts = pathology_verdicts(parsed, config.diag_threshold)
+    else:
+        raise ValueError(f"unknown report name {name!r}")
+    verdicts.update(config_verdicts(name, config))
+    return verdicts

@@ -26,14 +26,6 @@ class NormEstimate:
     t_levels: int
     h_samples: int
 
-    def __add__(self, other: "NormEstimate") -> "NormEstimate":
-        return NormEstimate(
-            value=self.value + other.value,
-            resolution=min(self.resolution, other.resolution),
-            t_levels=max(self.t_levels, other.t_levels),
-            h_samples=max(self.h_samples, other.h_samples),
-        )
-
 
 def finite_diff(f, M: int, h, x) -> np.ndarray:
     """M-th forward difference with step h at points x.

@@ -30,13 +30,16 @@ class BlockLevel:
     start: int    # window start cell in [0, 2^j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSequence:
     """Sparse per-level representation of a blockwise on/off sequence.
 
     Within block T_j = {2^j, ..., 2^(j+1)-1}, positions whose cell offset
     satisfies (k - 2^j - start_j) mod 2^j < n_j carry value theta_j; all other
     positions carry 0.  Levels 0 and 1 are identically zero.
+
+    Equality and hashing are by identity: a sequence keys the grid-tier
+    caches (through AtomicField) in O(1), never by walking its levels.
     """
 
     J: int
@@ -65,18 +68,6 @@ class BlockSequence:
         if lvl.n == 0:
             return False
         return (k - size - lvl.start) % size < lvl.n
-
-    def value_at(self, k: int) -> float:
-        """Sequence value at index k >= 0 (0 outside every active block)."""
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return 0.0
-        j = k.bit_length() - 1
-        if j > self.J:
-            raise ValueError(f"index {k} beyond truncation depth J={self.J}")
-        lvl = self.levels[j]
-        return lvl.theta if self.is_on(j, k) else 0.0
 
 
 def lemma_le_partial(u, m: float, n: int) -> float:
@@ -199,19 +190,6 @@ def coverage_count(blocks: BlockSequence, x, J: int | None = None) -> int:
         if (k - size - lvl.start) % size < lvl.n:
             count += 1
     return count
-
-
-def lambda_value(blocks: BlockSequence, p: float, j: int, k: int) -> float:
-    """lambda_{j,k} = 2^(-j/p) * (block value at k)^(1/p) for k in T_j, else 0."""
-    if j < 0 or k < 0:
-        raise ValueError("j and k must be nonnegative")
-    size = 1 << j
-    if not size <= k < 2 * size:
-        return 0.0
-    v = blocks.value_at(k)
-    if v == 0.0:
-        return 0.0
-    return math.exp((math.log(v) - j * math.log(2.0)) / p)
 
 
 def mixed_norm(blocks: BlockSequence, p: float, q: float, J: int | None = None) -> float:

@@ -67,6 +67,20 @@ def tabulated(pairs) -> PsiDescriptor:
     return PsiDescriptor(TABULATED, table=tuple((int(j), float(v)) for j, v in pairs))
 
 
+def table_depth(desc: PsiDescriptor) -> float:
+    """Largest J with Psi(2^-j) known for every j = 0..J.
+
+    inf for the closed-form families; -1 for a table without j = 0.
+    """
+    if desc.family != TABULATED:
+        return math.inf
+    known = {j for j, _ in desc.table}
+    depth = -1
+    while depth + 1 in known:
+        depth += 1
+    return depth
+
+
 def _table_lookup(desc: PsiDescriptor, j: int) -> float:
     for jj, value in desc.table:
         if jj == j:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,10 +95,71 @@ def test_lemma_le_emits_files(config_path, tmp_path):
 def test_pathology_run_and_report_agree(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["--config", config_path, "--out", str(out), "pathology-run"]) == 0
-    first = json.loads((out / "verdicts.json").read_text())
+    first = (out / "verdicts.json").read_bytes()
     assert main(["--config", config_path, "--out", str(out), "report"]) == 0
-    second = json.loads((out / "verdicts.json").read_text())
-    # report recomputes from CSVs; row-derived verdicts must survive the trip
-    for name in ("lemma_le", "sequence", "pathology"):
-        for key, value in second[name].items():
-            assert first[name][key] == value
+    # report recomputes the row-derived verdicts from the CSVs and adds the
+    # config-derived keys (classifications, note, caveat)
+    assert (out / "verdicts.json").read_bytes() == first
+    assert "caveat" in json.loads(first)["pathology"]
+
+
+def test_pathology_run_is_deterministic_across_processes(tmp_path):
+    """Two separate processes write byte-identical CSVs and verdicts."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    outs = []
+    for label in ("one", "two"):
+        out = tmp_path / label
+        subprocess.run(
+            [sys.executable, "-m", "besovlab.cli", "--config", str(root / "configs" / "flagship.json"),
+             "--out", str(out), "pathology-run"],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        outs.append(out)
+    for name in ("lemma_le.csv", "sequence.csv", "pathology.csv", "verdicts.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _with(cfg_path, tmp_path, **changes):
+    cfg = json.loads(Path(cfg_path).read_text())
+    for key, value in changes.items():
+        cfg[key] = value
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "changes, argv",
+    [
+        ({"probes": {"x": 128, "y": 2}}, ["pathology-run"]),
+        ({"probes": {"x": 8, "y": 0}}, ["pathology-run"]),
+        ({"J": {"norm": [4, 6], "seq": [16, 32, 64], "mixed": [32]}}, ["pathology-run"]),
+        ({"J": {"norm": [4, 16], "seq": [16, 32, 64], "mixed": [16, 32]}}, ["pathology-run"]),
+        ({"psi": {"family": "tabulated", "table": [[j, 1.0] for j in range(33)]}}, ["pathology-run"]),
+        ({"psi": {"family": "tabulated", "table": [[j, 1.0] for j in range(65)]}}, ["psi-check"]),
+        ({"psi": {"family": "tabulated", "table": [[j, 1.0] for j in range(65)]}},
+         ["seq-build", "--J", "100"]),
+        ({}, ["seq-build", "--J", "0"]),
+        ({}, ["norm-est", "--target", "field", "--J", "16"]),
+        ({}, ["norm-est", "--target", "partial-map", "--J", "16", "--y", "1.5"]),
+        ({"N": 3, "d": 2}, ["norm-est", "--target", "field", "--J", "4"]),
+    ],
+    ids=[
+        "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
+        "psi-table-short-of-run", "psi-table-short-of-psi-check", "psi-table-short-of-J",
+        "seq-build-J-0", "norm-est-field-above-grid-cap", "norm-est-partial-map-above-grid-cap",
+        "norm-est-field-not-planar",
+    ],
+)
+def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
+    path = _with(config_path, tmp_path, **changes)
+    assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_removed_global_flags_are_rejected(config_path):
+    for flag in ("--threads", "--seed"):
+        with pytest.raises(SystemExit):
+            main(["--config", config_path, flag, "1", "psi-check"])

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from besovlab import fieldnorms, norms, sequences
-from besovlab.atoms import AtomicField, eval_f, partial_map, support_boxes
+from besovlab.atoms import AtomicField, eval_f, level_box, partial_map, support_boxes
 from besovlab.fieldnorms import (
     default_level_resolution,
     field_besov_norm,
     field_lp,
     field_modulus,
     field_seminorm,
+    grid_depth_cap,
     level_diff_lp_pow,
     level_lp_pow,
     pm_level_diff_lp_pow,
@@ -141,7 +142,8 @@ class TestAgainstGenericPath:
             best = 0.0
             for h in norms.default_h_set(1, t):
                 total = math.fsum(
-                    pm_level_diff_lp_pow(small_field, y, j, params.p, params.M, h, res)
+                    abs(g.level_weights[j]) ** params.p
+                    * pm_level_diff_lp_pow(small_field, j, params.p, params.M, h, res)
                     for j in small_field.active_levels()
                 )
                 best = max(best, total ** (1.0 / params.p))
@@ -168,3 +170,66 @@ class TestTopLevel:
     def test_pm_seminorm_requires_M_above_s(self, small_field):
         with pytest.raises(ValueError):
             pm_seminorm(small_field, 1.5, constant(1.0), 2.5, 1.0, 2, j_max=3)
+
+
+class TestLevelReuse:
+    @pytest.mark.parametrize("y", [1.1, 1.51, 1.77, 1.93])
+    def test_factored_partial_map_integral_matches_direct(self, small_field, flagship_params, y):
+        """|w_j(y)|^p times the y-free profile integral equals the quadrature
+        of the M-th difference of the partial map itself at y."""
+        p, M = flagship_params.p, flagship_params.M
+        g = partial_map(small_field, y)
+        checked = 0
+        for j in small_field.active_levels():
+            w = g.level_weights[j]
+            res = default_level_resolution(j)
+            box = level_box(small_field, j)
+            # overlapping translates, then a step past the box (disjoint branch)
+            for h in (2.0**-3, -(2.0**-5), 0.75 * 2.0**-4, 1.0):
+                lo = box.lo[0] - M * max(h, 0.0)
+                hi = box.hi[0] - M * min(h, 0.0)
+                x = lo + (np.arange(math.ceil((hi - lo) / res - 1e-9)) + 0.5) * res
+                acc = sum(((-1.0) ** (M - i)) * math.comb(M, i) * g(x + i * h) for i in range(M + 1))
+                direct = float(np.sum(np.abs(acc) ** p)) * res
+                factored = abs(w) ** p * pm_level_diff_lp_pow(small_field, j, p, M, h, res)
+                assert factored == pytest.approx(direct, rel=1e-12, abs=0.0)
+                checked += direct > 0.0
+        assert checked > 0
+
+    def test_no_cache_key_hashes_the_sequence(self, flagship_params, psi_one, monkeypatch):
+        """Cache keys hash a field in O(1): no BlockLevel is ever hashed."""
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 4096))
+        field = AtomicField(flagship_params, blocks, 4)
+
+        def refuse(self):
+            raise AssertionError("a cache key hashed a BlockLevel")
+
+        monkeypatch.setattr(sequences.BlockLevel, "__hash__", refuse)
+        p = flagship_params
+        norm = field_besov_norm(field, psi_one, p.s, p.p, p.q, p.M, j_max=3)
+        semi = pm_seminorm(field, 1.51, psi_one, p.s, p.p, p.M, j_max=3)
+        assert norm.value > 0.0 and semi.value > 0.0
+
+    def test_depths_share_level_integrals(self, flagship_params, psi_one):
+        """A deeper norm computes only the levels a shallower one lacks, and
+        gets the value it gets alone."""
+        p = flagship_params
+
+        def norm_and_misses(blocks, J):
+            before = level_diff_lp_pow.cache_info().misses
+            est = field_besov_norm(AtomicField(p, blocks, J), psi_one, p.s, p.p, p.q, p.M, j_max=6)
+            return est.value, level_diff_lp_pow.cache_info().misses - before
+
+        def fresh_blocks():
+            return sequences.rearrange(sequences.build_lambda_blocks(psi_one, p, 6))
+
+        shared = fresh_blocks()
+        _, shallow_misses = norm_and_misses(shared, 4)
+        deep_value, deep_misses = norm_and_misses(shared, 6)
+        alone_value, alone_misses = norm_and_misses(fresh_blocks(), 6)
+        assert 0 < deep_misses == alone_misses - shallow_misses
+        assert deep_value == alone_value
+
+    def test_grid_depth_cap(self):
+        assert grid_depth_cap(2) == 15  # C_M = 8
+        assert grid_depth_cap(4) == 14  # C_M = 12

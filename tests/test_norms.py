@@ -5,7 +5,6 @@ import pytest
 
 from besovlab.atoms import Box, BoxDomain
 from besovlab.norms import (
-    NormEstimate,
     besov_norm,
     classical_seminorm,
     default_h_set,
@@ -144,13 +143,3 @@ class TestSeminorm:
             resolution_schedule=lambda j: 2.0 ** -(8 + j),
         )
         assert est.resolution == pytest.approx(2.0**-11)
-
-
-def test_norm_estimate_merge():
-    a = NormEstimate(1.0, 0.01, 4, 6)
-    b = NormEstimate(2.0, 0.001, 3, 16)
-    c = a + b
-    assert c.value == 3.0
-    assert c.resolution == 0.001
-    assert c.t_levels == 4
-    assert c.h_samples == 16

@@ -283,7 +283,9 @@ class TestSupDiagnostic:
 class TestSerialization:
     def test_json_round_trip(self, blocks_j8):
         again = blocks_from_json(blocks_to_json(blocks_j8))
-        assert again == blocks_j8
+        # sequences compare by identity; the round trip must keep every field
+        fields = ("J", "levels", "rearranged", "cursor")
+        assert [getattr(again, f) for f in fields] == [getattr(blocks_j8, f) for f in fields]
 
     def test_verify_accepts_fresh_build(self, blocks_j8):
         assert verify_blocks(blocks_j8) == []
