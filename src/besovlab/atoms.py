@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -242,6 +243,13 @@ def eval_f_dense(field: AtomicField, x) -> np.ndarray:
     return float(out[0]) if single else out
 
 
+@lru_cache(maxsize=4096)
+def _level_weight_at(field: AtomicField, j: int, y: float) -> float:
+    """level_weight at the single point y.  It reads only level j, so it is
+    keyed on the field cut at depth j and shared by every depth J >= j."""
+    return float(level_weight(field, j, np.array([y]))[0])
+
+
 def partial_map(field: AtomicField, y: float):
     """One-variable function x1 -> f(x1, y).  Requires N = 2, d = 1.
 
@@ -250,7 +258,10 @@ def partial_map(field: AtomicField, y: float):
     """
     if field.params.N != 2 or field.params.d != 1:
         raise ValueError("partial_map supports N = 2, d = 1 only")
-    weights = {j: float(level_weight(field, j, np.array([y]))[0]) for j in field.active_levels()}
+    weights = {
+        j: _level_weight_at(AtomicField(field.params, field.blocks, j), j, y)
+        for j in field.active_levels()
+    }
 
     def g(x1):
         x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))

@@ -21,8 +21,8 @@ import numpy as np
 from . import experiments, fieldnorms, norms, sequences
 from .atoms import AtomicField, Box, BoxDomain, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
-from .params import load_config, validate
-from .reporting import read_csv, write_json, write_svg_lines
+from .params import load_config
+from .reporting import read_csv, write_csv, write_json
 from .slowly_varying import slow_variation_deviation, summability_partial, table_depth
 
 
@@ -83,39 +83,9 @@ def cmd_seq_build(args) -> int:
     else:
         print(text)
     if args.csv:
-        _write_sequence_csv(config, blocks, args.csv)
+        rows = sequences.level_table(blocks, config.psi, config.params)
+        write_csv(args.csv, list(sequences.LEVEL_COLUMNS), rows)
     return 0
-
-
-def _write_sequence_csv(config: ExperimentConfig, blocks, path: str) -> None:
-    kappa = config.params.kappa
-    S = sequences.build_S(config.psi, kappa, blocks.J)
-    rows = []
-    running = []
-    for j in range(blocks.J + 1):
-        lvl = blocks.levels[j]
-        running.append(j)
-        rows.append(
-            {
-                "j": j,
-                "S_j": float(S[j - 1]) if j >= 1 else 0.0,
-                "Gamma_j1": sequences.gamma(config.psi, kappa, j, 1.0) if j >= 1 else 0.0,
-                "n_j": lvl.n,
-                "theta_j": lvl.theta,
-                "start_j": lvl.start,
-                "block_average": sequences.block_average(blocks, j),
-                "mixed_norm_partial": sequences.mixed_norm(
-                    blocks, config.params.p, config.params.q, j
-                ),
-            }
-        )
-    from .reporting import write_csv
-
-    write_csv(
-        path,
-        ["j", "S_j", "Gamma_j1", "n_j", "theta_j", "start_j", "block_average", "mixed_norm_partial"],
-        rows,
-    )
 
 
 def cmd_seq_verify(args) -> int:
@@ -220,9 +190,10 @@ def cmd_pathology_run(args) -> int:
     files = []
     lemma = experiments.run_lemma_le(config)
     files += experiments.emit_report(lemma, out, config.emit_svg)
-    seq_report = experiments.run_sequence_experiment(config)
+    exact = experiments.exact_tier(config)
+    seq_report = experiments.run_sequence_experiment(config, exact)
     files += experiments.emit_report(seq_report, out, config.emit_svg)
-    pathology = experiments.run_pathology(config)
+    pathology = experiments.run_pathology(config, exact)
     files += experiments.emit_report(pathology, out, config.emit_svg)
     verdicts = {
         "lemma_le": lemma.verdicts,

@@ -73,12 +73,16 @@ class ExperimentConfig:
         cap = fieldnorms.grid_depth_cap(self.params.M)
         if max(self.J_norm) > cap:
             raise ConfigError(f"J_norm reaches {max(self.J_norm)}, above the grid-tier cap {cap}")
-        deepest = max(self.J_norm + self.J_seq + self.J_mixed)
         for psi in (self.psi, self.control_psi):
-            if psi is not None and table_depth(psi) < deepest:
+            if psi is not None and table_depth(psi) < self.deepest:
                 raise ConfigError(
-                    f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{deepest}"
+                    f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{self.deepest}"
                 )
+
+    @property
+    def deepest(self) -> int:
+        """The deepest level any report of this configuration reads."""
+        return max(self.J_norm + self.J_seq + self.J_mixed)
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
@@ -201,27 +205,55 @@ def _diagnostic_rows(blocks, desc, p, J_list, probes) -> list[dict]:
     return rows
 
 
-def _forced_bound(desc: PsiDescriptor, kappa: float, L: float, p: float, J: int) -> float:
-    """S_J^(L/p), the diagnostic's forced lower bound over covered levels."""
-    S = sequences.build_S(desc, kappa, J)
-    return float(S[-1]) ** (L / p)
+@dataclass(frozen=True)
+class ExactTier:
+    """The exact tier of one configuration, shared by its sequence and
+    pathology reports: the rearranged blocks at config.deepest, the S_j and
+    mixed_norm_partial columns of their sequences.level_table (indexed by
+    j), and the sup_diagnostic rows over J_seq and the x-probes.  Blocks are
+    built prefix-stable (running sums and cursor), so every value read at a
+    depth J equals one from blocks built at J.  Only the two columns are
+    kept: the table's row dicts would raise the flagship's peak memory."""
+
+    blocks: sequences.BlockSequence
+    S: list[float]
+    mixed_norm_partial: list[float]
+    diagnostics: list[dict]
 
 
-def run_sequence_experiment(config: ExperimentConfig) -> Report:
+def exact_tier(config: ExperimentConfig) -> ExactTier:
     params, desc = config.params, config.psi
-    J_top = max(max(config.J_seq), max(config.J_mixed))
-    blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, J_top))
-    rows = []
-    for J in sorted(set(config.J_mixed) | set(config.J_seq)):
-        rows.append(
-            {
-                "kind": "mixed_norm",
-                "tier": "exact",
-                "J": J,
-                "probe": None,
-                "value": sequences.mixed_norm(blocks, params.p, params.q, J),
-            }
-        )
+    blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, config.deepest))
+    S, partials = [], []
+    for row in sequences.level_table(blocks, desc, params):
+        S.append(row["S_j"])
+        partials.append(row["mixed_norm_partial"])
+    probes = x_probe_points(config.x_probes)
+    return ExactTier(
+        blocks=blocks,
+        S=S,
+        mixed_norm_partial=partials,
+        diagnostics=_diagnostic_rows(blocks, desc, params.p, config.J_seq, probes),
+    )
+
+
+def _mixed_norm_row(exact: ExactTier, J: int) -> dict:
+    value = exact.mixed_norm_partial[J]
+    return {"kind": "mixed_norm", "tier": "exact", "J": J, "probe": None, "value": value}
+
+
+def _bound_row(kind: str, J: int, S_J: float, params: Params) -> dict:
+    """S_J^(L/p), the diagnostic's forced lower bound over covered levels."""
+    value = S_J ** (params.L / params.p)
+    return {"kind": kind, "tier": "exact", "J": J, "probe": None, "value": value}
+
+
+def run_sequence_experiment(config: ExperimentConfig, exact: ExactTier | None = None) -> Report:
+    params = config.params
+    if exact is None:
+        exact = exact_tier(config)
+    blocks = exact.blocks
+    rows = [_mixed_norm_row(exact, J) for J in sorted(set(config.J_mixed) | set(config.J_seq))]
     probes = x_probe_points(config.x_probes)
     for J in config.J_seq:
         for x in probes:
@@ -234,17 +266,9 @@ def run_sequence_experiment(config: ExperimentConfig) -> Report:
                     "value": float(sequences.coverage_count(blocks, x, J)),
                 }
             )
-    rows.extend(_diagnostic_rows(blocks, desc, params.p, config.J_seq, probes))
+    rows.extend(exact.diagnostics)
     for J in (min(config.J_seq), max(config.J_seq)):
-        rows.append(
-            {
-                "kind": "forced_bound",
-                "tier": "exact",
-                "J": J,
-                "probe": None,
-                "value": _forced_bound(desc, params.kappa, params.L, params.p, J),
-            }
-        )
+        rows.append(_bound_row("forced_bound", J, exact.S[J], params))
     report = Report("sequence", ["kind", "tier", "J", "probe", "value"], rows)
     report.verdicts = sequence_verdicts(rows, config.J_mixed, config.diag_threshold)
     report.verdicts.update(config_verdicts("sequence", config))
@@ -301,15 +325,16 @@ def sequence_verdicts(rows: list[dict], J_mixed, diag_threshold: float) -> dict:
 # Pathology run (flagship)
 
 
-def run_pathology(config: ExperimentConfig) -> Report:
+def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> Report:
     params, desc = config.params, config.psi
     violations = validate(params)
     if violations:
         raise ConfigError("; ".join(violations))
     if params.N != 2 or params.d != 1:
         raise ConfigError("pathology run supports N = 2, d = 1 only")
-    J_top = max(max(config.J_seq), max(config.J_norm))
-    blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, J_top))
+    if exact is None:
+        exact = exact_tier(config)
+    blocks = exact.blocks
     rows = []
     j_max = max(config.J_norm)  # common t-depth so the sweep compares like with like
     for J in config.J_norm:
@@ -319,15 +344,7 @@ def run_pathology(config: ExperimentConfig) -> Report:
             M=params.M, j_max=j_max, res_scale=config.res_scale,
         )
         rows.append({"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": est.value})
-        rows.append(
-            {
-                "kind": "mixed_norm",
-                "tier": "exact",
-                "J": J,
-                "probe": None,
-                "value": sequences.mixed_norm(blocks, params.p, params.q, J),
-            }
-        )
+        rows.append(_mixed_norm_row(exact, J))
     y_probes = y_probe_points(config.y_probes)
     for J in config.J_norm:
         field = AtomicField(params, blocks, J)
@@ -348,19 +365,11 @@ def run_pathology(config: ExperimentConfig) -> Report:
                     "value": float(sequences.coverage_count(blocks, y, J)),
                 }
             )
-    x_probes = x_probe_points(config.x_probes)
-    rows.extend(_diagnostic_rows(blocks, desc, params.p, config.J_seq, x_probes))
+    rows.extend(exact.diagnostics)
     if config.control_psi is not None:
+        S = sequences.build_S(config.control_psi, params.kappa, max(config.J_seq))
         for J in (min(config.J_seq), max(config.J_seq)):
-            rows.append(
-                {
-                    "kind": "control_bound",
-                    "tier": "exact",
-                    "J": J,
-                    "probe": None,
-                    "value": _forced_bound(config.control_psi, params.kappa, params.L, params.p, J),
-                }
-            )
+            rows.append(_bound_row("control_bound", J, float(S[J - 1]), params))
     report = Report("pathology", ["kind", "tier", "J", "probe", "value"], rows)
     report.verdicts = pathology_verdicts(rows, config.diag_threshold)
     report.verdicts.update(config_verdicts("pathology", config))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -24,7 +25,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path: str | Path, fieldnames: list[str], rows: Iterable[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -202,6 +203,48 @@ def mixed_norm(blocks: BlockSequence, p: float, q: float, J: int | None = None) 
         return max((a ** (1.0 / p) for a in averages), default=0.0)
     total = math.fsum(a ** (q / p) for a in averages)
     return total ** (1.0 / q)
+
+
+LEVEL_COLUMNS = (
+    "j", "S_j", "Gamma_j1", "n_j", "theta_j", "start_j", "block_average", "mixed_norm_partial",
+)
+
+
+def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> Iterator[dict]:
+    """One row per level j = 0..blocks.J with the LEVEL_COLUMNS, in one pass.
+
+    Each row equals the per-j oracles: S_j = build_S(j)[-1], Gamma_j1 =
+    gamma(j, 1.0), block_average(j) and mixed_norm(blocks, p, q, j); S_j and
+    Gamma_j1 are 0.0 at j = 0.  S comes from one build_S, whose cumulative
+    sum is prefix-stable.  The mixed-norm partial keeps the exact running
+    sum of block_average^(q/p) and rounds it once, as math.fsum over the
+    prefix does; for q = inf it keeps the running max of block_average^(1/p).
+    Rows are yielded one at a time, so a deep table never sits in memory.
+    """
+    kappa, p, q = params.kappa, params.p, params.q
+    S = build_S(desc, kappa, blocks.J)
+    total = Fraction(0)
+    best = 0.0
+    for lvl in blocks.levels:
+        j = lvl.j
+        average = block_average(blocks, j)
+        if math.isinf(q):
+            best = max(best, average ** (1.0 / p))
+            partial = best
+        else:
+            total += Fraction(average ** (q / p))
+            partial = float(total) ** (1.0 / q)
+        S_j = float(S[j - 1]) if j >= 1 else 0.0
+        yield {
+            "j": j,
+            "S_j": S_j,
+            "Gamma_j1": psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0,
+            "n_j": lvl.n,
+            "theta_j": lvl.theta,
+            "start_j": lvl.start,
+            "block_average": average,
+            "mixed_norm_partial": partial,
+        }
 
 
 def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: int | None = None) -> float:

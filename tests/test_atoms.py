@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besovlab import sequences
+from besovlab import atoms, sequences
 from besovlab.atoms import (
     AtomicField,
     Box,
@@ -174,3 +174,22 @@ class TestPartialMap:
     def test_exposes_level_weights(self, field_j6):
         g = partial_map(field_j6, 1.5)
         assert set(g.level_weights) == set(field_j6.active_levels())
+
+    def test_level_weights_computed_once_per_level_and_y(self, flagship_params, psi_one, monkeypatch):
+        # a fresh block sequence gives fresh cache keys
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 8))
+        computed = []
+
+        def counting(field, j, xN):
+            computed.append(j)
+            return level_weight(field, j, xN)
+
+        monkeypatch.setattr(atoms, "level_weight", counting)
+        y = 1.3
+        for J in (6, 8, 8):
+            field = AtomicField(flagship_params, blocks, J)
+            weights = partial_map(field, y).level_weights
+            for j, w in weights.items():
+                assert w == float(level_weight(field, j, np.array([y]))[0])
+        # the weight of level j does not depend on the depth J >= j
+        assert computed == list(range(2, 9))

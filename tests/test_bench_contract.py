@@ -66,6 +66,39 @@ def test_every_per_layer_metric_is_a_number(tmp_path):
     assert values["atoms.eval_f.points"] == 2
 
 
+def test_exact_eval_commands_keep_sequences_metrics(tmp_path):
+    """exact-eval's exact-deep stage (psi-check, seq-build --csv, seq-verify)
+    traced: every sequences.* per-layer metric stays a number."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["per_layer"] if m["name"].startswith("sequences.")]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    blocks, table = tmp_path / "blocks.json", tmp_path / "seq.csv"
+    J = 64
+
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        from besovlab import cli
+
+        assert cli.main(["--config", str(config), "psi-check"]) == 0
+        assert cli.main(["--config", str(config), "--out", str(blocks),
+                         "seq-build", "--J", str(J), "--csv", str(table)]) == 0
+        assert cli.main(["seq-verify", str(blocks)]) == 0
+    finally:
+        tracer.uninstall()
+    values = {name: tracer.metric(name) for name in names}
+    broken = {
+        name: value for name, value in values.items()
+        if not isinstance(value, (int, float)) or not math.isfinite(value)
+    }
+    assert not broken
+    # one build_S each in build_lambda_blocks and level_table: O(J), not O(J^2)
+    assert values["sequences.build_S.levels"] == 2 * J
+    assert tracer.metric("sequences.block_average.calls") == J + 1
+    assert len(table.read_text().splitlines()) == J + 2
+
+
 def test_field_eval_oracle_calls():
     """The in-process calls of the field-eval stage's dense-oracle check."""
     from besovlab import sequences

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from besovlab import sequences
 from besovlab.cli import main
+from besovlab.experiments import config_from_dict
+from besovlab.params import load_config
 
 
 @pytest.fixture
@@ -48,6 +52,34 @@ def test_seq_build_and_verify(config_path, tmp_path, capsys):
     assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "10"]) == 0
     assert main(["seq-verify", str(out)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_seq_build_csv_matches_per_level_oracles(config_path, tmp_path):
+    J = 64
+    table = tmp_path / "seq.csv"
+    assert main(["--config", config_path, "--out", str(tmp_path / "blocks.json"),
+                 "seq-build", "--J", str(J), "--csv", str(table)]) == 0
+    with open(table, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "j", "S_j", "Gamma_j1", "n_j", "theta_j", "start_j", "block_average", "mixed_norm_partial",
+    ]
+    assert [int(row["j"]) for row in rows] == list(range(J + 1))
+
+    config = config_from_dict(load_config(config_path))
+    psi, params = config.psi, config.params
+    blocks = sequences.rearrange(sequences.build_lambda_blocks(psi, params, J))
+    for j, row in enumerate(rows):
+        lvl = blocks.levels[j]
+        S_j = float(sequences.build_S(psi, params.kappa, j)[-1]) if j else 0.0
+        gamma = sequences.gamma(psi, params.kappa, j, 1.0) if j else 0.0
+        assert (float(row["S_j"]), float(row["Gamma_j1"])) == (S_j, gamma)
+        assert (int(row["n_j"]), float(row["theta_j"]), int(row["start_j"])) == (
+            lvl.n, lvl.theta, lvl.start)
+        assert float(row["block_average"]) == sequences.block_average(blocks, j)
+        assert float(row["mixed_norm_partial"]) == sequences.mixed_norm(
+            blocks, params.p, params.q, j)
 
 
 def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):

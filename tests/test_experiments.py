@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from besovlab import experiments
+from besovlab import experiments, sequences
 from besovlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -92,6 +93,21 @@ class TestLemmaLE:
         assert lemma_le_verdicts(report.rows) == report.verdicts
 
 
+def _exact_oracle(row, config):
+    """The per-depth oracle of an exact-tier row, on blocks built at its J."""
+    params, psi, J = config.params, config.psi, row["J"]
+    blocks = sequences.rearrange(sequences.build_lambda_blocks(psi, params, J))
+    kind = row["kind"]
+    if kind == "mixed_norm":
+        return sequences.mixed_norm(blocks, params.p, params.q, J)
+    if kind in ("coverage", "pm_coverage"):
+        return float(sequences.coverage_count(blocks, Fraction(row["probe"]), J))
+    if kind == "diagnostic":
+        return sequences.sup_diagnostic(blocks, psi, params.p, Fraction(row["probe"]), J)
+    weight = {"forced_bound": psi, "control_bound": config.control_psi}[kind]
+    return float(sequences.build_S(weight, params.kappa, J)[-1]) ** (params.L / params.p)
+
+
 class TestSequenceExperiment:
     def test_flagship_small(self):
         report = run_sequence_experiment(small_config())
@@ -103,6 +119,19 @@ class TestSequenceExperiment:
         report = run_sequence_experiment(small_config(psi=log_power(1.0)))
         assert report.verdicts["condition_classification"] == "satisfied"
         assert "note" in report.verdicts
+
+    def test_exact_rows_equal_builds_at_their_own_depth(self):
+        # the shared exact tier is built once, at config.deepest
+        config = small_config(control_psi=log_power(1.0))
+        exact = experiments.exact_tier(config)
+        assert exact.blocks.J == config.deepest == 64
+        rows = run_sequence_experiment(config, exact).rows + run_pathology(config, exact).rows
+        checked = [row for row in rows if row["tier"] == "exact"]
+        assert {row["kind"] for row in checked} == {
+            "mixed_norm", "coverage", "pm_coverage", "diagnostic", "forced_bound", "control_bound",
+        }
+        for row in checked:
+            assert row["value"] == _exact_oracle(row, config), row
 
     def test_verdicts_recomputable(self):
         config = small_config()

@@ -17,6 +17,8 @@ from besovlab.sequences import (
     build_lambda_blocks,
     coverage_count,
     gamma,
+    LEVEL_COLUMNS,
+    level_table,
     lemma_le_partial,
     lemma_le_partials,
     materialize,
@@ -26,7 +28,7 @@ from besovlab.sequences import (
     total_window_weight,
     verify_blocks,
 )
-from besovlab.slowly_varying import constant, log_power
+from besovlab.slowly_varying import constant, log_power, tabulated
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,59 @@ class TestMixedNorm:
     def test_truncation_monotone(self, blocks_j8):
         values = [mixed_norm(blocks_j8, 1.0, 2.0, J) for J in range(2, 9)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
+_TABLE_J = 300
+
+# (psi, params): the flagship exponents under three weights, and the sup-norm
+# branch q = inf.  The tabulated weight oscillates, and its exponents make
+# q/p non-integer.
+_TABLE_CASES = {
+    "constant": (constant(1.0), Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)),
+    "log-power": (log_power(0.25), Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)),
+    "tabulated": (
+        tabulated((j, (1.0 + 0.5 * math.sin(j)) / (1.0 + j) ** 0.2) for j in range(_TABLE_J + 1)),
+        Params(N=2, d=1, p=1.5, q=4.0, s=2.0, M=3, L=0.3),
+    ),
+    "q=inf": (log_power(0.25), Params(N=2, d=1, p=1.0, q=math.inf, s=1.5, M=2, L=0.5)),
+}
+
+
+class TestLevelTable:
+    """The one-pass table against the per-j oracles, compared with ==."""
+
+    @pytest.fixture(scope="class", params=sorted(_TABLE_CASES))
+    def case(self, request):
+        psi, params = _TABLE_CASES[request.param]
+        blocks = rearrange(build_lambda_blocks(psi, params, _TABLE_J))
+        return psi, params, blocks, list(level_table(blocks, psi, params))
+
+    def test_one_row_per_level_with_every_column(self, case):
+        _, _, blocks, table = case
+        assert [row["j"] for row in table] == list(range(blocks.J + 1))
+        assert all(tuple(row) == LEVEL_COLUMNS for row in table)
+
+    def test_rows_equal_per_level_oracles(self, case):
+        psi, params, blocks, table = case
+        kappa = params.kappa
+        assert table[0]["S_j"] == 0.0 and table[0]["Gamma_j1"] == 0.0
+        for j in range(1, blocks.J + 1):
+            row = table[j]
+            assert row["S_j"] == float(build_S(psi, kappa, j)[-1])
+            assert row["Gamma_j1"] == gamma(psi, kappa, j, 1.0)
+        for j, row in enumerate(table):
+            lvl = blocks.levels[j]
+            assert (row["n_j"], row["theta_j"], row["start_j"]) == (lvl.n, lvl.theta, lvl.start)
+            assert row["block_average"] == block_average(blocks, j)
+            assert row["mixed_norm_partial"] == mixed_norm(blocks, params.p, params.q, j)
+
+    def test_prefix_stable(self, case):
+        # a shallower build gives the same rows: experiments read every depth
+        # from one table built at the deepest
+        psi, params, _, table = case
+        for J in (2, 17, 64):
+            shallow = rearrange(build_lambda_blocks(psi, params, J))
+            assert list(level_table(shallow, psi, params)) == table[: J + 1]
 
 
 class TestSupDiagnostic:
