@@ -6,29 +6,4 @@ dimensions, and estimates the associated finite-difference quasi-norms on
 grids.  See the ``besovlab`` CLI for the packaged experiments.
 """
 
-from .params import Params, kappa, sigma_p, validate
-from .slowly_varying import (
-    PsiDescriptor,
-    classify_condition,
-    constant,
-    iterated_log_power,
-    log_power,
-    psi_dyadic,
-    psi_eval,
-)
-
-__all__ = [
-    "Params",
-    "PsiDescriptor",
-    "classify_condition",
-    "constant",
-    "iterated_log_power",
-    "kappa",
-    "log_power",
-    "psi_dyadic",
-    "psi_eval",
-    "sigma_p",
-    "validate",
-]
-
 __version__ = "0.1.0"

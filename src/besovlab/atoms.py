@@ -107,9 +107,6 @@ class BoxDomain:
     def inflate(self, amount: float) -> "BoxDomain":
         return BoxDomain(tuple(b.inflate(amount) for b in self.boxes), self.resolution)
 
-    def with_resolution(self, resolution: float) -> "BoxDomain":
-        return BoxDomain(self.boxes, resolution)
-
 
 @dataclass(frozen=True)
 class AtomicField:
@@ -187,13 +184,17 @@ def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
     return out
 
 
+def _x1_factor(field: AtomicField, j: int, x) -> np.ndarray:
+    """Per-coordinate bump factor (1/2) psi0((2^j x - C_M 2^j j)/2) of level j
+    at the values x of one of the first N-1 coordinates."""
+    return 0.5 * np.asarray(psi0(((2.0**j) * x - field.C_M * (1 << j) * j) / 2.0))
+
+
 def level_x1_profile(field: AtomicField, j: int, x1) -> np.ndarray:
     """Product over the first N-1 coordinates (all equal to x1 here) of the
     per-coordinate bump factor, times amplitude and lambda."""
     x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))
-    scaled = (2.0**j) * x1_arr - field.C_M * (1 << j) * j
-    factor = 0.5 * np.asarray(psi0(scaled / 2.0))
-    return field.lam(j) * field.amplitude(j) * factor ** (field.params.N - 1)
+    return field.lam(j) * field.amplitude(j) * _x1_factor(field, j, x1_arr) ** (field.params.N - 1)
 
 
 def eval_f(field: AtomicField, x) -> np.ndarray:
@@ -215,12 +216,10 @@ def eval_f(field: AtomicField, x) -> np.ndarray:
         if not mask.any():
             continue
         sub = pts[mask]
-        center = field.C_M * (1 << j) * j
         prof = field.lam(j) * field.amplitude(j) * np.ones(sub.shape[0])
         for i in range(field.params.N - 1):
-            prof *= 0.5 * np.asarray(psi0(((2.0**j) * sub[:, i] - center) / 2.0))
-        w = level_weight(field, j, sub[:, -1])
-        out[mask] = prof * w
+            prof *= _x1_factor(field, j, sub[:, i])
+        out[mask] = prof * level_weight(field, j, sub[:, -1])
     return float(out[0]) if single else out
 
 

@@ -10,10 +10,11 @@ lemma_le.csv has (m, n, partial_sum); sequence.csv and pathology.csv have
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,24 +24,17 @@ from .atoms import AtomicField, Box, BoxDomain, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
 from .params import load_config
 from .reporting import read_csv, write_csv, write_json
-from .slowly_varying import slow_variation_deviation, summability_partial, table_depth
+from .slowly_varying import slow_variation_deviation, summability_partial
 
 
 def _load_experiment_config(path: str | None) -> ExperimentConfig:
     if path is None:
         raise ConfigError("--config is required for this subcommand")
-    return config_from_dict(load_config(path))
-
-
-def _check_depth(config: ExperimentConfig, J: int, least: int = 1) -> None:
-    """Reject a --J that builds no blocks or reads past a tabulated psi."""
-    if J < least:
-        raise ConfigError(f"--J must be >= {least}, got {J}")
-    for psi in (config.psi, config.control_psi):
-        if psi is not None and table_depth(psi) < J:
-            raise ConfigError(
-                f"tabulated psi covers j = 0..{table_depth(psi)}, the command reads j = 0..{J}"
-            )
+    try:
+        cfg = load_config(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return config_from_dict(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -54,7 +48,7 @@ PSI_CHECK_DEPTHS = (8, 64, 512)
 
 def cmd_psi_check(args) -> int:
     config = _load_experiment_config(args.config)
-    _check_depth(config, max(PSI_CHECK_DEPTHS))
+    config.check_depth(max(PSI_CHECK_DEPTHS))
     kappa = config.params.kappa
     result = {
         "classification": experiments.classify_condition(config.psi, kappa),
@@ -72,7 +66,7 @@ def cmd_psi_check(args) -> int:
 
 def cmd_seq_build(args) -> int:
     config = _load_experiment_config(args.config)
-    _check_depth(config, args.J)
+    config.check_depth(args.J)
     blocks = sequences.build_lambda_blocks(config.psi, config.params, args.J)
     if not args.no_rearrange:
         blocks = sequences.rearrange(blocks)
@@ -89,7 +83,10 @@ def cmd_seq_build(args) -> int:
 
 
 def cmd_seq_verify(args) -> int:
-    blocks = sequences.blocks_from_json(Path(args.infile).read_text())
+    try:
+        blocks = sequences.blocks_from_json(Path(args.infile).read_text())
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read blocks from {args.infile}: {exc!r}") from exc
     problems = sequences.verify_blocks(blocks)
     for problem in problems:
         print(f"violation: {problem}", file=sys.stderr)
@@ -97,26 +94,35 @@ def cmd_seq_verify(args) -> int:
     return 1 if problems else 0
 
 
+def _read_points(path: str) -> np.ndarray:
+    """(n, 2) array of the first two columns of a points CSV, whose first
+    line is a header when its first two cells read x1, x2."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no points
+            first = fh.readline()
+            header = [c.strip() for c in first.split(",")[:2]] == ["x1", "x2"]
+            lines = itertools.chain([] if header else [first], fh)
+            return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"points file {path}: {exc}") from exc
+
+
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
-    _check_depth(config, args.J)
+    config.check_depth(args.J)
+    if config.params.N != 2:
+        raise ConfigError("field-eval reads points (x1, x2): N = 2 only")
+    pts = _read_points(args.points)
     blocks = sequences.rearrange(sequences.build_lambda_blocks(config.psi, config.params, args.J))
-    field = AtomicField(config.params, blocks, args.J)
-    pts = []
-    with open(args.points, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:2]] != ["x1", "x2"]:
-            pts.append([float(header[0]), float(header[1])])
-        for row in reader:
-            pts.append([float(row[0]), float(row[1])])
-    values = eval_f(field, np.asarray(pts)) if pts else np.zeros(0)
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
+    values = eval_f(AtomicField(config.params, blocks, args.J), pts) if pts.size else np.zeros(0)
+    out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["x1", "x2", "f"])
-        for (x1, x2), v in zip(pts, np.atleast_1d(values)):
-            writer.writerow([repr(x1), repr(x2), repr(float(v))])
+        out.write("x1,x2,f\n")
+        out.writelines(
+            f"{a!r},{b!r},{v!r}\n"
+            for a, b, v in zip(pts[:, 0].tolist(), pts[:, 1].tolist(), values.tolist())
+        )
     finally:
         if out is not sys.stdout:
             out.close()
@@ -130,12 +136,12 @@ def cmd_norm_est(args) -> int:
     params = config.params
     start = time.perf_counter()
     if args.target == "indicator":
-        _check_depth(config, args.J, least=0)
+        config.check_depth(args.J, least=0)
         f = lambda x: ((np.asarray(x) >= 0) & (np.asarray(x) < 1)).astype(float)
         domain = BoxDomain((Box((0.0,), (1.0,)),), 2.0**-12)
         est = norms.besov_norm(f, config.psi, params.s, params.p, params.q, params.M, domain, args.J)
     else:
-        _check_depth(config, args.J)
+        config.check_depth(args.J)
         cap = fieldnorms.grid_depth_cap(params.M)
         if args.J > cap:
             raise ConfigError(f"--J {args.J} is above the grid-tier depth cap {cap}")
@@ -150,15 +156,13 @@ def cmd_norm_est(args) -> int:
                 field, config.psi, params.s, params.p, params.q, params.M,
                 j_max=args.J, res_scale=config.res_scale,
             )
-        elif args.target == "partial-map":
+        else:  # partial-map; argparse admits no other target
             if args.y is None:
                 raise ConfigError("--y is required for target partial-map")
             est = fieldnorms.pm_seminorm(
                 field, args.y, config.psi, params.s, params.p, params.M,
                 j_max=args.J, res_scale=config.res_scale,
             )
-        else:
-            raise ConfigError(f"unknown target {args.target!r}")
     wall_ms = (time.perf_counter() - start) * 1e3
     result = {
         "value": est.value,

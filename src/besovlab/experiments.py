@@ -65,6 +65,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing, got {vals}")
             if len(vals) < least:
                 raise ConfigError(f"{name} needs at least {least} entries, got {vals}")
+            if vals[0] < 1:
+                raise ConfigError(f"{name} entries must be >= 1, got {vals}")
         for name in ("x_probes", "y_probes"):
             # the probes are 1 + i/count + 1/128, which reach 2 at count = 128
             count = getattr(self, name)
@@ -73,10 +75,23 @@ class ExperimentConfig:
         cap = fieldnorms.grid_depth_cap(self.params.M)
         if max(self.J_norm) > cap:
             raise ConfigError(f"J_norm reaches {max(self.J_norm)}, above the grid-tier cap {cap}")
+        if not (math.isfinite(self.res_scale) and self.res_scale > 0):
+            raise ConfigError(f"grid.res_scale must be finite and > 0, got {self.res_scale}")
+        if self.lemma_n_max < 1:
+            raise ConfigError(f"lemma.n_max must be >= 1, got {self.lemma_n_max}")
+        self.check_depth(self.deepest)
+
+    def check_depth(self, J: int, least: int = 1) -> None:
+        """Reject a depth J below `least`, past a tabulated psi, or above
+        sequences.MAX_SEQ_DEPTH, before any block is built."""
+        if J < least:
+            raise ConfigError(f"--J must be >= {least}, got {J}")
+        if J > sequences.MAX_SEQ_DEPTH:
+            raise ConfigError(f"depth {J} is above the block cap {sequences.MAX_SEQ_DEPTH}")
         for psi in (self.psi, self.control_psi):
-            if psi is not None and table_depth(psi) < self.deepest:
+            if psi is not None and table_depth(psi) < J:
                 raise ConfigError(
-                    f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{self.deepest}"
+                    f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{J}"
                 )
 
     @property
@@ -86,49 +101,43 @@ class ExperimentConfig:
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
+    """ExperimentConfig from a parsed JSON object; any malformed field raises
+    ConfigError."""
     try:
         params = params_from_dict(cfg)
         params.kappa  # p <= q etc. surface here rather than mid-run
-        psi = psi_from_dict(cfg["psi"])
-    except (KeyError, ValueError) as exc:
+        j_cfg = cfg.get("J", {})
+        if isinstance(j_cfg, (list, tuple)):
+            j_cfg = {"norm": list(j_cfg)}
+        grid = cfg.get("grid", {})
+        probes = cfg.get("probes", {})
+        lemma = cfg.get("lemma", {})
+        control = cfg.get("control_psi")
+        kwargs = dict(
+            params=params,
+            psi=psi_from_dict(cfg["psi"]),
+            res_scale=float(grid.get("res_scale", 1.0)),
+            x_probes=int(probes.get("x", 64)),
+            y_probes=int(probes.get("y", 16)),
+            diag_threshold=float(cfg.get("diag_threshold", 2.5)),
+            control_psi=psi_from_dict(control) if control else None,
+            emit_svg=bool(cfg.get("emit_svg", True)),
+        )
+        for key in ("norm", "seq", "mixed"):
+            if key in j_cfg:
+                kwargs[f"J_{key}"] = tuple(int(j) for j in j_cfg[key])
+        if "m" in lemma:
+            kwargs["lemma_m"] = tuple(float(m) for m in lemma["m"])
+        if "n_max" in lemma:
+            kwargs["lemma_n_max"] = int(lemma["n_max"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    j_cfg = cfg.get("J", {})
-    if isinstance(j_cfg, (list, tuple)):
-        j_cfg = {"norm": list(j_cfg)}
-    grid = cfg.get("grid", {})
-    probes = cfg.get("probes", {})
-    lemma = cfg.get("lemma", {})
-    control = cfg.get("control_psi")
-    kwargs = dict(
-        params=params,
-        psi=psi,
-        res_scale=float(grid.get("res_scale", 1.0)),
-        x_probes=int(probes.get("x", 64)),
-        y_probes=int(probes.get("y", 16)),
-        diag_threshold=float(cfg.get("diag_threshold", 2.5)),
-        control_psi=psi_from_dict(control) if control else None,
-        emit_svg=bool(cfg.get("emit_svg", True)),
-    )
-    if "norm" in j_cfg:
-        kwargs["J_norm"] = tuple(int(j) for j in j_cfg["norm"])
-    if "seq" in j_cfg:
-        kwargs["J_seq"] = tuple(int(j) for j in j_cfg["seq"])
-    if "mixed" in j_cfg:
-        kwargs["J_mixed"] = tuple(int(j) for j in j_cfg["mixed"])
-    if "m" in lemma:
-        kwargs["lemma_m"] = tuple(float(m) for m in lemma["m"])
-    if "n_max" in lemma:
-        kwargs["lemma_n_max"] = int(lemma["n_max"])
     return ExperimentConfig(**kwargs)
 
 
 def x_probe_points(count: int) -> list[Fraction]:
     """Equispaced probes in [1,2), offset by 1/128 off dyadic cell boundaries."""
     return [1 + Fraction(i, count) + Fraction(1, 128) for i in range(count)]
-
-
-def y_probe_points(count: int) -> list[float]:
-    return [float(x) for x in x_probe_points(count)]
 
 
 @dataclass
@@ -151,9 +160,8 @@ def run_lemma_le(config: ExperimentConfig) -> Report:
         partials = sequences.lemma_le_partials(np.ones(n_max), m, n_max)
         for n in checkpoints:
             rows.append({"m": m, "n": n, "partial_sum": float(partials[n - 1])})
-    report = Report("lemma_le", ["m", "n", "partial_sum"], rows)
-    report.verdicts = lemma_le_verdicts(rows)
-    return report
+    verdicts = _verdicts("lemma_le", rows, config)
+    return Report("lemma_le", ["m", "n", "partial_sum"], rows, verdicts)
 
 
 def lemma_le_verdicts(rows: list[dict]) -> dict:
@@ -189,20 +197,12 @@ def lemma_le_verdicts(rows: list[dict]) -> dict:
 # Sequence experiment (Lemma LE:main at desk scale)
 
 
-def _diagnostic_rows(blocks, desc, p, J_list, probes) -> list[dict]:
-    rows = []
-    for J in J_list:
-        for x in probes:
-            rows.append(
-                {
-                    "kind": "diagnostic",
-                    "tier": "exact",
-                    "J": J,
-                    "probe": float(x),
-                    "value": sequences.sup_diagnostic(blocks, desc, p, x, J),
-                }
-            )
-    return rows
+ROW_COLUMNS = ("kind", "tier", "J", "probe", "value")
+
+
+def _row(kind: str, tier: str, J: int, probe, value: float) -> dict:
+    """One row of the sequence and pathology reports, keyed by ROW_COLUMNS."""
+    return {"kind": kind, "tier": tier, "J": J, "probe": probe, "value": value}
 
 
 @dataclass(frozen=True)
@@ -222,57 +222,44 @@ class ExactTier:
 
 
 def exact_tier(config: ExperimentConfig) -> ExactTier:
-    params, desc = config.params, config.psi
+    params, desc, p = config.params, config.psi, config.params.p
     blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, config.deepest))
     S, partials = [], []
     for row in sequences.level_table(blocks, desc, params):
         S.append(row["S_j"])
         partials.append(row["mixed_norm_partial"])
     probes = x_probe_points(config.x_probes)
-    return ExactTier(
-        blocks=blocks,
-        S=S,
-        mixed_norm_partial=partials,
-        diagnostics=_diagnostic_rows(blocks, desc, params.p, config.J_seq, probes),
-    )
+    diagnostics = [
+        _row("diagnostic", "exact", J, float(x), sequences.sup_diagnostic(blocks, desc, p, x, J))
+        for J in config.J_seq
+        for x in probes
+    ]
+    return ExactTier(blocks=blocks, S=S, mixed_norm_partial=partials, diagnostics=diagnostics)
 
 
 def _mixed_norm_row(exact: ExactTier, J: int) -> dict:
-    value = exact.mixed_norm_partial[J]
-    return {"kind": "mixed_norm", "tier": "exact", "J": J, "probe": None, "value": value}
+    return _row("mixed_norm", "exact", J, None, exact.mixed_norm_partial[J])
 
 
 def _bound_row(kind: str, J: int, S_J: float, params: Params) -> dict:
     """S_J^(L/p), the diagnostic's forced lower bound over covered levels."""
-    value = S_J ** (params.L / params.p)
-    return {"kind": kind, "tier": "exact", "J": J, "probe": None, "value": value}
+    return _row(kind, "exact", J, None, S_J ** (params.L / params.p))
 
 
 def run_sequence_experiment(config: ExperimentConfig, exact: ExactTier | None = None) -> Report:
     params = config.params
     if exact is None:
         exact = exact_tier(config)
-    blocks = exact.blocks
     rows = [_mixed_norm_row(exact, J) for J in sorted(set(config.J_mixed) | set(config.J_seq))]
     probes = x_probe_points(config.x_probes)
     for J in config.J_seq:
         for x in probes:
-            rows.append(
-                {
-                    "kind": "coverage",
-                    "tier": "exact",
-                    "J": J,
-                    "probe": float(x),
-                    "value": float(sequences.coverage_count(blocks, x, J)),
-                }
-            )
+            count = sequences.coverage_count(exact.blocks, x, J)
+            rows.append(_row("coverage", "exact", J, float(x), float(count)))
     rows.extend(exact.diagnostics)
     for J in (min(config.J_seq), max(config.J_seq)):
         rows.append(_bound_row("forced_bound", J, exact.S[J], params))
-    report = Report("sequence", ["kind", "tier", "J", "probe", "value"], rows)
-    report.verdicts = sequence_verdicts(rows, config.J_mixed, config.diag_threshold)
-    report.verdicts.update(config_verdicts("sequence", config))
-    return report
+    return Report("sequence", list(ROW_COLUMNS), rows, _verdicts("sequence", rows, config))
 
 
 def _rows_of_kind(rows: list[dict], kind: str) -> list[dict]:
@@ -295,30 +282,43 @@ def _min_diag_by_depth(rows: list[dict]) -> dict[int, float]:
     return out
 
 
+def _divergence_verdicts(rows: list[dict], diag_threshold: float) -> dict:
+    """The minimum diagnostic over probes per depth, and whether it grows
+    strictly across the last three depths past diag_threshold."""
+    min_diag = _min_diag_by_depth(rows)
+    depths = sorted(min_diag)[-3:]
+    increasing = all(min_diag[a] < min_diag[b] for a, b in zip(depths, depths[1:]))
+    divergent = increasing and depths and min_diag[depths[-1]] > diag_threshold
+    return {
+        "diagnostic_divergent": bool(divergent),
+        "min_diagnostic_by_depth": {str(J): min_diag[J] for J in sorted(min_diag)},
+    }
+
+
+def _plateau_verdicts(rows: list[dict], kind: str) -> dict:
+    """Whether the `kind` bound at the deepest depth stays within 5% of the
+    shallowest, with both values; empty with fewer than two rows."""
+    bound_rows = sorted(_rows_of_kind(rows, kind), key=lambda r: int(r["J"]))
+    if len(bound_rows) < 2:
+        return {}
+    lo, hi = float(bound_rows[0]["value"]), float(bound_rows[-1]["value"])
+    return {
+        f"{kind}_plateau": bool(hi <= lo * 1.05),
+        f"{kind}_values": {str(bound_rows[0]["J"]): lo, str(bound_rows[-1]["J"]): hi},
+    }
+
+
 def sequence_verdicts(rows: list[dict], J_mixed, diag_threshold: float) -> dict:
     J1, J2 = J_mixed[-2], J_mixed[-1]
     v1 = _value_at(rows, "mixed_norm", J1)
     v2 = _value_at(rows, "mixed_norm", J2)
     mixed_rel = abs(v2 - v1) / v1 if v1 else math.inf
-    min_diag = _min_diag_by_depth(rows)
-    depths = sorted(min_diag)[-3:]
-    increasing = all(min_diag[a] < min_diag[b] for a, b in zip(depths, depths[1:]))
-    divergent = increasing and depths and min_diag[depths[-1]] > diag_threshold
-    bound_rows = sorted(_rows_of_kind(rows, "forced_bound"), key=lambda r: int(r["J"]))
-    verdicts = {
+    return {
         "mixed_norm_cauchy": bool(mixed_rel < 0.05),
         "mixed_norm_relative_gap": mixed_rel,
-        "diagnostic_divergent": bool(divergent),
-        "min_diagnostic_by_depth": {str(J): min_diag[J] for J in sorted(min_diag)},
+        **_divergence_verdicts(rows, diag_threshold),
+        **_plateau_verdicts(rows, "forced_bound"),
     }
-    if len(bound_rows) >= 2:
-        lo, hi = float(bound_rows[0]["value"]), float(bound_rows[-1]["value"])
-        verdicts["forced_bound_plateau"] = bool(hi <= lo * 1.05)
-        verdicts["forced_bound_values"] = {
-            str(bound_rows[0]["J"]): lo,
-            str(bound_rows[-1]["J"]): hi,
-        }
-    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,9 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
             field, desc=constant(1.0), s=params.s, p=params.p, q=params.q,
             M=params.M, j_max=j_max, res_scale=config.res_scale,
         )
-        rows.append({"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": est.value})
+        rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
-    y_probes = y_probe_points(config.y_probes)
+    y_probes = [float(x) for x in x_probe_points(config.y_probes)]
     for J in config.J_norm:
         field = AtomicField(params, blocks, J)
         for y in y_probes:
@@ -353,27 +353,15 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
                 field, y, desc, params.s, params.p, params.M,
                 j_max=j_max, res_scale=config.res_scale,
             )
-            rows.append(
-                {"kind": "pm_seminorm", "tier": "grid", "J": J, "probe": y, "value": est.value}
-            )
-            rows.append(
-                {
-                    "kind": "pm_coverage",
-                    "tier": "exact",
-                    "J": J,
-                    "probe": y,
-                    "value": float(sequences.coverage_count(blocks, y, J)),
-                }
-            )
+            rows.append(_row("pm_seminorm", "grid", J, y, est.value))
+            count = sequences.coverage_count(blocks, y, J)
+            rows.append(_row("pm_coverage", "exact", J, y, float(count)))
     rows.extend(exact.diagnostics)
     if config.control_psi is not None:
         S = sequences.build_S(config.control_psi, params.kappa, max(config.J_seq))
         for J in (min(config.J_seq), max(config.J_seq)):
             rows.append(_bound_row("control_bound", J, float(S[J - 1]), params))
-    report = Report("pathology", ["kind", "tier", "J", "probe", "value"], rows)
-    report.verdicts = pathology_verdicts(rows, config.diag_threshold)
-    report.verdicts.update(config_verdicts("pathology", config))
-    return report
+    return Report("pathology", list(ROW_COLUMNS), rows, _verdicts("pathology", rows, config))
 
 
 def config_verdicts(name: str, config: ExperimentConfig) -> dict:
@@ -439,8 +427,9 @@ def pathology_verdicts(rows: list[dict], diag_threshold: float) -> dict:
     verdicts: dict = {}
     if len(norm_rows) >= 2:
         v1, v2 = float(norm_rows[-2]["value"]), float(norm_rows[-1]["value"])
-        verdicts["norm2d_saturates"] = bool((v2 - v1) / v1 < 0.10)
-        verdicts["norm2d_relative_increase"] = (v2 - v1) / v1
+        rel = (v2 - v1) / v1 if v1 else math.inf  # a field with no active level has norm 0
+        verdicts["norm2d_saturates"] = bool(rel < 0.10)
+        verdicts["norm2d_relative_increase"] = rel
     pm = _by_probe_and_depth(rows, "pm_seminorm")
     if pm:
         strict = []
@@ -452,22 +441,9 @@ def pathology_verdicts(rows: list[dict], diag_threshold: float) -> dict:
     cov = _by_probe_and_depth(rows, "pm_coverage")
     if pm and cov:
         verdicts.update(_pm_growth_where_covered(pm, cov))
-    min_diag = _min_diag_by_depth(rows)
-    if min_diag:
-        depths = sorted(min_diag)[-3:]
-        increasing = all(min_diag[a] < min_diag[b] for a, b in zip(depths, depths[1:]))
-        verdicts["diagnostic_divergent"] = bool(
-            increasing and min_diag[depths[-1]] > diag_threshold
-        )
-        verdicts["min_diagnostic_by_depth"] = {str(J): min_diag[J] for J in sorted(min_diag)}
-    control_rows = sorted(_rows_of_kind(rows, "control_bound"), key=lambda r: int(r["J"]))
-    if len(control_rows) >= 2:
-        lo, hi = float(control_rows[0]["value"]), float(control_rows[-1]["value"])
-        verdicts["control_bound_plateau"] = bool(hi <= lo * 1.05)
-        verdicts["control_bound_values"] = {
-            str(control_rows[0]["J"]): lo,
-            str(control_rows[-1]["J"]): hi,
-        }
+    if _rows_of_kind(rows, "diagnostic"):
+        verdicts.update(_divergence_verdicts(rows, diag_threshold))
+    verdicts.update(_plateau_verdicts(rows, "control_bound"))
     return verdicts
 
 
@@ -522,12 +498,18 @@ def verdicts_from_csv_rows(name: str, rows: list[dict], config: ExperimentConfig
             if r.get(key) not in (None, ""):
                 r[key] = int(r[key])
         parsed.append(r)
+    return _verdicts(name, parsed, config)
+
+
+def _verdicts(name: str, rows: list[dict], config: ExperimentConfig) -> dict:
+    """The verdicts of report `name` from its rows, plus the keys that follow
+    from the configuration."""
     if name == "lemma_le":
-        verdicts = lemma_le_verdicts(parsed)
+        verdicts = lemma_le_verdicts(rows)
     elif name == "sequence":
-        verdicts = sequence_verdicts(parsed, config.J_mixed, config.diag_threshold)
+        verdicts = sequence_verdicts(rows, config.J_mixed, config.diag_threshold)
     elif name == "pathology":
-        verdicts = pathology_verdicts(parsed, config.diag_threshold)
+        verdicts = pathology_verdicts(rows, config.diag_threshold)
     else:
         raise ValueError(f"unknown report name {name!r}")
     verdicts.update(config_verdicts(name, config))

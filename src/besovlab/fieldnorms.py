@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from dataclasses import replace
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .atoms import AtomicField, level_box, level_weight, level_x1_profile, partial_map
-from .norms import LN2, NormEstimate, default_h_set
-from .slowly_varying import PsiDescriptor, psi_dyadic
+from .atoms import AtomicField, Box, level_box, level_weight, level_x1_profile, partial_map
+from .norms import NormEstimate, _box_grid, _dyadic_seminorm, _stencil_coeffs, default_h_set
+from .slowly_varying import PsiDescriptor
 
 
 # level_x1_profile forms 2^j x1 - C_M 2^j j.  A grid point x1 near C_M j
@@ -54,11 +55,6 @@ def default_level_resolution(j: int, scale: float = 1.0) -> float:
     return scale * 2.0 ** (-(j + 4))
 
 
-def _axis_grid(lo: float, hi: float, res: float) -> np.ndarray:
-    ncells = max(1, int(math.ceil((hi - lo) / res - 1e-9)))
-    return lo + (np.arange(ncells) + 0.5) * res
-
-
 def _level_fields(field: AtomicField) -> list[tuple[AtomicField, int]]:
     """(field cut at depth j, j) for each active level j.
 
@@ -69,81 +65,67 @@ def _level_fields(field: AtomicField) -> list[tuple[AtomicField, int]]:
     return [(AtomicField(field.params, field.blocks, j), j) for j in field.active_levels()]
 
 
+def _disjoint_factor(M: int, p: float) -> float:
+    return math.fsum(math.comb(M, i) ** p for i in range(M + 1))
+
+
+def _stencil_lp_pow(field: AtomicField, j: int, p: float, M: int, h: tuple, res: float) -> float:
+    """integral over R^n of |Delta_h^M f_level|^p, n = len(h) in {1, 2}.
+
+    Axis 0 is level_x1_profile, axis 1 level_weight, so n = 1 is the partial
+    map's y-free profile.  M = 0 is the plain integral, a product of 1-D sums.
+    """
+    box = level_box(field, j)
+    n = len(h)
+    profiles = (level_x1_profile, level_weight)[:n]
+    if any(abs(h_i) >= hi - lo for h_i, lo, hi in zip(h, box.lo, box.hi)):
+        # translates of the box along h are pairwise disjoint: each stencil
+        # point contributes its binomial weight times |f|^p, nothing overlaps
+        lp_pow = level_lp_pow if n == 2 else pm_level_lp_pow
+        return _disjoint_factor(M, p) * lp_pow(field, j, p, res)
+    grids = _box_grid(Box(
+        tuple(lo - M * max(h_i, 0.0) for h_i, lo in zip(h, box.lo)),
+        tuple(hi - M * min(h_i, 0.0) for h_i, hi in zip(h, box.hi)),
+    ), res)
+    if M == 0:
+        out = 1.0
+        for prof, g in zip(profiles, grids):
+            out = out * float(np.sum(np.abs(prof(field, j, g)) ** p)) * res
+        return out
+    acc = np.zeros(tuple(g.size for g in grids))
+    for i, coef in enumerate(_stencil_coeffs(M)):
+        us = [prof(field, j, g + i * h_i) for prof, g, h_i in zip(profiles, grids, h)]
+        acc += coef * reduce(np.multiply.outer, us)
+    out = float(np.sum(np.abs(acc) ** p))
+    for _ in grids:
+        out *= res
+    return out
+
+
 @lru_cache(maxsize=4096)
 def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
-    """integral over the level-j box of |f_level|^p, via separable quadrature."""
-    box = level_box(field, j)
-    g1 = _axis_grid(box.lo[0], box.hi[0], res)
-    g2 = _axis_grid(box.lo[1], box.hi[1], res)
-    u1 = level_x1_profile(field, j, g1)
-    u2 = level_weight(field, j, g2)
-    return float(np.sum(np.abs(u1) ** p)) * res * float(np.sum(np.abs(u2) ** p)) * res
+    """integral over the level-j box of |f_level|^p."""
+    return _stencil_lp_pow(field, j, p, 0, (0.0, 0.0), res)
 
 
 @lru_cache(maxsize=4096)
 def pm_level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
-    """integral over R of |level_x1_profile|^p.
-
-    The level's partial map at y is this profile times level_weight(field, j,
-    y), so its integral is |w_j(y)|^p times this y-free one.
-    """
-    box = level_box(field, j)
-    g1 = _axis_grid(box.lo[0], box.hi[0], res)
-    vals = level_x1_profile(field, j, g1)
-    return float(np.sum(np.abs(vals) ** p)) * res
-
-
-def _stencil_coeffs(M: int) -> list[float]:
-    return [((-1.0) ** (M - i)) * math.comb(M, i) for i in range(M + 1)]
-
-
-def _disjoint_factor(M: int, p: float) -> float:
-    return math.fsum(math.comb(M, i) ** p for i in range(M + 1))
+    """integral over R of |level_x1_profile|^p; times |w_j(y)|^p it is the
+    level's share of the partial map's integral at y."""
+    return _stencil_lp_pow(field, j, p, 0, (0.0,), res)
 
 
 @lru_cache(maxsize=4096)
 def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: float) -> float:
     """integral over R^2 of |Delta_h^M f_level|^p; h is a pair of floats."""
-    box = level_box(field, j)
-    h1, h2 = float(h[0]), float(h[1])
-    w1 = box.hi[0] - box.lo[0]
-    w2 = box.hi[1] - box.lo[1]
-    if abs(h1) >= w1 or abs(h2) >= w2:
-        # translates of the box along h are pairwise disjoint: each stencil
-        # point contributes its binomial weight times |f|^p, nothing overlaps
-        return _disjoint_factor(M, p) * level_lp_pow(field, j, p, res)
-    lo1 = box.lo[0] - M * max(h1, 0.0)
-    hi1 = box.hi[0] - M * min(h1, 0.0)
-    lo2 = box.lo[1] - M * max(h2, 0.0)
-    hi2 = box.hi[1] - M * min(h2, 0.0)
-    g1 = _axis_grid(lo1, hi1, res)
-    g2 = _axis_grid(lo2, hi2, res)
-    coeffs = _stencil_coeffs(M)
-    acc = np.zeros((g1.size, g2.size))
-    for i, coef in enumerate(coeffs):
-        u1 = level_x1_profile(field, j, g1 + i * h1)
-        u2 = level_weight(field, j, g2 + i * h2)
-        acc += coef * np.outer(u1, u2)
-    return float(np.sum(np.abs(acc) ** p)) * res * res
+    return _stencil_lp_pow(field, j, p, M, h, res)
 
 
 @lru_cache(maxsize=4096)
 def pm_level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h: float, res: float) -> float:
-    """integral over R of |Delta_h^M level_x1_profile|^p.
-
-    Times |w_j(y)|^p it is level j's share of ||Delta_h^M f(., y)||_p^p.
-    """
-    box = level_box(field, j)
-    w1 = box.hi[0] - box.lo[0]
-    if abs(h) >= w1:
-        return _disjoint_factor(M, p) * pm_level_lp_pow(field, j, p, res)
-    lo1 = box.lo[0] - M * max(h, 0.0)
-    hi1 = box.hi[0] - M * min(h, 0.0)
-    g1 = _axis_grid(lo1, hi1, res)
-    acc = np.zeros_like(g1)
-    for i, coef in enumerate(_stencil_coeffs(M)):
-        acc += coef * level_x1_profile(field, j, g1 + i * h)
-    return float(np.sum(np.abs(acc) ** p)) * res
+    """integral over R of |Delta_h^M level_x1_profile|^p; times |w_j(y)|^p
+    it is level j's share of ||Delta_h^M f(., y)||_p^p."""
+    return _stencil_lp_pow(field, j, p, M, (h,), res)
 
 
 def field_lp(field: AtomicField, p: float, res_scale: float = 1.0) -> float:
@@ -154,17 +136,32 @@ def field_lp(field: AtomicField, p: float, res_scale: float = 1.0) -> float:
     return total ** (1.0 / p)
 
 
-def field_modulus(field: AtomicField, p: float, M: int, t: float, res_scale: float = 1.0) -> float:
-    levels = _level_fields(field)
+def _max_over_steps(levels, steps, diff_lp_pow, p: float, M: int, res_scale: float) -> float:
+    """max over h in steps of (sum over (field cut, j, weight) in levels of
+    weight * diff_lp_pow(field cut, j, p, M, h, level resolution))^(1/p)."""
     best = 0.0
-    for h in default_h_set(2, t):
-        step = (float(h[0]), float(h[1]))
+    for h in steps:
         total = math.fsum(
-            level_diff_lp_pow(lf, j, p, M, step, default_level_resolution(j, res_scale))
-            for lf, j in levels
+            wp * diff_lp_pow(lf, j, p, M, h, default_level_resolution(j, res_scale))
+            for lf, j, wp in levels
         )
         best = max(best, total ** (1.0 / p))
     return best
+
+
+def _estimate(field: AtomicField, omega, desc, s, q, M, j_max, res_scale, h_samples):
+    """NormEstimate of the dyadic seminorm of modulus omega, on level grids."""
+    if not M > s:
+        raise ValueError(f"M > s required, got M={M}, s={s}")
+    value = _dyadic_seminorm(omega, desc, s, q, j_max)
+    finest = default_level_resolution(max(field.active_levels(), default=0), res_scale)
+    return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=h_samples)
+
+
+def field_modulus(field: AtomicField, p: float, M: int, t: float, res_scale: float = 1.0) -> float:
+    levels = [(lf, j, 1.0) for lf, j in _level_fields(field)]
+    steps = [(float(h[0]), float(h[1])) for h in default_h_set(2, t)]
+    return _max_over_steps(levels, steps, level_diff_lp_pow, p, M, res_scale)
 
 
 def field_seminorm(
@@ -178,19 +175,8 @@ def field_seminorm(
     res_scale: float = 1.0,
 ) -> NormEstimate:
     """Level-decomposed estimate of the 2-D generalized Besov seminorm."""
-    if not M > s:
-        raise ValueError(f"M > s required, got M={M}, s={s}")
-    terms = []
-    for jt in range(j_max + 1):
-        t = 2.0 ** (-jt)
-        omega = field_modulus(field, p, M, t, res_scale)
-        terms.append((2.0 ** (jt * s)) * psi_dyadic(desc, jt) * omega)
-    if math.isinf(q):
-        value = max(terms)
-    else:
-        value = (math.fsum(term**q for term in terms) * LN2) ** (1.0 / q)
-    finest = default_level_resolution(max(field.active_levels(), default=0), res_scale)
-    return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=16)
+    omega = lambda t: field_modulus(field, p, M, t, res_scale)
+    return _estimate(field, omega, desc, s, q, M, j_max, res_scale, h_samples=16)
 
 
 def field_besov_norm(
@@ -204,8 +190,7 @@ def field_besov_norm(
     res_scale: float = 1.0,
 ) -> NormEstimate:
     semi = field_seminorm(field, desc, s, p, q, M, j_max, res_scale)
-    lp = field_lp(field, p, res_scale)
-    return NormEstimate(semi.value + lp, semi.resolution, semi.t_levels, semi.h_samples)
+    return replace(semi, value=semi.value + field_lp(field, p, res_scale))
 
 
 def pm_modulus(
@@ -217,14 +202,7 @@ def pm_modulus(
     levels = [
         (lf, j, abs(weights[j]) ** p) for lf, j in _level_fields(field) if weights[j] != 0.0
     ]
-    best = 0.0
-    for h in default_h_set(1, t):
-        total = math.fsum(
-            wp * pm_level_diff_lp_pow(lf, j, p, M, h, default_level_resolution(j, res_scale))
-            for lf, j, wp in levels
-        )
-        best = max(best, total ** (1.0 / p))
-    return best
+    return _max_over_steps(levels, default_h_set(1, t), pm_level_diff_lp_pow, p, M, res_scale)
 
 
 def pm_seminorm(
@@ -239,17 +217,6 @@ def pm_seminorm(
     res_scale: float = 1.0,
 ) -> NormEstimate:
     """Estimate of the 1-D generalized seminorm of the partial map at y."""
-    if not M > s:
-        raise ValueError(f"M > s required, got M={M}, s={s}")
     weights = partial_map(field, y).level_weights
-    terms = []
-    for jt in range(j_max + 1):
-        t = 2.0 ** (-jt)
-        omega = pm_modulus(field, weights, p, M, t, res_scale)
-        terms.append((2.0 ** (jt * s)) * psi_dyadic(desc, jt) * omega)
-    if math.isinf(q):
-        value = max(terms)
-    else:
-        value = (math.fsum(term**q for term in terms) * LN2) ** (1.0 / q)
-    finest = default_level_resolution(max(field.active_levels(), default=0), res_scale)
-    return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=6)
+    omega = lambda t: pm_modulus(field, weights, p, M, t, res_scale)
+    return _estimate(field, omega, desc, s, q, M, j_max, res_scale, h_samples=6)

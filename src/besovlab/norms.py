@@ -1,5 +1,5 @@
 """Finite differences, grid L^p quasi-norms, moduli of smoothness, and the
-classical / generalized Besov seminorms.
+generalized Besov seminorm (the classical one at Psi == 1).
 
 All grid estimates are lower bounds for the true quantities: the sup over
 |h| <= t is sampled at finitely many directions and the L^p integral uses a
@@ -9,12 +9,12 @@ midpoint rule.  Experiments compare trends, never absolute constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atoms import Box, BoxDomain
-from .slowly_varying import PsiDescriptor, constant, psi_dyadic
+from .slowly_varying import PsiDescriptor, psi_dyadic
 
 LN2 = math.log(2.0)
 
@@ -25,6 +25,11 @@ class NormEstimate:
     resolution: float
     t_levels: int
     h_samples: int
+
+
+def _stencil_coeffs(M: int) -> list[float]:
+    """Weights (-1)^(M-i) C(M, i) of f(x + i h), i = 0..M, in Delta_h^M f(x)."""
+    return [((-1.0) ** (M - i)) * math.comb(M, i) for i in range(M + 1)]
 
 
 def finite_diff(f, M: int, h, x) -> np.ndarray:
@@ -38,8 +43,8 @@ def finite_diff(f, M: int, h, x) -> np.ndarray:
     x_arr = np.asarray(x, dtype=float)
     h_arr = np.asarray(h, dtype=float)
     out = None
-    for i in range(M + 1):
-        term = ((-1.0) ** (M - i)) * math.comb(M, i) * np.asarray(f(x_arr + i * h_arr))
+    for i, coef in enumerate(_stencil_coeffs(M)):
+        term = coef * np.asarray(f(x_arr + i * h_arr))
         out = term if out is None else out + term
     return out
 
@@ -94,23 +99,35 @@ def default_h_set(ndim: int, t: float) -> list:
     raise ValueError(f"no default step set for dimension {ndim}")
 
 
-def modulus(f, M: int, p: float, t: float, domain: BoxDomain, h_set=None) -> float:
-    """max over h in h_set of ||Delta_h^M f||_Lp over the domain inflated by M*t.
+def modulus(f, M: int, p: float, t: float, domain: BoxDomain) -> float:
+    """max over h in default_h_set of ||Delta_h^M f||_Lp over the domain
+    inflated by M*t.
 
-    A lower bound for the true sup over |h| <= t, converging as h_set refines.
+    A lower bound for the true sup over |h| <= t, converging as the step
+    sample refines.
     """
     if not 0 < t <= 1:
         raise ValueError(f"t must lie in (0,1], got {t}")
-    if h_set is None:
-        h_set = default_h_set(domain.ndim, t)
-    if not h_set:
-        raise ValueError("h_set must be nonempty")
     inflated = domain.inflate(M * t)
     best = 0.0
-    for h in h_set:
+    for h in default_h_set(domain.ndim, t):
         val = lp_quasinorm(lambda x: finite_diff(f, M, h, x), p, inflated)
         best = max(best, val)
     return best
+
+
+def _dyadic_seminorm(omega, desc: PsiDescriptor, s: float, q: float, j_max: int) -> float:
+    """Dyadic discretization of the generalized Besov seminorm from the
+    modulus omega(t): terms 2^(js) Psi(2^-j) omega(2^-j) for j = 0..j_max.
+
+    For q < inf the t-integral against dt/t turns into a sum with weight ln 2
+    per dyadic level; for q = inf, a max.
+    """
+    terms = [(2.0 ** (j * s)) * psi_dyadic(desc, j) * omega(2.0 ** (-j))
+             for j in range(j_max + 1)]
+    if math.isinf(q):
+        return max(terms)
+    return (math.fsum(term**q for term in terms) * LN2) ** (1.0 / q)
 
 
 def seminorm(
@@ -122,35 +139,14 @@ def seminorm(
     M: int,
     domain: BoxDomain,
     j_max: int,
-    h_set_fn=None,
-    resolution_schedule=None,
 ) -> NormEstimate:
-    """Dyadic discretization of the generalized Besov seminorm.
-
-    t_j = 2^-j for j = 0..j_max; for q < inf the t-integral against dt/t turns
-    into a sum with weight ln 2 per dyadic level; for q = inf, a max.  With
-    Psi == 1 this is exactly the classical Besov seminorm.
-    """
+    """Grid estimate of the generalized Besov seminorm, t_j = 2^-j for
+    j = 0..j_max.  With Psi == 1 this is exactly the classical seminorm."""
     if not M > s:
         raise ValueError(f"M > s required, got M={M}, s={s}")
-    terms = []
-    h_count = 0
-    finest = domain.resolution
-    for j in range(j_max + 1):
-        t = 2.0 ** (-j)
-        dom = domain
-        if resolution_schedule is not None:
-            dom = domain.with_resolution(resolution_schedule(j))
-        finest = min(finest, dom.resolution)
-        h_set = h_set_fn(dom.ndim, t) if h_set_fn is not None else default_h_set(dom.ndim, t)
-        h_count = max(h_count, len(h_set))
-        omega = modulus(f, M, p, t, dom, h_set)
-        terms.append((2.0 ** (j * s)) * psi_dyadic(desc, j) * omega)
-    if math.isinf(q):
-        value = max(terms)
-    else:
-        value = (math.fsum(term**q for term in terms) * LN2) ** (1.0 / q)
-    return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=h_count)
+    value = _dyadic_seminorm(lambda t: modulus(f, M, p, t, domain), desc, s, q, j_max)
+    h_samples = len(default_h_set(domain.ndim, 1.0))
+    return NormEstimate(value, domain.resolution, t_levels=j_max + 1, h_samples=h_samples)
 
 
 def besov_norm(
@@ -162,20 +158,7 @@ def besov_norm(
     M: int,
     domain: BoxDomain,
     j_max: int,
-    h_set_fn=None,
-    resolution_schedule=None,
 ) -> NormEstimate:
     """L^p quasi-norm plus the generalized seminorm, metadata merged."""
-    semi = seminorm(f, desc, s, p, q, M, domain, j_max, h_set_fn, resolution_schedule)
-    lp = lp_quasinorm(f, p, domain)
-    return NormEstimate(
-        value=lp + semi.value,
-        resolution=semi.resolution,
-        t_levels=semi.t_levels,
-        h_samples=semi.h_samples,
-    )
-
-
-def classical_seminorm(f, s, p, q, M, domain, j_max, **kw) -> NormEstimate:
-    """Psi == 1 path; same formula as the generalized seminorm by construction."""
-    return seminorm(f, constant(1.0), s, p, q, M, domain, j_max, **kw)
+    semi = seminorm(f, desc, s, p, q, M, domain, j_max)
+    return replace(semi, value=lp_quasinorm(f, p, domain) + semi.value)

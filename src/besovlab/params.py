@@ -93,21 +93,13 @@ def validate(params: Params) -> list[str]:
     return v
 
 
-def _parse_exponent(value) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return INF
-        return float(value)
-    return float(value)
-
-
 def params_from_dict(cfg: dict) -> Params:
     """Build Params from a JSON config object with keys {N, d, p, q, s, M, L}."""
     return Params(
         N=int(cfg["N"]),
         d=int(cfg["d"]),
-        p=_parse_exponent(cfg["p"]),
-        q=_parse_exponent(cfg["q"]),
+        p=float(cfg["p"]),
+        q=float(cfg["q"]),
         s=float(cfg["s"]),
         M=int(cfg["M"]),
         L=float(cfg["L"]) if cfg.get("L") is not None else None,

@@ -60,17 +60,15 @@ def write_svg_lines(
     path: str | Path,
     series: dict[str, list[tuple[float, float]]],
     title: str = "",
-    log_x: bool = True,
-    width: int = 640,
-    height: int = 420,
 ) -> None:
-    """Write a minimal line chart; series maps label -> [(x, y), ...]."""
-    margin = 56
+    """Write a minimal line chart; series maps label -> [(x, y), ...], x on a
+    log2 axis."""
+    width, height, margin = 640, 420, 56
     pts_all = [pt for pts in series.values() for pt in pts]
     if not pts_all:
         xs = ys = [0.0, 1.0]
     else:
-        xs = [math.log2(x) if log_x else x for x, _ in pts_all]
+        xs = [math.log2(x) for x, _ in pts_all]
         ys = [y for _, y in pts_all]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
@@ -80,9 +78,7 @@ def write_svg_lines(
         y_hi = y_lo + 1.0
 
     def sx(x):
-        if log_x:
-            x = math.log2(x)
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (math.log2(x) - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
 
     def sy(y):
         return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
@@ -95,7 +91,7 @@ def write_svg_lines(
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
         f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="11">'
-        f'{"log2(depth J)" if log_x else "depth J"}</text>',
+        'log2(depth J)</text>',
     ]
     for idx, (label, pts) in enumerate(sorted(series.items())):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]

@@ -22,6 +22,10 @@ from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
 
+# Deepest BlockSequence a command or configuration may build.  Each start_j is
+# a j-bit integer, so a build costs O(J^2): 3.6 s and 215 MB at this depth.
+MAX_SEQ_DEPTH = 2**15
+
 
 @dataclass(frozen=True)
 class BlockLevel:
@@ -56,9 +60,6 @@ class BlockSequence:
                 raise ValueError(f"n_{lvl.j} out of range: {lvl.n}")
             if not 0 <= lvl.start < max(1 << lvl.j, 1):
                 raise ValueError(f"start_{lvl.j} out of range: {lvl.start}")
-
-    def level(self, j: int) -> BlockLevel:
-        return self.levels[j]
 
     def is_on(self, j: int, k: int) -> bool:
         """Whether position k of block T_j carries the on-value."""
@@ -169,8 +170,8 @@ def rearrange(blocks: BlockSequence) -> BlockSequence:
     return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True, cursor=c)
 
 
-def coverage_count(blocks: BlockSequence, x, J: int | None = None) -> int:
-    """Number of levels j <= J whose on-window contains position floor(2^j x).
+def _covering_levels(blocks: BlockSequence, x, J: int | None) -> Iterator[BlockLevel]:
+    """Each on-level j <= J whose on-window contains position floor(2^j x).
 
     x in [1,2); converted to an exact rational so deep levels resolve the
     correct cell (a float times 2^j loses the cell index past 52 bits).
@@ -181,16 +182,19 @@ def coverage_count(blocks: BlockSequence, x, J: int | None = None) -> int:
     if J is None:
         J = blocks.J
     num, den = xf.numerator, xf.denominator
-    count = 0
     for j in range(min(J, blocks.J) + 1):
         lvl = blocks.levels[j]
-        if lvl.n == 0 or lvl.theta == 0.0:
+        if lvl.n == 0 or lvl.theta <= 0.0:
             continue
         size = 1 << j
         k = (num << j) // den
         if (k - size - lvl.start) % size < lvl.n:
-            count += 1
-    return count
+            yield lvl
+
+
+def coverage_count(blocks: BlockSequence, x, J: int | None = None) -> int:
+    """Number of levels j <= J whose on-window contains position floor(2^j x)."""
+    return sum(1 for _ in _covering_levels(blocks, x, J))
 
 
 def mixed_norm(blocks: BlockSequence, p: float, q: float, J: int | None = None) -> float:
@@ -253,23 +257,11 @@ def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: i
     Computed through the identity with (block value)^(1/p) * Psi(2^-j), in log
     space, so deep levels neither overflow nor underflow.
     """
-    xf = Fraction(x)
-    if not 1 <= xf < 2:
-        raise ValueError(f"x must lie in [1,2), got {x}")
-    if J is None:
-        J = blocks.J
-    num, den = xf.numerator, xf.denominator
-    best = 0.0
-    for j in range(min(J, blocks.J) + 1):
-        lvl = blocks.levels[j]
-        if lvl.n == 0 or lvl.theta <= 0.0:
-            continue
-        size = 1 << j
-        k = (num << j) // den
-        if (k - size - lvl.start) % size < lvl.n:
-            val = math.exp(math.log(lvl.theta) / p + psi_dyadic_log(desc, j))
-            best = max(best, val)
-    return best
+    return max(
+        (math.exp(math.log(lvl.theta) / p + psi_dyadic_log(desc, lvl.j))
+         for lvl in _covering_levels(blocks, x, J)),
+        default=0.0,
+    )
 
 
 def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from besovlab import experiments, sequences
 from besovlab.atoms import AtomicField, Box, BoxDomain, eval_f, eval_f_dense, psi0, psi_nd
 from besovlab.experiments import ExperimentConfig, config_from_dict
-from besovlab.norms import classical_seminorm, modulus
+from besovlab.norms import modulus, seminorm
 from besovlab.params import Params, load_config
 from besovlab.sequences import (
     BlockLevel,
@@ -270,7 +270,7 @@ def test_criterion_08_norm_estimator_oracle():
         rel = abs(est - 2.0 * t) / (2.0 * t)
         worst = max(worst, rel)
         moduli_ok &= rel < 0.05
-    semi = classical_seminorm(indicator, 0.5, 1.0, math.inf, 1, domain, j_max=8)
+    semi = seminorm(indicator, constant(1.0), 0.5, 1.0, math.inf, 1, domain, j_max=8)
     semi_rel = abs(semi.value - 2.0) / 2.0
     affine = modulus(lambda x: 3.0 * np.asarray(x) - 1.0, 2, 1.0, 0.25, domain)
     elapsed = time.perf_counter() - start

@@ -162,6 +162,9 @@ def _with(cfg_path, tmp_path, **changes):
     return str(path)
 
 
+DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
+
+
 @pytest.mark.parametrize(
     "changes, argv",
     [
@@ -177,18 +180,64 @@ def _with(cfg_path, tmp_path, **changes):
         ({}, ["norm-est", "--target", "field", "--J", "16"]),
         ({}, ["norm-est", "--target", "partial-map", "--J", "16", "--y", "1.5"]),
         ({"N": 3, "d": 2}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n1.5,np.float64(66.0)\n"]),
+        ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n1.5,1.5\n24.0\n"]),
+        ({"grid": {"res_scale": -1}}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"grid": {"res_scale": 0}}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"probes": {"x": "abc", "y": 2}}, ["psi-check"]),
+        ({"diag_threshold": "abc"}, ["psi-check"]),
+        ({"lemma": {"m": [0.5], "n_max": 0}}, ["lemma-le"]),
+        ({}, ["seq-build", "--J", DEEP]),
+        ({}, ["field-eval", "--J", DEEP, "--points", "x1,x2\n24.0,1.5\n"]),
+        ({"J": {"norm": [4, 6], "seq": [16, 32, int(DEEP)], "mixed": [16, 32]}}, ["pathology-run"]),
+        ({"J": {"norm": [4, 6], "seq": [16, 32, 64], "mixed": [16, int(DEEP)]}}, ["lemma-le"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
         "psi-table-short-of-run", "psi-table-short-of-psi-check", "psi-table-short-of-J",
         "seq-build-J-0", "norm-est-field-above-grid-cap", "norm-est-partial-map-above-grid-cap",
-        "norm-est-field-not-planar",
+        "norm-est-field-not-planar", "field-eval-cell-not-a-float", "field-eval-one-cell-row",
+        "res-scale-negative", "res-scale-zero", "x-probes-not-an-int", "diag-threshold-not-a-float",
+        "lemma-n-max-0", "seq-build-above-block-cap", "field-eval-above-block-cap",
+        "J-seq-above-block-cap", "J-mixed-above-block-cap",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
     path = _with(config_path, tmp_path, **changes)
+    argv = list(argv)
+    if "--points" in argv:  # the argument after --points is the file's text
+        points = tmp_path / "points.csv"
+        points.write_text(argv[argv.index("--points") + 1])
+        argv[argv.index("--points") + 1] = str(points)
     assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_unreadable_input_files_exit_2(config_path, tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["--config", missing, "psi-check"],
+        ["--config", str(bad_json), "psi-check"],
+        ["--config", config_path, "field-eval", "--J", "4", "--points", missing],
+        ["seq-verify", missing],
+        ["seq-verify", str(bad_json)],
+        ["seq-verify", config_path],
+    ):
+        assert main(argv) == 2, argv
+        assert "configuration error" in capsys.readouterr().err
+
+
+def test_field_eval_points_without_header(config_path, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("24.0,1.5\n0.0,0.0,7\n")
+    result = tmp_path / "vals.csv"
+    assert main(["--config", config_path, "--out", str(result),
+                 "field-eval", "--J", "6", "--points", str(pts)]) == 0
+    lines = result.read_text().splitlines()
+    assert lines[0] == "x1,x2,f"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["24.0", "1.5"], ["0.0", "0.0"]]
 
 
 def test_removed_global_flags_are_rejected(config_path):

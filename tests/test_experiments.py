@@ -61,6 +61,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(J_seq=(64, 16))
 
+    def test_rejects_block_depth_above_cap(self):
+        with pytest.raises(ConfigError, match="block cap"):
+            small_config(J_seq=(16, 32, sequences.MAX_SEQ_DEPTH + 1))
+        with pytest.raises(ConfigError, match="block cap"):
+            small_config(J_mixed=(16, sequences.MAX_SEQ_DEPTH + 1))
+
     def test_rejects_invalid_exponents(self):
         with pytest.raises(ConfigError):
             config_from_dict(
@@ -160,6 +166,14 @@ class TestPathology:
         assert report.verdicts["control_classification"] == "satisfied"
         assert "caveat" in report.verdicts
 
+    def test_norm_from_zero_is_not_saturated(self):
+        # J_norm = (1, 2): levels 0 and 1 are off, so the first norm is 0
+        rows = [{"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": v}
+                for J, v in ((1, 0.0), (2, 0.5))]
+        v = experiments.pathology_verdicts(rows, diag_threshold=2.5)
+        assert v["norm2d_saturates"] is False
+        assert v["norm2d_relative_increase"] == math.inf
+
     def test_tiers_recorded(self):
         report = run_pathology(small_config())
         tiers = {(r["kind"], r["tier"]) for r in report.rows}
@@ -247,6 +261,47 @@ class TestPartialMapGrowthVerdict:
         assert recomputed["pm_seminorm_grows_where_covered"] is expected
         for key in ("pm_seminorm_grows_where_covered", "pm_seminorm_covered_rises"):
             assert recomputed[key] == direct[key]
+
+
+def bound_rows(kind, lo, hi):
+    return [
+        {"kind": kind, "tier": "exact", "J": 16, "probe": None, "value": lo},
+        {"kind": kind, "tier": "exact", "J": 64, "probe": None, "value": hi},
+    ]
+
+
+class TestSharedVerdicts:
+    """sequence_verdicts and pathology_verdicts read diagnostics and bounds
+    through the same helpers, so they must agree on the same rows."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 2.5, 1e9])
+    def test_divergence_keys_agree(self, threshold):
+        config = small_config()
+        rows = run_sequence_experiment(config).rows
+        diagnostics = [r for r in rows if r["kind"] == "diagnostic"]
+        seq = sequence_verdicts(rows, config.J_mixed, threshold)
+        path = experiments.pathology_verdicts(diagnostics, threshold)
+        for key in ("diagnostic_divergent", "min_diagnostic_by_depth"):
+            assert seq[key] == path[key]
+        assert seq["diagnostic_divergent"] is (threshold == 0.0)
+
+    def test_divergence_keys_without_diagnostic_rows(self):
+        mixed = [r for r in run_sequence_experiment(small_config()).rows if r["kind"] == "mixed_norm"]
+        seq = sequence_verdicts(mixed, (16, 32), 2.5)
+        assert seq["diagnostic_divergent"] is False
+        assert seq["min_diagnostic_by_depth"] == {}
+        path = experiments.pathology_verdicts([], 2.5)
+        assert "diagnostic_divergent" not in path and "min_diagnostic_by_depth" not in path
+
+    @pytest.mark.parametrize("hi, plateau", [(2.1, True), (math.nextafter(2.1, 3.0), False)])
+    def test_plateaus_flip_at_ratio_1_05(self, hi, plateau):
+        assert 2.0 * 1.05 == 2.1
+        mixed = [r for r in run_sequence_experiment(small_config()).rows if r["kind"] == "mixed_norm"]
+        seq = sequence_verdicts(mixed + bound_rows("forced_bound", 2.0, hi), (16, 32), 2.5)
+        path = experiments.pathology_verdicts(bound_rows("control_bound", 2.0, hi), 2.5)
+        assert seq["forced_bound_plateau"] is plateau
+        assert path["control_bound_plateau"] is plateau
+        assert seq["forced_bound_values"] == path["control_bound_values"] == {"16": 2.0, "64": hi}
 
 
 class TestEmission:

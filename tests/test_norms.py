@@ -6,7 +6,6 @@ import pytest
 from besovlab.atoms import Box, BoxDomain
 from besovlab.norms import (
     besov_norm,
-    classical_seminorm,
     default_h_set,
     finite_diff,
     lp_quasinorm,
@@ -106,13 +105,8 @@ class TestModulus:
 class TestSeminorm:
     def test_indicator_classical_value(self):
         # sup_t t^(-1/2) omega_1 = sup_j 2^(j/2) * 2 * 2^-j = 2 at j = 0
-        est = classical_seminorm(indicator, 0.5, 1.0, math.inf, 1, UNIT_1D, j_max=6)
+        est = seminorm(indicator, constant(1.0), 0.5, 1.0, math.inf, 1, UNIT_1D, j_max=6)
         assert est.value == pytest.approx(2.0, rel=0.10)
-
-    def test_generalized_reduces_to_classical_with_unit_psi(self):
-        a = seminorm(indicator, constant(1.0), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5)
-        b = classical_seminorm(indicator, 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5)
-        assert a.value == b.value  # same code path, bit for bit
 
     def test_psi_weight_lowers_terms(self):
         a = seminorm(indicator, constant(1.0), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5)
@@ -124,22 +118,14 @@ class TestSeminorm:
             seminorm(indicator, constant(1.0), 1.5, 1.0, 2.0, 1, UNIT_1D, j_max=3)
 
     def test_homogeneity(self):
-        est1 = classical_seminorm(indicator, 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5)
-        est3 = classical_seminorm(
-            lambda x: 3.0 * indicator(x), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5
+        est1 = seminorm(indicator, constant(1.0), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5)
+        est3 = seminorm(
+            lambda x: 3.0 * indicator(x), constant(1.0), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=5
         )
         assert est3.value == pytest.approx(3.0 * est1.value, rel=1e-12)
 
     def test_besov_norm_adds_lp(self):
-        semi = classical_seminorm(indicator, 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=4)
+        semi = seminorm(indicator, constant(1.0), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=4)
         full = besov_norm(indicator, constant(1.0), 0.5, 1.0, 2.0, 1, UNIT_1D, j_max=4)
         lp = lp_quasinorm(indicator, 1.0, UNIT_1D)
         assert full.value == pytest.approx(semi.value + lp, rel=1e-12)
-
-    def test_resolution_schedule_threads_through(self):
-        coarse = BoxDomain(UNIT_1D.boxes, 2.0**-6)
-        est = classical_seminorm(
-            indicator, 0.5, 1.0, 2.0, 1, coarse, j_max=3,
-            resolution_schedule=lambda j: 2.0 ** -(8 + j),
-        )
-        assert est.resolution == pytest.approx(2.0**-11)
