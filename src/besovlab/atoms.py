@@ -4,6 +4,11 @@ Atoms at level j are scaled, translated copies of a compactly supported bump
 psi (a product of normalized 1-D bumps psi0); level-j atoms live near
 x_1 = C_M * j with C_M = 2(M+2), so distinct levels have disjoint supports in
 the first coordinate.
+
+Every level is built from one kernel: the reference factor
+X(u) = (1/2) psi0(u/2) in the level's local coordinate u = 2^j x_1 - C_M 2^j j,
+times the coefficient c_j = lambda_j 2^(-j(s - N/p)), formed in log space so
+that deep levels neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -130,17 +135,15 @@ class AtomicField:
     def C_M(self) -> int:
         return 2 * (self.params.M + 2)
 
-    def amplitude(self, j: int) -> float:
-        """2^(-j(s - N/p))."""
-        p = self.params
-        return 2.0 ** (-j * (p.s - p.N / p.p))
-
-    def lam(self, j: int) -> float:
-        """Common value of lambda_{j,k} on the on-cells of level j."""
+    def coef(self, j: int) -> float:
+        """c_j = lambda_j 2^(-j(s - N/p)), with lambda_j = (theta_j 2^-j)^(1/p)
+        the common value of lambda_{j,k} on the on-cells of level j."""
         lvl = self.blocks.levels[j]
         if lvl.theta <= 0.0 or lvl.n == 0:
             return 0.0
-        return math.exp((math.log(lvl.theta) - j * math.log(2.0)) / self.params.p)
+        p = self.params
+        log2_c = (math.log2(lvl.theta) - j) / p.p - j * (p.s - p.N / p.p)
+        return 2.0**log2_c
 
     def active_levels(self) -> list[int]:
         return [
@@ -171,30 +174,43 @@ def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
     if lvl.n == 0 or lvl.theta <= 0.0:
         return out
     size = 1 << j
-    scaled = (2.0**j) * xN_arr
-    base = np.floor(scaled).astype(np.int64)
+    # cell floor(2^j xN) and offset 2^j xN - cell, exactly.  Past level 60 the
+    # cells need Python integers; 2^60 xN is already an integer (offset 0) for
+    # every xN >= 2^-7, and smaller xN lie in no cell of T_j.
+    scaled = np.ldexp(xN_arr, min(j, 60))
+    base = np.floor(scaled)
+    offset = scaled - base
+    base = base.astype(np.int64)
+    if j > 60:
+        base = base.astype(object) << (j - 60)
     for delta in (-1, 0, 1, 2):
         k = base + delta
-        in_block = (k >= size) & (k < 2 * size)
-        on = np.zeros_like(in_block)
-        kk = np.where(in_block, k, size)
-        on[in_block] = ((kk[in_block] - size - lvl.start) % size) < lvl.n
+        on = (k >= size) & (k < 2 * size)
+        on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
         # bumps of off-cells would be added as 0.0: evaluate on-cells only
-        out[on] += 0.5 * np.asarray(psi0((scaled[on] - k[on]) / 2.0))
+        out[on] += 0.5 * np.asarray(psi0((offset[on] - delta) / 2.0))
     return out
 
 
+def _bump_factor(u) -> np.ndarray:
+    """The reference factor X(u) = (1/2) psi0(u/2) of every level, in the
+    level's local coordinate u; supported in (-2, 2)."""
+    return 0.5 * np.asarray(psi0(np.asarray(u, dtype=float) / 2.0))
+
+
 def _x1_factor(field: AtomicField, j: int, x) -> np.ndarray:
-    """Per-coordinate bump factor (1/2) psi0((2^j x - C_M 2^j j)/2) of level j
-    at the values x of one of the first N-1 coordinates."""
-    return 0.5 * np.asarray(psi0(((2.0**j) * x - field.C_M * (1 << j) * j) / 2.0))
+    """X at the local coordinate u = 2^j (x - C_M j) of the values x of one of
+    the first N-1 coordinates.  u is exact wherever |u| < 2: x - C_M j is
+    exact there (Sterbenz) and scaling by 2^j is exact."""
+    with np.errstate(over="ignore"):  # |u| = inf far from deep levels: X = 0
+        return _bump_factor(np.ldexp(np.asarray(x, dtype=float) - field.C_M * j, j))
 
 
 def level_x1_profile(field: AtomicField, j: int, x1) -> np.ndarray:
-    """Product over the first N-1 coordinates (all equal to x1 here) of the
-    per-coordinate bump factor, times amplitude and lambda."""
+    """c_j times the product over the first N-1 coordinates (all equal to x1
+    here) of the per-coordinate factor X."""
     x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))
-    return field.lam(j) * field.amplitude(j) * _x1_factor(field, j, x1_arr) ** (field.params.N - 1)
+    return field.coef(j) * _x1_factor(field, j, x1_arr) ** (field.params.N - 1)
 
 
 def eval_f(field: AtomicField, x) -> np.ndarray:
@@ -216,10 +232,8 @@ def eval_f(field: AtomicField, x) -> np.ndarray:
         if not mask.any():
             continue
         sub = pts[mask]
-        prof = field.lam(j) * field.amplitude(j) * np.ones(sub.shape[0])
-        for i in range(field.params.N - 1):
-            prof *= _x1_factor(field, j, sub[:, i])
-        out[mask] = prof * level_weight(field, j, sub[:, -1])
+        factors = [_x1_factor(field, j, sub[:, i]) for i in range(field.params.N - 1)]
+        out[mask] = field.coef(j) * np.prod(factors, axis=0) * level_weight(field, j, sub[:, -1])
     return float(out[0]) if single else out
 
 
@@ -230,9 +244,8 @@ def eval_f_dense(field: AtomicField, x) -> np.ndarray:
     pts = np.atleast_2d(x_arr)
     out = np.zeros(pts.shape[0])
     for j in field.active_levels():
-        lvl = field.blocks.levels[j]
         size = 1 << j
-        coef = field.lam(j) * field.amplitude(j)
+        coef = field.coef(j)
         for k in range(size, 2 * size):
             if not field.blocks.is_on(j, k):
                 continue

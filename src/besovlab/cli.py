@@ -66,10 +66,7 @@ def cmd_psi_check(args) -> int:
 
 def cmd_seq_build(args) -> int:
     config = _load_experiment_config(args.config)
-    config.check_depth(args.J)
-    blocks = sequences.build_lambda_blocks(config.psi, config.params, args.J)
-    if not args.no_rearrange:
-        blocks = sequences.rearrange(blocks)
+    blocks = config.blocks(args.J, rearranged=not args.no_rearrange)
     text = sequences.blocks_to_json(blocks)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -96,26 +93,32 @@ def cmd_seq_verify(args) -> int:
 
 def _read_points(path: str) -> np.ndarray:
     """(n, 2) array of the first two columns of a points CSV, whose first
-    line is a header when its first two cells read x1, x2."""
+    line is a header when its first two cells read x1, x2.  Every cell must
+    be a finite number."""
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no points
             first = fh.readline()
             header = [c.strip() for c in first.split(",")[:2]] == ["x1", "x2"]
             lines = itertools.chain([] if header else [first], fh)
-            return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
+            pts = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"points file {path}: {exc}") from exc
+    if not np.isfinite(pts).all():
+        raise ConfigError(f"points file {path}: a point is not finite")
+    return pts
 
 
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
-    config.check_depth(args.J)
     if config.params.N != 2:
         raise ConfigError("field-eval reads points (x1, x2): N = 2 only")
     pts = _read_points(args.points)
-    blocks = sequences.rearrange(sequences.build_lambda_blocks(config.psi, config.params, args.J))
-    values = eval_f(AtomicField(config.params, blocks, args.J), pts) if pts.size else np.zeros(0)
+    field = AtomicField(config.params, config.blocks(args.J), args.J)
+    try:
+        values = eval_f(field, pts) if pts.size else np.zeros(0)
+    except OverflowError as exc:  # from AtomicField.coef
+        raise ConfigError(f"--J {args.J}: a level coefficient c_j is out of double range") from exc
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         out.write("x1,x2,f\n")
@@ -137,28 +140,27 @@ def cmd_norm_est(args) -> int:
     start = time.perf_counter()
     if args.target == "indicator":
         config.check_depth(args.J, least=0)
+        # the dyadic sum reads 2^(j s) and t = 2^-j for j <= J
+        if args.J * params.s >= sys.float_info.max_exp or 2.0**-args.J == 0.0:
+            raise ConfigError(f"--J {args.J}: 2^(J s) or 2^-J is out of double range")
         f = lambda x: ((np.asarray(x) >= 0) & (np.asarray(x) < 1)).astype(float)
         domain = BoxDomain((Box((0.0,), (1.0,)),), 2.0**-12)
         est = norms.besov_norm(f, config.psi, params.s, params.p, params.q, params.M, domain, args.J)
     else:
-        config.check_depth(args.J)
         cap = fieldnorms.grid_depth_cap(params.M)
         if args.J > cap:
             raise ConfigError(f"--J {args.J} is above the grid-tier depth cap {cap}")
         if params.N != 2 or params.d != 1:
             raise ConfigError("grid-tier field norms support N = 2, d = 1 only")
-        blocks = sequences.rearrange(
-            sequences.build_lambda_blocks(config.psi, config.params, args.J)
-        )
-        field = AtomicField(params, blocks, args.J)
+        if args.target == "partial-map" and (args.y is None or not math.isfinite(args.y)):
+            raise ConfigError(f"target partial-map needs a finite --y, got {args.y}")
+        field = AtomicField(params, config.blocks(args.J), args.J)
         if args.target == "field":
             est = fieldnorms.field_besov_norm(
                 field, config.psi, params.s, params.p, params.q, params.M,
                 j_max=args.J, res_scale=config.res_scale,
             )
         else:  # partial-map; argparse admits no other target
-            if args.y is None:
-                raise ConfigError("--y is required for target partial-map")
             est = fieldnorms.pm_seminorm(
                 field, args.y, config.psi, params.s, params.p, params.M,
                 j_max=args.J, res_scale=config.res_scale,
@@ -192,9 +194,9 @@ def cmd_pathology_run(args) -> int:
     config = _load_experiment_config(args.config)
     out = _out_dir(args)
     files = []
+    exact = experiments.exact_tier(config)  # first: it rejects a config with p = q
     lemma = experiments.run_lemma_le(config)
     files += experiments.emit_report(lemma, out, config.emit_svg)
-    exact = experiments.exact_tier(config)
     seq_report = experiments.run_sequence_experiment(config, exact)
     files += experiments.emit_report(seq_report, out, config.emit_svg)
     pathology = experiments.run_pathology(config, exact)

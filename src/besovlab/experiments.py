@@ -33,6 +33,9 @@ from .slowly_varying import (
 LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100_000, 200_000, 1_000_000)
 DIVERGENCE_PARTIAL_THRESHOLD = 10.0
 MAX_PROBES = 127
+# Largest lemma.n_max.  lemma_le_partials peaks at 32 bytes per term: 333 MB
+# of VmHWM at this cap, 59 MB at the flagship's 10^6.
+MAX_LEMMA_N = 10**7
 CAUCHY_REL_TOL = 1e-3
 
 
@@ -77,8 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"J_norm reaches {max(self.J_norm)}, above the grid-tier cap {cap}")
         if not (math.isfinite(self.res_scale) and self.res_scale > 0):
             raise ConfigError(f"grid.res_scale must be finite and > 0, got {self.res_scale}")
-        if self.lemma_n_max < 1:
-            raise ConfigError(f"lemma.n_max must be >= 1, got {self.lemma_n_max}")
+        if not 1 <= self.lemma_n_max <= MAX_LEMMA_N:
+            raise ConfigError(f"lemma.n_max must lie in 1..{MAX_LEMMA_N}, got {self.lemma_n_max}")
         self.check_depth(self.deepest)
 
     def check_depth(self, J: int, least: int = 1) -> None:
@@ -93,6 +96,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{J}"
                 )
+
+    def blocks(self, J: int, rearranged: bool = True) -> sequences.BlockSequence:
+        """The block sequence at depth J, after check_depth; it needs p < q."""
+        self.check_depth(J)
+        if not self.params.p < self.params.q:
+            raise ConfigError(f"the construction needs p < q, got p={self.params.p}, q={self.params.q}")
+        blocks = sequences.build_lambda_blocks(self.psi, self.params, J)
+        return sequences.rearrange(blocks) if rearranged else blocks
 
     @property
     def deepest(self) -> int:
@@ -223,7 +234,7 @@ class ExactTier:
 
 def exact_tier(config: ExperimentConfig) -> ExactTier:
     params, desc, p = config.params, config.psi, config.params.p
-    blocks = sequences.rearrange(sequences.build_lambda_blocks(desc, params, config.deepest))
+    blocks = config.blocks(config.deepest)
     S, partials = [], []
     for row in sequences.level_table(blocks, desc, params):
         S.append(row["S_j"])

@@ -1,22 +1,16 @@
-"""Fast norm estimation for atomic fields, exploiting their structure.
+"""Fast norm estimation for atomic fields, from one reference-bump kernel.
 
-Per level, the field is a separable product of one-dimensional profiles and
-distinct levels have disjoint supports (even after inflating by the stencil
-reach M*t, since C_M = 2(M+2) separates the level centers by more than twice
-the inflated half-width).  Difference norms therefore decompose exactly into
-per-level contributions, each computed on a grid matched to that level's atom
-scale.
-
-When the stencil translates of a level's box are pairwise disjoint (step
-larger than the box extent along some axis), the difference norm collapses to
-a closed form in the level's L^p norm; otherwise a bounding-rectangle midpoint
-grid is used.  The two branches are exhaustive.
-
-Each level integral is computed once per (level, step, resolution) and
-cached.  It reads only level j, so it is keyed on the field cut at depth j and
-shared by every depth J >= j.  A partial map factors per level as
-f_level(x1, y) = w_j(y) * level_x1_profile(j, x1), so its integrals are
-y-free and pm_modulus weights them by |w_j(y)|^p.
+Level j of the field is c_j X(u) w_j(x2) in its local coordinate
+u = 2^j x1 - C_M 2^j j (atoms).  Levels have disjoint supports even after
+inflating by the stencil reach M*t, so difference norms split exactly into
+per-level integrals.  In u every level's grid has spacing res_scale/16 and a
+step h is H = 2^j h: a partial map's level integral is |c_j w_j(y)|^p 2^-j
+T(p, M, H, res_scale/16), with T one table over the reference bump.  A 2-D
+level integral takes the same local x1 axis, the global x2 axis (which 2^j
+maps exactly onto the local one) and |c_j|^p once, outside the grid; it is
+cached on the field cut at depth j, so every depth J >= j shares it.  Where
+the stencil translates are disjoint (|H| >= 4, or |h2| past the x2 extent) a
+difference norm is a binomial multiple of the level's L^p norm.
 """
 
 from __future__ import annotations
@@ -24,25 +18,25 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .atoms import AtomicField, Box, level_box, level_weight, level_x1_profile, partial_map
+from .atoms import AtomicField, Box, _bump_factor, level_weight, partial_map
 from .norms import NormEstimate, _box_grid, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from .slowly_varying import PsiDescriptor
 
 
-# level_x1_profile forms 2^j x1 - C_M 2^j j.  A grid point x1 near C_M j
-# carries a rounding error of up to one ulp, C_M j 2^-52, which the factor 2^j
-# magnifies in the level's local coordinate.  Grid-tier depths stop where that
-# error would pass GRID_ABS_TOL.
+# The grid tier's depth cap keeps the value of the global-coordinate rounding
+# bound C_M J 2^J eps <= GRID_ABS_TOL, an error the local kernel no longer has.
+# What it still bounds is size: a 2-D level grid has up to 192 x 3 * 2^(j+4)
+# cells, an array of 2.4 GB at J = 15.
 GRID_ABS_TOL = 1e-9
 
 
 def grid_depth_cap(M: int) -> int:
-    """Deepest level J whose local coordinate keeps GRID_ABS_TOL absolute
-    accuracy in double precision, for C_M = 2(M+2): J = 15 for M = 2."""
+    """Deepest level J with C_M J 2^J eps <= GRID_ABS_TOL, for C_M = 2(M+2):
+    J = 15 for M = 2."""
     C_M = 2 * (M + 2)
     J = 0
     while C_M * (J + 1) * 2.0 ** (J + 1) * sys.float_info.epsilon <= GRID_ABS_TOL:
@@ -51,17 +45,12 @@ def grid_depth_cap(M: int) -> int:
 
 
 def default_level_resolution(j: int, scale: float = 1.0) -> float:
-    """Grid spacing for a level-j box: 16 cells per atom half-width."""
+    """Grid spacing for level j: 16 cells per atom half-width (scale/16 in u)."""
     return scale * 2.0 ** (-(j + 4))
 
 
 def _level_fields(field: AtomicField) -> list[tuple[AtomicField, int]]:
-    """(field cut at depth j, j) for each active level j.
-
-    A level's integrals read only blocks.levels[j] and params, so keying the
-    caches on the field cut at the level's own depth lets every depth J >= j
-    share one entry per (level, step, resolution).
-    """
+    """(field cut at depth j, j) for each active level j: the 2-D cache keys."""
     return [(AtomicField(field.params, field.blocks, j), j) for j in field.active_levels()]
 
 
@@ -69,63 +58,59 @@ def _disjoint_factor(M: int, p: float) -> float:
     return math.fsum(math.comb(M, i) ** p for i in range(M + 1))
 
 
-def _stencil_lp_pow(field: AtomicField, j: int, p: float, M: int, h: tuple, res: float) -> float:
-    """integral over R^n of |Delta_h^M f_level|^p, n = len(h) in {1, 2}.
-
-    Axis 0 is level_x1_profile, axis 1 level_weight, so n = 1 is the partial
-    map's y-free profile.  M = 0 is the plain integral, a product of 1-D sums.
-    """
-    box = level_box(field, j)
-    n = len(h)
-    profiles = (level_x1_profile, level_weight)[:n]
-    if any(abs(h_i) >= hi - lo for h_i, lo, hi in zip(h, box.lo, box.hi)):
-        # translates of the box along h are pairwise disjoint: each stencil
-        # point contributes its binomial weight times |f|^p, nothing overlaps
-        lp_pow = level_lp_pow if n == 2 else pm_level_lp_pow
-        return _disjoint_factor(M, p) * lp_pow(field, j, p, res)
-    grids = _box_grid(Box(
-        tuple(lo - M * max(h_i, 0.0) for h_i, lo in zip(h, box.lo)),
-        tuple(hi - M * min(h_i, 0.0) for h_i, hi in zip(h, box.hi)),
-    ), res)
-    if M == 0:
-        out = 1.0
-        for prof, g in zip(profiles, grids):
-            out = out * float(np.sum(np.abs(prof(field, j, g)) ** p)) * res
-        return out
-    acc = np.zeros(tuple(g.size for g in grids))
-    for i, coef in enumerate(_stencil_coeffs(M)):
-        us = [prof(field, j, g + i * h_i) for prof, g, h_i in zip(profiles, grids, h)]
-        acc += coef * reduce(np.multiply.outer, us)
-    out = float(np.sum(np.abs(acc) ** p))
-    for _ in grids:
-        out *= res
-    return out
+def _stencil_axis(lo: float, hi: float, M: int, h: float, res: float) -> np.ndarray:
+    """Midpoint grid over [lo, hi] widened by the reach of the stencil along h."""
+    return _box_grid(Box((lo - M * max(h, 0.0),), (hi - M * min(h, 0.0),)), res)[0]
 
 
 @lru_cache(maxsize=4096)
-def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
-    """integral over the level-j box of |f_level|^p."""
-    return _stencil_lp_pow(field, j, p, 0, (0.0, 0.0), res)
+def _bump_diff_lp_pow(p: float, M: int, H: float, du: float) -> float:
+    """T(p, M, H, du): integral over R of |Delta_H^M X|^p for the reference
+    factor X, midpoint rule with spacing du (M = 0: the plain integral)."""
+    u = _stencil_axis(-2.0, 2.0, M, H, du)
+    acc = sum(coef * _bump_factor(u + i * H) for i, coef in enumerate(_stencil_coeffs(M)))
+    return float(np.sum(np.abs(acc) ** p)) * du
+
+
+def pm_level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h: float, res: float) -> float:
+    """integral over R of |Delta_h^M level_x1_profile|^p at global spacing
+    res; times |w_j(y)|^p it is level j's share of ||Delta_h^M f(., y)||_p^p."""
+    H = math.ldexp(h, j)
+    if abs(H) >= 4.0:
+        # translates of X's support (-2, 2) along H are pairwise disjoint:
+        # each stencil point contributes its binomial weight times |f|^p
+        return _disjoint_factor(M, p) * pm_level_lp_pow(field, j, p, res)
+    T = _bump_diff_lp_pow(p, M, H, math.ldexp(res, j))
+    return abs(field.coef(j)) ** p * math.ldexp(T, -j)
 
 
 @lru_cache(maxsize=4096)
 def pm_level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
     """integral over R of |level_x1_profile|^p; times |w_j(y)|^p it is the
     level's share of the partial map's integral at y."""
-    return _stencil_lp_pow(field, j, p, 0, (0.0,), res)
+    return pm_level_diff_lp_pow(field, j, p, 0, 0.0, res)
+
+
+@lru_cache(maxsize=4096)
+def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
+    """integral over R^2 of |f_level|^p."""
+    return level_diff_lp_pow(field, j, p, 0, (0.0, 0.0), res)
 
 
 @lru_cache(maxsize=4096)
 def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: float) -> float:
     """integral over R^2 of |Delta_h^M f_level|^p; h is a pair of floats."""
-    return _stencil_lp_pow(field, j, p, M, h, res)
-
-
-@lru_cache(maxsize=4096)
-def pm_level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h: float, res: float) -> float:
-    """integral over R of |Delta_h^M level_x1_profile|^p; times |w_j(y)|^p
-    it is level j's share of ||Delta_h^M f(., y)||_p^p."""
-    return _stencil_lp_pow(field, j, p, M, (h,), res)
+    H, h2 = math.ldexp(h[0], j), h[1]
+    half = 2.0 ** (1 - j)
+    if abs(H) >= 4.0 or abs(h2) >= 1.0 + 2 * half:
+        # translates of the support along h are pairwise disjoint
+        return _disjoint_factor(M, p) * level_lp_pow(field, j, p, res)
+    u = _stencil_axis(-2.0, 2.0, M, H, math.ldexp(res, j))
+    x2 = _stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
+    acc = np.zeros((u.size, x2.size))
+    for i, coef in enumerate(_stencil_coeffs(M)):
+        acc += coef * np.multiply.outer(_bump_factor(u + i * H), level_weight(field, j, x2 + i * h2))
+    return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
 
 
 def field_lp(field: AtomicField, p: float, res_scale: float = 1.0) -> float:
@@ -137,8 +122,8 @@ def field_lp(field: AtomicField, p: float, res_scale: float = 1.0) -> float:
 
 
 def _max_over_steps(levels, steps, diff_lp_pow, p: float, M: int, res_scale: float) -> float:
-    """max over h in steps of (sum over (field cut, j, weight) in levels of
-    weight * diff_lp_pow(field cut, j, p, M, h, level resolution))^(1/p)."""
+    """max over h in steps of (sum over (field, j, weight) in levels of
+    weight * diff_lp_pow(field, j, p, M, h, level resolution))^(1/p)."""
     best = 0.0
     for h in steps:
         total = math.fsum(
@@ -193,18 +178,6 @@ def field_besov_norm(
     return replace(semi, value=semi.value + field_lp(field, p, res_scale))
 
 
-def pm_modulus(
-    field: AtomicField, weights: dict[int, float], p: float, M: int, t: float,
-    res_scale: float = 1.0,
-) -> float:
-    """Sampled modulus of the partial map whose level weights at y are
-    `weights` (atoms.partial_map(field, y).level_weights)."""
-    levels = [
-        (lf, j, abs(weights[j]) ** p) for lf, j in _level_fields(field) if weights[j] != 0.0
-    ]
-    return _max_over_steps(levels, default_h_set(1, t), pm_level_diff_lp_pow, p, M, res_scale)
-
-
 def pm_seminorm(
     field: AtomicField,
     y: float,
@@ -216,7 +189,10 @@ def pm_seminorm(
     q: float = math.inf,
     res_scale: float = 1.0,
 ) -> NormEstimate:
-    """Estimate of the 1-D generalized seminorm of the partial map at y."""
+    """Estimate of the 1-D generalized seminorm of the partial map at y,
+    whose level integrals are |w_j(y)|^p times y-free ones."""
     weights = partial_map(field, y).level_weights
-    omega = lambda t: pm_modulus(field, weights, p, M, t, res_scale)
+    levels = [(field, j, abs(w) ** p) for j, w in weights.items() if w != 0.0]
+    omega = lambda t: _max_over_steps(
+        levels, default_h_set(1, t), pm_level_diff_lp_pow, p, M, res_scale)
     return _estimate(field, omega, desc, s, q, M, j_max, res_scale, h_samples=6)

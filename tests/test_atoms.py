@@ -103,8 +103,19 @@ class TestField:
             AtomicField(flagship_params, raw, 4)
 
     def test_amplitude(self, field_j6):
-        # s - N/p = 1.5 - 2 = -0.5, so amplitude grows as 2^(j/2)
-        assert field_j6.amplitude(4) == pytest.approx(2.0**2.0)
+        # s - N/p = 1.5 - 2 = -0.5, so the amplitude c_j / lambda_j grows as 2^(j/2)
+        lam = (field_j6.blocks.levels[4].theta * 2.0**-4) ** (1.0 / field_j6.params.p)
+        assert field_j6.coef(4) / lam == pytest.approx(2.0**2.0)
+
+    def test_coefficient_formed_in_log_space(self, flagship_params, psi_one):
+        # at j = 1100, lambda_j = theta 2^-1100 underflows to 0.0 and
+        # 2^(j/2) is 3.7e165; c_j = theta 2^-550 is about 1.56e-165
+        j = 1100
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, j))
+        field = AtomicField(flagship_params, blocks, j)
+        expected = math.ldexp(blocks.levels[j].theta, -550)
+        assert expected == pytest.approx(1.56e-165, rel=1e-2)
+        assert field.coef(j) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_level_weight_zero_off_window(self, field_j6):
         # far outside [1,2] no atom of any level contributes

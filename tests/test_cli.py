@@ -1,15 +1,18 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from besovlab import sequences
 from besovlab.cli import main
-from besovlab.experiments import config_from_dict
+from besovlab.atoms import psi0
+from besovlab.experiments import MAX_LEMMA_N, config_from_dict
 from besovlab.params import load_config
 
 
@@ -191,6 +194,20 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({}, ["field-eval", "--J", DEEP, "--points", "x1,x2\n24.0,1.5\n"]),
         ({"J": {"norm": [4, 6], "seq": [16, 32, int(DEEP)], "mixed": [16, 32]}}, ["pathology-run"]),
         ({"J": {"norm": [4, 6], "seq": [16, 32, 64], "mixed": [16, int(DEEP)]}}, ["lemma-le"]),
+        ({"q": 1}, ["seq-build", "--J", "4"]),
+        ({"q": 1}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,1.5\n"]),
+        ({"q": 1}, ["pathology-run"]),
+        ({"q": 1}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"q": 1}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "1.5"]),
+        ({}, ["norm-est", "--target", "indicator", "--J", "683"]),
+        ({}, ["norm-est", "--target", "indicator", "--J", "1100"]),
+        ({"s": 0.5}, ["norm-est", "--target", "indicator", "--J", "1100"]),
+        ({"lemma": {"m": [0.5], "n_max": MAX_LEMMA_N + 1}}, ["lemma-le"]),
+        ({}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "nan"]),
+        ({}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "inf"]),
+        ({}, ["field-eval", "--J", "4", "--points", "x1,x2\nnan,1.5\n"]),
+        ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,inf\n"]),
+        ({"s": 0.5}, ["field-eval", "--J", "2100", "--points", "x1,x2\n16800.0,1.5\n"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -200,6 +217,11 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "res-scale-negative", "res-scale-zero", "x-probes-not-an-int", "diag-threshold-not-a-float",
         "lemma-n-max-0", "seq-build-above-block-cap", "field-eval-above-block-cap",
         "J-seq-above-block-cap", "J-mixed-above-block-cap",
+        "p-equals-q-seq-build", "p-equals-q-field-eval", "p-equals-q-pathology-run",
+        "p-equals-q-norm-est-field", "p-equals-q-norm-est-partial-map",
+        "indicator-2-to-Js-overflows", "indicator-J-1100", "indicator-2-to-minus-J-underflows",
+        "lemma-n-max-above-cap", "partial-map-y-nan", "partial-map-y-inf",
+        "field-eval-point-nan", "field-eval-point-inf", "field-eval-coefficient-overflows",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
@@ -211,6 +233,43 @@ def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
         argv[argv.index("--points") + 1] = str(points)
     assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_p_equals_q_config_keeps_commands_without_blocks(config_path, tmp_path, capsys):
+    """kappa = inf is a valid config: psi-check and lemma-le need no blocks."""
+    path = _with(config_path, tmp_path, q=1)
+    assert main(["--config", path, "psi-check"]) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == float("inf")
+    assert main(["--config", path, "--out", str(tmp_path / "out"), "lemma-le"]) == 0
+
+
+def test_lemma_n_max_cap_admits_the_flagship():
+    flagship = load_config(Path(__file__).resolve().parent.parent / "configs" / "flagship.json")
+    assert 10**6 <= config_from_dict(flagship).lemma_n_max <= MAX_LEMMA_N
+
+
+def test_field_eval_at_a_deep_level(config_path, tmp_path):
+    """Level 2100's coefficient c_j = theta_j 2^-1050 is formed in log space
+    (2^1050 alone overflows a double).  16800 = C_M j, so u = 0."""
+    J = 2100
+    blocks = config_from_dict(load_config(config_path)).blocks(J)
+    lvl = blocks.levels[J]
+    # a y whose cell is on at level J, and the flagship probe y = 1.5
+    y_on = float(1 + Fraction(lvl.start + lvl.n // 2, 2**J))
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x1,x2\n16800.0,1.5\n16800.0,{y_on!r}\n")
+    result = tmp_path / "vals.csv"
+    assert main(["--config", config_path, "--out", str(result),
+                 "field-eval", "--J", str(J), "--points", str(pts)]) == 0
+    values = [float(line.split(",")[2]) for line in result.read_text().splitlines()[1:]]
+    expected = []
+    for y in (1.5, y_on):
+        k = (Fraction(y) * 2**J).numerator  # 2^J y is an integer at this depth
+        on = [(k + d - 2**J - lvl.start) % 2**J < lvl.n for d in (-1, 0, 1)]
+        weight = sum(0.5 * psi0(d / 2) for d, is_on in zip((1, 0, -1), on) if is_on)
+        expected.append(math.ldexp(lvl.theta, -1050) * 0.5 * psi0(0.0) * weight)
+    assert expected[1] > 0.0
+    assert values == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 def test_unreadable_input_files_exit_2(config_path, tmp_path, capsys):

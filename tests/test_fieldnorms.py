@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besovlab import fieldnorms, norms, sequences
-from besovlab.atoms import AtomicField, eval_f, level_box, partial_map, support_boxes
+from besovlab.atoms import AtomicField, eval_f, level_box, partial_map, psi0, support_boxes
 from besovlab.fieldnorms import (
     default_level_resolution,
     field_besov_norm,
@@ -26,6 +26,12 @@ def small_field(flagship_params, psi_one):
         sequences.build_lambda_blocks(psi_one, flagship_params, 4)
     )
     return AtomicField(flagship_params, blocks, 4)
+
+
+@pytest.fixture(scope="module")
+def field_j10(flagship_params, psi_one):
+    blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 10))
+    return AtomicField(flagship_params, blocks, 10)
 
 
 class TestLevelQuadrature:
@@ -174,27 +180,48 @@ class TestTopLevel:
 
 class TestLevelReuse:
     @pytest.mark.parametrize("y", [1.1, 1.51, 1.77, 1.93])
-    def test_factored_partial_map_integral_matches_direct(self, small_field, flagship_params, y):
+    def test_factored_partial_map_integral_matches_direct(self, small_field, field_j10, flagship_params, y):
         """|w_j(y)|^p times the y-free profile integral equals the quadrature
         of the M-th difference of the partial map itself at y."""
         p, M = flagship_params.p, flagship_params.M
-        g = partial_map(small_field, y)
         checked = 0
-        for j in small_field.active_levels():
-            w = g.level_weights[j]
-            res = default_level_resolution(j)
-            box = level_box(small_field, j)
-            # overlapping translates, then a step past the box (disjoint branch)
-            for h in (2.0**-3, -(2.0**-5), 0.75 * 2.0**-4, 1.0):
-                lo = box.lo[0] - M * max(h, 0.0)
-                hi = box.hi[0] - M * min(h, 0.0)
-                x = lo + (np.arange(math.ceil((hi - lo) / res - 1e-9)) + 0.5) * res
-                acc = sum(((-1.0) ** (M - i)) * math.comb(M, i) * g(x + i * h) for i in range(M + 1))
-                direct = float(np.sum(np.abs(acc) ** p)) * res
-                factored = abs(w) ** p * pm_level_diff_lp_pow(small_field, j, p, M, h, res)
-                assert factored == pytest.approx(direct, rel=1e-12, abs=0.0)
-                checked += direct > 0.0
+        for field in (small_field, field_j10):
+            g = partial_map(field, y)
+            for j in field.active_levels():
+                w = g.level_weights[j]
+                res = default_level_resolution(j)
+                box = level_box(field, j)
+                # overlapping translates, then a step past the box (disjoint branch)
+                for h in (2.0**-3, -(2.0**-5), 0.75 * 2.0**-4, 1.0):
+                    lo = box.lo[0] - M * max(h, 0.0)
+                    hi = box.hi[0] - M * min(h, 0.0)
+                    x = lo + (np.arange(math.ceil((hi - lo) / res - 1e-9)) + 0.5) * res
+                    acc = sum(((-1.0) ** (M - i)) * math.comb(M, i) * g(x + i * h) for i in range(M + 1))
+                    direct = float(np.sum(np.abs(acc) ** p)) * res
+                    factored = abs(w) ** p * pm_level_diff_lp_pow(field, j, p, M, h, res)
+                    assert factored == pytest.approx(direct, rel=1e-12, abs=0.0)
+                    checked += direct > 0.0
         assert checked > 0
+
+    def test_deep_level_matches_local_quadrature(self, flagship_params, psi_one):
+        """At level 40 a global x1 grid point near C_M j is only known to
+        C_M j 2^-52, which 2^40 turns into up to 0.08 in u.  The kernel's
+        integral must match a quadrature set up directly in u."""
+        p, M, j = flagship_params.p, flagship_params.M, 40
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, j))
+        field = AtomicField(flagship_params, blocks, j)
+        theta = blocks.levels[j].theta
+        # c_j = (theta 2^-j)^(1/p) 2^(-j(s - N/p)) and dx1 = 2^-j du
+        scale = (theta * 2.0**-j) ** (1 / p) * 2.0 ** (-j * (flagship_params.s - 2 / p))
+        du = 1.0 / 16
+        for H in (0.5, -0.75, 3.0):
+            lo, hi = -2.0 - M * max(H, 0.0), 2.0 - M * min(H, 0.0)
+            u = lo + (np.arange(round((hi - lo) / du)) + 0.5) * du
+            acc = sum(((-1.0) ** (M - i)) * math.comb(M, i) * 0.5 * psi0((u + i * H) / 2)
+                      for i in range(M + 1))
+            local = scale**p * float(np.sum(np.abs(acc) ** p)) * du * 2.0**-j
+            kernel = pm_level_diff_lp_pow(field, j, p, M, H * 2.0**-j, default_level_resolution(j))
+            assert kernel == pytest.approx(local, rel=1e-12, abs=0.0)
 
     def test_no_cache_key_hashes_the_sequence(self, flagship_params, psi_one, monkeypatch):
         """Cache keys hash a field in O(1): no BlockLevel is ever hashed."""
