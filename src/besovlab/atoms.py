@@ -193,8 +193,7 @@ def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
 
 
 def _bump_factor(u) -> np.ndarray:
-    """The reference factor X(u) = (1/2) psi0(u/2) of every level, in the
-    level's local coordinate u; supported in (-2, 2)."""
+    """Every level's reference factor X(u) = (1/2) psi0(u/2), supported in (-2, 2)."""
     return 0.5 * np.asarray(psi0(np.asarray(u, dtype=float) / 2.0))
 
 
@@ -207,8 +206,7 @@ def _x1_factor(field: AtomicField, j: int, x) -> np.ndarray:
 
 
 def level_x1_profile(field: AtomicField, j: int, x1) -> np.ndarray:
-    """c_j times the product over the first N-1 coordinates (all equal to x1
-    here) of the per-coordinate factor X."""
+    """c_j times X at x1, once per first N-1 coordinate (all equal to x1 here)."""
     x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))
     return field.coef(j) * _x1_factor(field, j, x1_arr) ** (field.params.N - 1)
 

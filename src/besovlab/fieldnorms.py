@@ -189,8 +189,7 @@ def pm_seminorm(
     q: float = math.inf,
     res_scale: float = 1.0,
 ) -> NormEstimate:
-    """Estimate of the 1-D generalized seminorm of the partial map at y,
-    whose level integrals are |w_j(y)|^p times y-free ones."""
+    """Estimate of the 1-D generalized seminorm of the partial map at y."""
     weights = partial_map(field, y).level_weights
     levels = [(field, j, abs(w) ** p) for j, w in weights.items() if w != 0.0]
     omega = lambda t: _max_over_steps(
