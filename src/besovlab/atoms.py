@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import Params
-from .sequences import BlockSequence
+from .sequences import BlockLevel, BlockSequence
 
 # exp(-x) is exactly 0.0 in IEEE double past x ~ 745; clamping at 708 (the
 # overflow threshold of exp) keeps supports exact and avoids subnormals
@@ -51,14 +51,19 @@ def psi0(t):
     Supported in (-1,1); integer translates sum to 1 wherever the shared
     denominator is positive.  Returns 0 whenever v(t) = 0 (support
     convention), even where the denominator vanishes.
+
+    Evaluated on the support only.  There one of v(t -+ 1) is 0 and the other
+    is u(1 - m) u(1 + m) with m = 1 - |t|, the arguments the formula rounds
+    to, so the result is bitwise that of the formula.
     """
     t_arr = np.asarray(t, dtype=float)
-    num = bump_v(t_arr)
-    num_arr = np.asarray(num, dtype=float)
-    den = bump_v(t_arr - 1.0) + num_arr + bump_v(t_arr + 1.0)
-    out = np.zeros_like(num_arr)
-    mask = num_arr > 0
-    out[mask] = num_arr[mask] / den[mask]
+    out = np.zeros_like(t_arr)
+    on = np.abs(t_arr) < 1.0
+    ts = t_arr[on]
+    m = 1.0 - np.abs(ts)
+    u = bump_u(np.stack([1.0 + ts, 1.0 - ts, 1.0 - m, 1.0 + m]))
+    num = u[0] * u[1]
+    out[on] = num / (u[2] * u[3] + num)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -158,12 +163,39 @@ def _level_for_x1(field: AtomicField, x1: np.ndarray) -> np.ndarray:
 
     Level-j atoms satisfy |x1 - C_M j| <= 2^(1-j); C_M >= 6 separates levels.
     """
-    cand = np.rint(x1 / field.C_M).astype(int)
+    cand = np.rint(x1 / field.C_M)
+    # clipped before the integer cast, which a far x1 would overflow
+    cand = np.clip(cand, -1, field.J + 1, out=cand).astype(int)
     ok = (cand >= 0) & (cand <= field.J)
     safe = np.clip(cand, 0, field.J)
     width = 2.0 ** (1.0 - safe)
     ok &= np.abs(x1 - field.C_M * safe) <= width
     return np.where(ok, safe, -1)
+
+
+def _cells(j: int, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell floor(2^j xN) and offset 2^j xN - cell of each point, exactly.
+
+    Every cell's bump lies in (-1, 4); a point outside is moved to -4, which
+    keeps the integer cast finite and lies in no cell of T_j.  Past level 60
+    the cells need Python integers; 2^60 xN is already an integer (offset 0)
+    for every xN >= 2^-7, and smaller xN lie in no cell of T_j.
+    """
+    scaled = np.ldexp(np.where(np.abs(xN) < 4.0, xN, -4.0), min(j, 60))
+    base = np.floor(scaled)
+    offset = scaled - base
+    base = base.astype(np.int64)
+    if j > 60:
+        base = base.astype(object) << (j - 60)
+    return base, offset
+
+
+def _on_cells(lvl: BlockLevel, k: np.ndarray) -> np.ndarray:
+    """Whether each cell k is in T_j and in level lvl's on-window."""
+    size = 1 << lvl.j
+    on = (k >= size) & (k < 2 * size)
+    on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
+    return on
 
 
 def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
@@ -173,23 +205,25 @@ def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
     out = np.zeros_like(xN_arr)
     if lvl.n == 0 or lvl.theta <= 0.0:
         return out
-    size = 1 << j
-    # cell floor(2^j xN) and offset 2^j xN - cell, exactly.  Past level 60 the
-    # cells need Python integers; 2^60 xN is already an integer (offset 0) for
-    # every xN >= 2^-7, and smaller xN lie in no cell of T_j.
-    scaled = np.ldexp(xN_arr, min(j, 60))
-    base = np.floor(scaled)
-    offset = scaled - base
-    base = base.astype(np.int64)
-    if j > 60:
-        base = base.astype(object) << (j - 60)
+    base, offset = _cells(j, xN_arr)
     for delta in (-1, 0, 1, 2):
-        k = base + delta
-        on = (k >= size) & (k < 2 * size)
-        on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
+        on = _on_cells(lvl, base + delta)
         # bumps of off-cells would be added as 0.0: evaluate on-cells only
         out[on] += 0.5 * np.asarray(psi0((offset[on] - delta) / 2.0))
     return out
+
+
+def level_plateau(field: AtomicField, j: int, xN) -> np.ndarray:
+    """Where level_weight is known from the cells alone, without psi0: 1 where
+    all four cells floor(2^j xN) - 1 .. + 2 are on-cells (the bumps are a
+    partition of unity), 0 where none is (w_j = 0 exactly), -1 elsewhere."""
+    xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
+    lvl = field.blocks.levels[j]
+    if lvl.n == 0 or lvl.theta <= 0.0:
+        return np.zeros(xN_arr.shape, dtype=np.int8)
+    base, _ = _cells(j, xN_arr)
+    count = sum(_on_cells(lvl, base + delta).astype(np.int8) for delta in (-1, 0, 1, 2))
+    return np.where(count == 4, 1, np.where(count == 0, 0, -1)).astype(np.int8)
 
 
 def _bump_factor(u) -> np.ndarray:

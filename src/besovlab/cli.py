@@ -192,21 +192,18 @@ def cmd_lemma_le(args) -> int:
 
 def cmd_pathology_run(args) -> int:
     config = _load_experiment_config(args.config)
+    exact = experiments.exact_tier(config)  # first: it rejects a config with p = q
+    # every report is built before a file is written: a rejected config writes nothing
+    reports = [
+        experiments.run_lemma_le(config),
+        experiments.run_sequence_experiment(config, exact),
+        experiments.run_pathology(config, exact),
+    ]
     out = _out_dir(args)
     files = []
-    exact = experiments.exact_tier(config)  # first: it rejects a config with p = q
-    lemma = experiments.run_lemma_le(config)
-    files += experiments.emit_report(lemma, out, config.emit_svg)
-    seq_report = experiments.run_sequence_experiment(config, exact)
-    files += experiments.emit_report(seq_report, out, config.emit_svg)
-    pathology = experiments.run_pathology(config, exact)
-    files += experiments.emit_report(pathology, out, config.emit_svg)
-    verdicts = {
-        "lemma_le": lemma.verdicts,
-        "sequence": seq_report.verdicts,
-        "pathology": pathology.verdicts,
-    }
-    write_json(out / "verdicts.json", verdicts)
+    for report in reports:
+        files += experiments.emit_report(report, out, config.emit_svg)
+    write_json(out / "verdicts.json", {report.name: report.verdicts for report in reports})
     files.append(out / "verdicts.json")
     for path in files:
         print(path)

@@ -221,7 +221,8 @@ class ExactTier:
     """The exact tier of one configuration, shared by its sequence and
     pathology reports: the rearranged blocks at config.deepest, the S_j and
     mixed_norm_partial columns of their sequences.level_table (indexed by
-    j), and the sup_diagnostic rows over J_seq and the x-probes.  Blocks are
+    j), and the sup_diagnostic and coverage_count rows over J_seq and the
+    x-probes, from one covering walk per probe.  Blocks are
     built prefix-stable (running sums and cursor), so every value read at a
     depth J equals one from blocks built at J.  Only the two columns are
     kept: the table's row dicts would raise the flagship's peak memory."""
@@ -230,6 +231,7 @@ class ExactTier:
     S: list[float]
     mixed_norm_partial: list[float]
     diagnostics: list[dict]
+    coverage: list[dict]
 
 
 def exact_tier(config: ExperimentConfig) -> ExactTier:
@@ -240,12 +242,15 @@ def exact_tier(config: ExperimentConfig) -> ExactTier:
         S.append(row["S_j"])
         partials.append(row["mixed_norm_partial"])
     probes = x_probe_points(config.x_probes)
-    diagnostics = [
-        _row("diagnostic", "exact", J, float(x), sequences.sup_diagnostic(blocks, desc, p, x, J))
-        for J in config.J_seq
-        for x in probes
-    ]
-    return ExactTier(blocks=blocks, S=S, mixed_norm_partial=partials, diagnostics=diagnostics)
+    profiles = [sequences.covering_profile(blocks, desc, p, x, config.J_seq) for x in probes]
+    diagnostics, coverage = [], []
+    for d, J in enumerate(config.J_seq):
+        for x, profile in zip(probes, profiles):
+            diagnostic, count = profile[d]
+            diagnostics.append(_row("diagnostic", "exact", J, float(x), diagnostic))
+            coverage.append(_row("coverage", "exact", J, float(x), float(count)))
+    return ExactTier(blocks=blocks, S=S, mixed_norm_partial=partials,
+                     diagnostics=diagnostics, coverage=coverage)
 
 
 def _mixed_norm_row(exact: ExactTier, J: int) -> dict:
@@ -262,11 +267,7 @@ def run_sequence_experiment(config: ExperimentConfig, exact: ExactTier | None = 
     if exact is None:
         exact = exact_tier(config)
     rows = [_mixed_norm_row(exact, J) for J in sorted(set(config.J_mixed) | set(config.J_seq))]
-    probes = x_probe_points(config.x_probes)
-    for J in config.J_seq:
-        for x in probes:
-            count = sequences.coverage_count(exact.blocks, x, J)
-            rows.append(_row("coverage", "exact", J, float(x), float(count)))
+    rows.extend(exact.coverage)
     rows.extend(exact.diagnostics)
     for J in (min(config.J_seq), max(config.J_seq)):
         rows.append(_bound_row("forced_bound", J, exact.S[J], params))

@@ -7,10 +7,13 @@ per-level integrals.  In u every level's grid has spacing res_scale/16 and a
 step h is H = 2^j h: a partial map's level integral is |c_j w_j(y)|^p 2^-j
 T(p, M, H, res_scale/16), with T one table over the reference bump.  A 2-D
 level integral takes the same local x1 axis, the global x2 axis (which 2^j
-maps exactly onto the local one) and |c_j|^p once, outside the grid; it is
-cached on the field cut at depth j, so every depth J >= j shares it.  Where
-the stencil translates are disjoint (|H| >= 4, or |h2| past the x2 extent) a
-difference norm is a binomial multiple of the level's L^p norm.
+maps exactly onto the local one) and |c_j|^p once, outside the grid.  On an
+x2 row whose stencil points all have weight exactly 1 or 0 (the bumps are a
+partition of unity) it is T over the points of weight 1, so only the rows
+near the on-window's edges read w_j.  It is cached on the field cut at depth
+j, so every depth J >= j shares it.  Where the stencil translates are
+disjoint (|H| >= 4, or |h2| past the x2 extent) a difference norm is a
+binomial multiple of the level's L^p norm.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atoms import AtomicField, Box, _bump_factor, level_weight, partial_map
+from .atoms import AtomicField, Box, _bump_factor, level_plateau, level_weight, partial_map
 from .norms import NormEstimate, _box_grid, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from .slowly_varying import PsiDescriptor
 
 
 # The grid tier's depth cap keeps the value of the global-coordinate rounding
 # bound C_M J 2^J eps <= GRID_ABS_TOL, an error the local kernel no longer has.
-# What it still bounds is size: a 2-D level grid has up to 192 x 3 * 2^(j+4)
-# cells, an array of 2.4 GB at J = 15.
+# What it still bounds is size: a 2-D level integral sorts the rows of its x2
+# axis, M+2 arrays (the axis and its M+1 stencil columns) of up to about
+# (M+1) * 2^(j+4) doubles, 50 MB at J = 15 for M = 2.
 GRID_ABS_TOL = 1e-9
 
 
@@ -64,11 +68,22 @@ def _stencil_axis(lo: float, hi: float, M: int, h: float, res: float) -> np.ndar
 
 
 @lru_cache(maxsize=4096)
-def _bump_diff_lp_pow(p: float, M: int, H: float, du: float) -> float:
-    """T(p, M, H, du): integral over R of |Delta_H^M X|^p for the reference
-    factor X, midpoint rule with spacing du (M = 0: the plain integral)."""
+def _stencil_rows(M: int, H: float, du: float) -> np.ndarray:
+    """The (M+1) x nu matrix of c_i X(u + i H) on the local x1 axis with
+    spacing du, c_i the stencil weights of Delta^M."""
     u = _stencil_axis(-2.0, 2.0, M, H, du)
-    acc = sum(coef * _bump_factor(u + i * H) for i, coef in enumerate(_stencil_coeffs(M)))
+    rows = np.array([coef * _bump_factor(u + i * H) for i, coef in enumerate(_stencil_coeffs(M))])
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=4096)
+def _bump_diff_lp_pow(p: float, M: int, H: float, du: float, mask: int) -> float:
+    """T_mask(p, M, H, du): integral over R of |sum over the stencil points i
+    in the bitmask of c_i X(u + i H)|^p, midpoint rule with spacing du.  With
+    every bit set it is the integral of |Delta_H^M X|^p (M = 0: of |X|^p)."""
+    rows = _stencil_rows(M, H, du)
+    acc = sum(rows[i] for i in range(M + 1) if mask >> i & 1)
     return float(np.sum(np.abs(acc) ** p)) * du
 
 
@@ -80,7 +95,7 @@ def pm_level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h: float,
         # translates of X's support (-2, 2) along H are pairwise disjoint:
         # each stencil point contributes its binomial weight times |f|^p
         return _disjoint_factor(M, p) * pm_level_lp_pow(field, j, p, res)
-    T = _bump_diff_lp_pow(p, M, H, math.ldexp(res, j))
+    T = _bump_diff_lp_pow(p, M, H, math.ldexp(res, j), (1 << (M + 1)) - 1)
     return abs(field.coef(j)) ** p * math.ldexp(T, -j)
 
 
@@ -99,18 +114,40 @@ def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
 
 @lru_cache(maxsize=4096)
 def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: float) -> float:
-    """integral over R^2 of |Delta_h^M f_level|^p; h is a pair of floats."""
+    """integral over R^2 of |Delta_h^M f_level|^p; h is a pair of floats.
+
+    Row r of the level grid reads w_j at the stencil points x2_r + i h2.  Each
+    stencil column is sorted, so cutting it where level_plateau changes from
+    cell to cell splits the rows into runs on which every point's weight is
+    1, 0 or unknown.  A run of rows whose weights are all 1 or 0 contributes
+    its length times T over the points of weight 1; only the runs near the
+    window's edges read w_j.
+    """
     H, h2 = math.ldexp(h[0], j), h[1]
     half = 2.0 ** (1 - j)
     if abs(H) >= 4.0 or abs(h2) >= 1.0 + 2 * half:
         # translates of the support along h are pairwise disjoint
         return _disjoint_factor(M, p) * level_lp_pow(field, j, p, res)
-    u = _stencil_axis(-2.0, 2.0, M, H, math.ldexp(res, j))
+    du = math.ldexp(res, j)
     x2 = _stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
-    acc = np.zeros((u.size, x2.size))
-    for i, coef in enumerate(_stencil_coeffs(M)):
-        acc += coef * np.multiply.outer(_bump_factor(u + i * H), level_weight(field, j, x2 + i * h2))
-    return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
+    cols = x2 + np.arange(M + 1)[:, None] * h2  # cols[i, r] = x2_r + i h2
+    # a point's plateau state is that of its cell, 0 outside the cells
+    # 2^j - 3 .. 2^(j+1) + 2; cut each column where the state changes
+    cell_x = np.ldexp(np.arange((1 << j) - 3, (2 << j) + 3, dtype=float), -j)
+    state = level_plateau(field, j, cell_x)
+    cuts = cell_x[1:][state[1:] != state[:-1]]
+    bounds = np.unique(np.concatenate([[0, x2.size], *(np.searchsorted(c, cuts) for c in cols)]))
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    runs = level_plateau(field, j, cols[:, starts])
+    edge = (runs < 0).any(axis=0)
+    masks = ((runs == 1) << np.arange(M + 1)[:, None]).sum(axis=0)
+    total = math.fsum(
+        int(n) * _bump_diff_lp_pow(p, M, H, du, int(mask))
+        for mask, n in zip(masks[~edge], lengths[~edge]) if mask
+    )
+    w = level_weight(field, j, cols[:, np.repeat(edge, lengths)])
+    total += float(np.sum(np.abs(w.T @ _stencil_rows(M, H, du)) ** p)) * du
+    return abs(field.coef(j)) ** p * math.ldexp(total, -j) * res
 
 
 def field_lp(field: AtomicField, p: float, res_scale: float = 1.0) -> float:

@@ -251,17 +251,26 @@ def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> I
         }
 
 
-def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: int | None = None) -> float:
-    """max over j <= J of 2^(j/p) lambda_{j,floor(2^j x)} Psi(2^-j).
+def _diagnostic_term(lvl: BlockLevel, desc: PsiDescriptor, p: float) -> float:
+    """2^(j/p) lambda_{j,k} Psi(2^-j) on an on-cell k of level j, through the
+    identity with (block value)^(1/p) * Psi(2^-j), in log space, so deep
+    levels neither overflow nor underflow."""
+    return math.exp(math.log(lvl.theta) / p + psi_dyadic_log(desc, lvl.j))
 
-    Computed through the identity with (block value)^(1/p) * Psi(2^-j), in log
-    space, so deep levels neither overflow nor underflow.
-    """
-    return max(
-        (math.exp(math.log(lvl.theta) / p + psi_dyadic_log(desc, lvl.j))
-         for lvl in _covering_levels(blocks, x, J)),
-        default=0.0,
-    )
+
+def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: int | None = None) -> float:
+    """max over j <= J of 2^(j/p) lambda_{j,floor(2^j x)} Psi(2^-j)."""
+    return max((_diagnostic_term(lvl, desc, p) for lvl in _covering_levels(blocks, x, J)), default=0.0)
+
+
+def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, depths) -> list[tuple[float, int]]:
+    """(sup_diagnostic, coverage_count) at x for each J in depths, read off
+    one walk of the covering levels at the deepest J."""
+    terms = [(lvl.j, _diagnostic_term(lvl, desc, p)) for lvl in _covering_levels(blocks, x, max(depths))]
+    return [
+        (max((t for j, t in terms if j <= J), default=0.0), sum(1 for j, _ in terms if j <= J))
+        for J in depths
+    ]
 
 
 def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:

@@ -14,6 +14,7 @@ from besovlab.atoms import (
     eval_f,
     eval_f_dense,
     level_box,
+    level_plateau,
     level_weight,
     partial_map,
     psi0,
@@ -56,6 +57,21 @@ class TestBumps:
         assert psi0(1.0) == 0.0
         assert psi0(-1.0) == 0.0
         assert psi0(0.0) > 0.0
+
+    def test_psi0_is_bitwise_the_formula(self):
+        """psi0 evaluates on its support only; every value equals the full
+        quotient v(t) / (v(t-1) + v(t) + v(t+1)) bit for bit."""
+
+        def formula(t):
+            num = bump_v(t)
+            with np.errstate(invalid="ignore"):
+                quotient = num / (bump_v(t - 1.0) + num + bump_v(t + 1.0))
+            return np.where(num > 0, quotient, 0.0)
+
+        edge = 1.0 - 1e-7
+        t = np.concatenate([np.linspace(-1.5, 1.5, 300_001), [-1.0, 1.0, 0.0, -edge, edge]])
+        assert np.array_equal(psi0(t), formula(t))
+        assert psi0(0.3) == float(formula(np.array(0.3))) and isinstance(psi0(0.3), float)
 
     def test_psi_nd_center_value(self):
         for N in (1, 2, 3):
@@ -121,6 +137,18 @@ class TestField:
         # far outside [1,2] no atom of any level contributes
         for j in field_j6.active_levels():
             assert np.all(level_weight(field_j6, j, np.array([-3.0, 5.0])) == 0.0)
+
+    def test_level_plateau_agrees_with_level_weight(self, field_j6):
+        """Plateau 0 means w_j is exactly 0, plateau 1 that it is 1 up to the
+        rounding of the partition of unity."""
+        x = np.linspace(0.5, 2.5, 20_001)
+        seen = set()
+        for j in field_j6.active_levels():
+            state, w = level_plateau(field_j6, j, x), level_weight(field_j6, j, x)
+            assert np.all(w[state == 0] == 0.0)
+            assert np.all(np.abs(w[state == 1] - 1.0) <= 4e-16)
+            seen.update(state.tolist())
+        assert seen == {-1, 0, 1}
 
     def test_pruned_matches_dense(self, flagship_params, psi_one, rng):
         blocks = sequences.rearrange(

@@ -208,6 +208,7 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({}, ["field-eval", "--J", "4", "--points", "x1,x2\nnan,1.5\n"]),
         ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,inf\n"]),
         ({"s": 0.5}, ["field-eval", "--J", "2100", "--points", "x1,x2\n16800.0,1.5\n"]),
+        ({"M": 1}, ["pathology-run"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -222,9 +223,11 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "indicator-2-to-Js-overflows", "indicator-J-1100", "indicator-2-to-minus-J-underflows",
         "lemma-n-max-above-cap", "partial-map-y-nan", "partial-map-y-inf",
         "field-eval-point-nan", "field-eval-point-inf", "field-eval-coefficient-overflows",
+        "M-below-s-pathology-run",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
+    """A rejected input exits 2 with a message and writes nothing to --out."""
     path = _with(config_path, tmp_path, **changes)
     argv = list(argv)
     if "--points" in argv:  # the argument after --points is the file's text
@@ -233,6 +236,7 @@ def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
         argv[argv.index("--points") + 1] = str(points)
     assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_p_equals_q_config_keeps_commands_without_blocks(config_path, tmp_path, capsys):
@@ -286,6 +290,24 @@ def test_unreadable_input_files_exit_2(config_path, tmp_path, capsys):
     ):
         assert main(argv) == 2, argv
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_field_eval_far_points_raise_no_warning(config_path, tmp_path):
+    """Coordinates far from every level are 0.0, with nothing on stderr even
+    when warnings are errors."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n24.0,1e300\n1e300,1.5\n-1e300,-1e300\n24.0,1.5\n")
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "besovlab.cli", "--config", config_path,
+         "field-eval", "--J", "10", "--points", str(pts)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    values = [float(line.split(",")[2]) for line in done.stdout.splitlines()[1:]]
+    assert values[:3] == [0.0, 0.0, 0.0] and values[3] > 0.0
 
 
 def test_field_eval_points_without_header(config_path, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ from besovlab.experiments import (
     verdicts_from_csv_rows,
     x_probe_points,
 )
-from besovlab.params import Params
+from besovlab.params import Params, load_config
 from besovlab.reporting import read_csv, read_json
 from besovlab.slowly_varying import constant, log_power
 
@@ -138,6 +139,23 @@ class TestSequenceExperiment:
         }
         for row in checked:
             assert row["value"] == _exact_oracle(row, config), row
+
+    def test_covering_walk_rows_equal_the_oracles_on_the_flagship_probes(self):
+        """exact_tier reads every depth's diagnostic and coverage count off one
+        covering walk per probe; each equals its per-depth oracle."""
+        root = Path(__file__).resolve().parent.parent
+        config = config_from_dict(load_config(root / "configs" / "flagship.json"))
+        exact = experiments.exact_tier(config)
+        probes = x_probe_points(config.x_probes)
+        expected_probes = [float(x) for J in config.J_seq for x in probes]
+        for kind, rows in (("diagnostic", exact.diagnostics), ("coverage", exact.coverage)):
+            assert [row["probe"] for row in rows] == expected_probes
+            assert {row["kind"] for row in rows} == {kind}
+        p, psi = config.params.p, config.psi
+        for diagnostic, coverage, x in zip(exact.diagnostics, exact.coverage, probes * len(config.J_seq)):
+            J = diagnostic["J"]
+            assert diagnostic["value"] == sequences.sup_diagnostic(exact.blocks, psi, p, x, J)
+            assert coverage["value"] == float(sequences.coverage_count(exact.blocks, x, J))
 
     def test_verdicts_recomputable(self):
         config = small_config()

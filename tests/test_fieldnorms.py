@@ -1,10 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from besovlab import fieldnorms, norms, sequences
-from besovlab.atoms import AtomicField, eval_f, level_box, partial_map, psi0, support_boxes
+from besovlab.atoms import (
+    AtomicField,
+    _bump_factor,
+    eval_f,
+    level_box,
+    level_weight,
+    partial_map,
+    psi0,
+    support_boxes,
+)
 from besovlab.fieldnorms import (
     default_level_resolution,
     field_besov_norm,
@@ -176,6 +186,68 @@ class TestTopLevel:
     def test_pm_seminorm_requires_M_above_s(self, small_field):
         with pytest.raises(ValueError):
             pm_seminorm(small_field, 1.5, constant(1.0), 2.5, 1.0, 2, j_max=3)
+
+
+@functools.lru_cache(maxsize=2)
+def _full_grid(field, j, M, h, res):
+    """Delta_h^M of level j over c_j on the full 2-D level grid: every x2 row
+    reads w_j at all its stencil points."""
+    H, h2 = math.ldexp(h[0], j), h[1]
+    half = 2.0 ** (1 - j)
+    u = fieldnorms._stencil_axis(-2.0, 2.0, M, H, math.ldexp(res, j))
+    x2 = fieldnorms._stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
+    acc = np.zeros((u.size, x2.size))
+    for i, coef in enumerate(norms._stencil_coeffs(M)):
+        acc += coef * np.multiply.outer(_bump_factor(u + i * H), level_weight(field, j, x2 + i * h2))
+    return acc
+
+
+def full_grid_diff_lp_pow(field, j, p, M, h, res):
+    """level_diff_lp_pow on the full 2-D level grid.  Test oracle for the
+    plateau reduction."""
+    half = 2.0 ** (1 - j)
+    if abs(math.ldexp(h[0], j)) >= 4.0 or abs(h[1]) >= 1.0 + 2 * half:
+        return fieldnorms._disjoint_factor(M, p) * full_grid_diff_lp_pow(field, j, p, 0, (0.0, 0.0), res)
+    acc = _full_grid(field, j, M, h, res)
+    return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
+
+
+# (j, start, n) of a field whose only level is j
+PLATEAU_WINDOWS = {
+    "wrapped": (4, 13, 6),
+    "full": (4, 0, 16),
+    "one-cell": (4, 6, 1),
+    "two-cells": (4, 6, 2),
+    "three-cells": (4, 6, 3),
+    "at-first-cell": (4, 0, 5),
+    "at-last-cell": (4, 10, 6),
+    "level-2-wrapped": (2, 3, 2),
+    "level-2-full": (2, 0, 4),
+    "level-2-three-cells": (2, 1, 3),
+}
+
+
+@pytest.mark.parametrize("window", sorted(PLATEAU_WINDOWS))
+def test_plateau_reduction_matches_full_grid(flagship_params, window):
+    """Every step of default_h_set(2, 2^-k), k = 0..j, on windows that wrap,
+    fill the level, have no plateau, or touch the first or last cell."""
+    j, start, n = PLATEAU_WINDOWS[window]
+    levels = [sequences.BlockLevel(i, 0.0, 0, 0) for i in range(j)]
+    levels.append(sequences.BlockLevel(j, 1.7, n, start))
+    blocks = sequences.BlockSequence(J=j, levels=tuple(levels), rearranged=True)
+    field = AtomicField(flagship_params, blocks, j)
+    res = default_level_resolution(j)
+    signs = set()
+    for k in range(j + 1):
+        for step in norms.default_h_set(2, 2.0**-k):
+            h = (float(step[0]), float(step[1]))
+            signs.add(math.copysign(1.0, h[1]))
+            for M in (1, 2, 3):
+                for p in (1.0, 2.0):
+                    fast = level_diff_lp_pow(field, j, p, M, h, res)
+                    assert fast == pytest.approx(full_grid_diff_lp_pow(field, j, p, M, h, res),
+                                                 rel=1e-11, abs=0.0), (h, M, p)
+    assert signs == {-1.0, 1.0}
 
 
 class TestLevelReuse:
