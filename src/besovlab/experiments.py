@@ -222,7 +222,8 @@ class ExactTier:
     pathology reports: the rearranged blocks at config.deepest, the S_j and
     mixed_norm_partial columns of their sequences.level_table (indexed by
     j), and the sup_diagnostic and coverage_count rows over J_seq and the
-    x-probes, from one covering walk per probe.  Blocks are
+    x-probes, from one sequences.covering_profile, which finds each probe's
+    covering levels by bisect on one window prefix.  Blocks are
     built prefix-stable (running sums and cursor), so every value read at a
     depth J equals one from blocks built at J.  Only the two columns are
     kept: the table's row dicts would raise the flagship's peak memory."""
@@ -242,7 +243,7 @@ def exact_tier(config: ExperimentConfig) -> ExactTier:
         S.append(row["S_j"])
         partials.append(row["mixed_norm_partial"])
     probes = x_probe_points(config.x_probes)
-    profiles = [sequences.covering_profile(blocks, desc, p, x, config.J_seq) for x in probes]
+    profiles = sequences.covering_profile(blocks, desc, p, probes, config.J_seq)
     diagnostics, coverage = [], []
     for d, J in enumerate(config.J_seq):
         for x, profile in zip(probes, profiles):
@@ -358,16 +359,16 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
         rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
     y_probes = [float(x) for x in x_probe_points(config.y_probes)]
-    for J in config.J_norm:
+    coverage = sequences.covering_profile(blocks, desc, params.p, y_probes, config.J_norm)
+    for d, J in enumerate(config.J_norm):
         field = AtomicField(params, blocks, J)
-        for y in y_probes:
+        for y, profile in zip(y_probes, coverage):
             est = fieldnorms.pm_seminorm(
                 field, y, desc, params.s, params.p, params.M,
                 j_max=j_max, res_scale=config.res_scale,
             )
             rows.append(_row("pm_seminorm", "grid", J, y, est.value))
-            count = sequences.coverage_count(blocks, y, J)
-            rows.append(_row("pm_coverage", "exact", J, y, float(count)))
+            rows.append(_row("pm_coverage", "exact", J, y, float(profile[d][1])))
     rows.extend(exact.diagnostics)
     if config.control_psi is not None:
         S = sequences.build_S(config.control_psi, params.kappa, max(config.J_seq))

@@ -113,6 +113,18 @@ def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
 
 
 @lru_cache(maxsize=4096)
+def _plateau_cuts(field: AtomicField, j: int) -> np.ndarray:
+    """The x2 where level j's level_plateau changes from cell to cell.  A
+    point's plateau state is that of its cell, 0 outside the cells
+    2^j - 3 .. 2^(j+1) + 2."""
+    cell_x = np.ldexp(np.arange((1 << j) - 3, (2 << j) + 3, dtype=float), -j)
+    state = level_plateau(field, j, cell_x)
+    cuts = cell_x[1:][state[1:] != state[:-1]]
+    cuts.flags.writeable = False
+    return cuts
+
+
+@lru_cache(maxsize=4096)
 def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: float) -> float:
     """integral over R^2 of |Delta_h^M f_level|^p; h is a pair of floats.
 
@@ -131,11 +143,7 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
     du = math.ldexp(res, j)
     x2 = _stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
     cols = x2 + np.arange(M + 1)[:, None] * h2  # cols[i, r] = x2_r + i h2
-    # a point's plateau state is that of its cell, 0 outside the cells
-    # 2^j - 3 .. 2^(j+1) + 2; cut each column where the state changes
-    cell_x = np.ldexp(np.arange((1 << j) - 3, (2 << j) + 3, dtype=float), -j)
-    state = level_plateau(field, j, cell_x)
-    cuts = cell_x[1:][state[1:] != state[:-1]]
+    cuts = _plateau_cuts(field, j)
     bounds = np.unique(np.concatenate([[0, x2.size], *(np.searchsorted(c, cuts) for c in cols)]))
     starts, lengths = bounds[:-1], np.diff(bounds)
     runs = level_plateau(field, j, cols[:, starts])

@@ -3,14 +3,17 @@
 A BlockSequence stores O(J) data per level (on-value, on-count, window start);
 the dense array of 2^(J+1) positions exists only as a small-J oracle.  The
 rearrangement is the cyclic sliding-window placement: each level's on-run
-starts where the previous level's run ended, modulo 1, tracked by an exact
-rational cursor with power-of-two denominator.
+starts where the previous level's run ended, modulo 1.  The cursor is the
+exact integer window prefix A_j = W_j 2^j, W_j = sum_{i<=j} n_i 2^-i: the
+windows tile [0, W_J) end to end, so a probe's covering levels are found by
+bisect on the same prefix.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,7 +26,8 @@ from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
 
 # Deepest BlockSequence a command or configuration may build.  Each start_j is
-# a j-bit integer, so a build costs O(J^2): 3.6 s and 215 MB at this depth.
+# a j-bit integer, so a build costs O(J^2): build_lambda_blocks plus rearrange
+# take 1.6 s and 177 MB of peak process memory at this depth.
 MAX_SEQ_DEPTH = 2**15
 
 
@@ -153,21 +157,31 @@ def total_window_weight(blocks: BlockSequence, J: int | None = None) -> Fraction
     return sum((Fraction(lvl.n, 1 << lvl.j) for lvl in blocks.levels[: J + 1]), Fraction(0))
 
 
+def _window_prefix(blocks: BlockSequence) -> Iterator[int]:
+    """A_j = W_j 2^j for j = 0..J, exact: A_j = 2 A_{j-1} + n_j, A_{-1} = 0.
+    Level j's window ends at W_j, where level j+1's starts."""
+    A = 0
+    for lvl in blocks.levels:
+        A = (A << 1) + lvl.n
+        yield A
+
+
 def rearrange(blocks: BlockSequence) -> BlockSequence:
     """Sliding-window rearrangement; preserves each block's value multiset.
 
-    Cursor rule: start_j = floor(c * 2^j), then c <- frac((start_j + n_j)/2^j).
-    The floor may move a window start earlier by less than one cell, which can
-    only increase coverage, never create gaps.
+    Level j's window starts where level j-1's ended, modulo 1: start_j =
+    (2 A_{j-1}) mod 2^j, with A the window prefix, and the cursor is
+    W_J mod 1 = (A_J mod 2^J) / 2^J.  This is the cursor rule start_j =
+    floor(c_{j-1} 2^j), c_j = frac((start_j + n_j) / 2^j), whose floor is
+    exact because c_{j-1} has denominator 2^(j-1).
     """
-    c = Fraction(0)
-    levels = []
-    for lvl in blocks.levels:
-        size = 1 << lvl.j
-        start = math.floor(c * size)
-        levels.append(replace(lvl, start=start))
-        c = Fraction(start + lvl.n, size) % 1
-    return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True, cursor=c)
+    levels, prev = [], 0
+    for lvl, A in zip(blocks.levels, _window_prefix(blocks)):
+        levels.append(BlockLevel(lvl.j, lvl.theta, lvl.n, (prev << 1) % (1 << lvl.j)))
+        prev = A
+    size = 1 << blocks.J
+    return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True,
+                         cursor=Fraction(prev % size, size))
 
 
 def _covering_levels(blocks: BlockSequence, x, J: int | None) -> Iterator[BlockLevel]:
@@ -263,14 +277,58 @@ def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: i
     return max((_diagnostic_term(lvl, desc, p) for lvl in _covering_levels(blocks, x, J)), default=0.0)
 
 
-def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, depths) -> list[tuple[float, int]]:
-    """(sup_diagnostic, coverage_count) at x for each J in depths, read off
-    one walk of the covering levels at the deepest J."""
-    terms = [(lvl.j, _diagnostic_term(lvl, desc, p)) for lvl in _covering_levels(blocks, x, max(depths))]
-    return [
-        (max((t for j, t in terms if j <= J), default=0.0), sum(1 for j, _ in terms if j <= J))
-        for J in depths
-    ]
+def _prefix_lookup(blocks: BlockSequence, J: int):
+    """j -> A_j for j = 0..J of a rearranged sequence, keeping one small
+    integer per level.  Level j+1's window starts at W_j mod 1, so
+    start_{j+1} = 2 A_j mod 2^(j+1) and A_j = floor(W_j) 2^j + start_{j+1}/2:
+    one pass over the window prefix keeps only its laps floor(W_j)."""
+    laps, levels = [], blocks.levels
+    for lvl, A in zip(levels[: J + 1], _window_prefix(blocks)):
+        laps.append(A >> lvl.j)
+    return lambda j: (laps[j] << j) + (levels[j + 1].start >> 1) if j < J else A
+
+
+def _bisect_covering_levels(blocks: BlockSequence, prefix, J: int, x) -> Iterator[BlockLevel]:
+    """The levels j <= J of _covering_levels, found by bisect on the window
+    prefix j -> A_j of a rearranged sequence.
+
+    The windows [W_{j-1}, W_j) tile [0, W_J) and are at most 1 long, so level
+    j covers x = 1 + y iff W_{j-1} <= y + m < W_j for one integer m >= 0, and
+    distinct m give increasing levels.  Both sides are compared as integers
+    scaled by den(x) 2^J, so every comparison is exact.
+    """
+    xf = Fraction(x)
+    if not 1 <= xf < 2:
+        raise ValueError(f"x must lie in [1,2), got {x}")
+    den = xf.denominator
+    scaled_w = lambda j: (prefix(j) * den) << (J - j)
+    target = (xf.numerator - den) << J  # (y + m) den 2^J, m = 0
+    j = 0
+    while (j := bisect_right(range(J + 1), target, lo=j, key=scaled_w)) <= J:
+        lvl = blocks.levels[j]
+        if lvl.theta > 0.0:
+            yield lvl
+        target += den << J
+        j += 1
+
+
+def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, probes, depths) -> list[list[tuple[float, int]]]:
+    """(sup_diagnostic, coverage_count) at each probe x for each J in depths,
+    read off the levels covering x at the deepest J.  One pass over the
+    window prefix serves every probe; it reads the starts that rearrange
+    stored, so `blocks` must come from rearrange."""
+    if not blocks.rearranged:
+        raise ValueError("covering_profile needs a rearranged BlockSequence")
+    J = min(max(depths), blocks.J)
+    prefix = _prefix_lookup(blocks, J)
+    profiles = []
+    for x in probes:
+        terms = [(lvl.j, _diagnostic_term(lvl, desc, p)) for lvl in _bisect_covering_levels(blocks, prefix, J, x)]
+        profiles.append([
+            (max((t for j, t in terms if j <= depth), default=0.0), sum(1 for j, _ in terms if j <= depth))
+            for depth in depths
+        ])
+    return profiles
 
 
 def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:

@@ -35,64 +35,82 @@ def _tracer_module():
     return module
 
 
-def test_every_per_layer_metric_is_a_number(tmp_path):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    # trace_overhead_s is computed by bench/run.py, not read from the tracer
-    names = [m["name"] for m in spec["per_layer"] if m["name"] != "trace_overhead_s"]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
-    points = tmp_path / "points.csv"
-    points.write_text("x1,x2\n32.0,1.5\n0.0,0.0\n")
-    out = tmp_path / "out"
-
+def _traced(*argvs):
+    """A bench tracer after cli.main has run each argv, each exiting 0."""
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:
         from besovlab import cli
 
-        assert cli.main(["--config", str(config), "--out", str(out), "pathology-run"]) == 0
-        assert cli.main(["--config", str(config), "--out", str(out), "report"]) == 0
-        assert cli.main(["--config", str(config), "--out", str(out / "f.csv"),
-                         "field-eval", "--J", "4", "--points", str(points)]) == 0
+        for argv in argvs:
+            assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def _metrics(tracer, prefix=""):
+    """The BENCHMARK.json per-layer metrics starting with prefix, as the
+    tracer reads them, after asserting that each is a finite number."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # trace_overhead_s is computed by bench/run.py, not read from the tracer
+    names = [m["name"] for m in spec["per_layer"]
+             if m["name"].startswith(prefix) and m["name"] != "trace_overhead_s"]
     values = {name: tracer.metric(name) for name in names}
     broken = {
         name: value for name, value in values.items()
         if not isinstance(value, (int, float)) or not math.isfinite(value)
     }
     assert not broken
+    return values
+
+
+def _tiny_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    return str(config)
+
+
+def test_every_per_layer_metric_is_a_number(tmp_path):
+    config = _tiny_config(tmp_path)
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2\n32.0,1.5\n0.0,0.0\n")
+    out = tmp_path / "out"
+    tracer = _traced(
+        ["--config", config, "--out", str(out), "pathology-run"],
+        ["--config", config, "--out", str(out), "report"],
+        ["--config", config, "--out", str(out / "f.csv"),
+         "field-eval", "--J", "4", "--points", str(points)],
+    )
+    values = _metrics(tracer)
     assert values["fieldnorms.pm_seminorm.calls"] > 0
     assert values["atoms.eval_f.points"] == 2
+
+
+def test_pathology_run_keeps_sequences_metrics(tmp_path):
+    """A traced pathology-run alone: every sequences.* per-layer metric stays
+    a number.  The exact tier finds covering levels by bisect, so the
+    per-probe oracles coverage_count and sup_diagnostic read 0 calls."""
+    config = _tiny_config(tmp_path)
+    tracer = _traced(["--config", config, "--out", str(tmp_path / "out"), "pathology-run"])
+    values = _metrics(tracer, "sequences.")
+    assert values["sequences.coverage_count.calls"] == 0
+    assert values["sequences.sup_diagnostic.calls"] == 0
+    assert values["sequences.rearrange.self_s"] > 0
 
 
 def test_exact_eval_commands_keep_sequences_metrics(tmp_path):
     """exact-eval's exact-deep stage (psi-check, seq-build --csv, seq-verify)
     traced: every sequences.* per-layer metric stays a number."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [m["name"] for m in spec["per_layer"] if m["name"].startswith("sequences.")]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
+    config = _tiny_config(tmp_path)
     blocks, table = tmp_path / "blocks.json", tmp_path / "seq.csv"
     J = 64
-
-    tracer = _tracer_module().Tracer()
-    tracer.install()
-    try:
-        from besovlab import cli
-
-        assert cli.main(["--config", str(config), "psi-check"]) == 0
-        assert cli.main(["--config", str(config), "--out", str(blocks),
-                         "seq-build", "--J", str(J), "--csv", str(table)]) == 0
-        assert cli.main(["seq-verify", str(blocks)]) == 0
-    finally:
-        tracer.uninstall()
-    values = {name: tracer.metric(name) for name in names}
-    broken = {
-        name: value for name, value in values.items()
-        if not isinstance(value, (int, float)) or not math.isfinite(value)
-    }
-    assert not broken
+    tracer = _traced(
+        ["--config", config, "psi-check"],
+        ["--config", config, "--out", str(blocks), "seq-build", "--J", str(J), "--csv", str(table)],
+        ["seq-verify", str(blocks)],
+    )
+    values = _metrics(tracer, "sequences.")
     # one build_S each in build_lambda_blocks and level_table: O(J), not O(J^2)
     assert values["sequences.build_S.levels"] == 2 * J
     assert tracer.metric("sequences.block_average.calls") == J + 1

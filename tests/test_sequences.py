@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from besovlab.sequences import (
     build_S,
     build_lambda_blocks,
     coverage_count,
+    covering_profile,
     gamma,
     LEVEL_COLUMNS,
     level_table,
@@ -134,7 +136,44 @@ def _random_blocks(rng, J):
     return BlockSequence(J=J, levels=tuple(levels))
 
 
+def fraction_cursor_rearrange(blocks):
+    """The rearrangement by its rational cursor: start_j = floor(c 2^j), then
+    c <- frac((start_j + n_j) / 2^j).  Test oracle for rearrange."""
+    c = Fraction(0)
+    levels = []
+    for lvl in blocks.levels:
+        size = 1 << lvl.j
+        start = math.floor(c * size)
+        levels.append(replace(lvl, start=start))
+        c = Fraction(start + lvl.n, size) % 1
+    return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True, cursor=c)
+
+
+def _assert_same_rearrangement(blocks):
+    moved, oracle = rearrange(blocks), fraction_cursor_rearrange(blocks)
+    assert moved.levels == oracle.levels
+    assert moved.cursor == oracle.cursor
+
+
+@st.composite
+def _any_counts(draw):
+    """Blocks with any n_j in 0..2^j, j = 0..J, J <= 40."""
+    J = draw(st.integers(0, 40))
+    counts = [draw(st.integers(0, 1 << j)) for j in range(J + 1)]
+    return BlockSequence(J=J, levels=tuple(
+        BlockLevel(j, 1.0 if n else 0.0, n, 0) for j, n in enumerate(counts)))
+
+
 class TestRearrange:
+    @settings(max_examples=200, deadline=None)
+    @given(_any_counts())
+    def test_window_prefix_equals_fraction_cursor(self, blocks):
+        _assert_same_rearrangement(blocks)
+
+    @pytest.mark.parametrize("psi", [constant(1.0), log_power(0.25)], ids=["constant", "log-power"])
+    def test_window_prefix_equals_fraction_cursor_at_4096(self, flagship_params, psi):
+        _assert_same_rearrangement(build_lambda_blocks(psi, flagship_params, 4096))
+
     def test_preserves_multisets_per_block(self, rng):
         for _ in range(20):
             J = int(rng.integers(2, 11))
@@ -220,6 +259,69 @@ class TestCoverage:
     def test_rejects_x_outside_unit_shift(self, blocks_j8):
         with pytest.raises(ValueError):
             coverage_count(blocks_j8, Fraction(5, 2))
+        with pytest.raises(ValueError):
+            covering_profile(blocks_j8, constant(1.0), 1.0, [Fraction(5, 2)], [8])
+
+    def test_profile_needs_rearranged_blocks(self, flagship_params, psi_one):
+        blocks = build_lambda_blocks(psi_one, flagship_params, 8)
+        with pytest.raises(ValueError):
+            covering_profile(blocks, psi_one, 1.0, [Fraction(3, 2)], [8])
+
+
+def _edge_probes(blocks):
+    """x = 1 + (W_j mod 1) at every level j, and one ulp either side."""
+    probes = set()
+    for j in range(blocks.J + 1):
+        edge = 1.0 + float(total_window_weight(blocks, j) % 1)
+        probes.update((edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)))
+    return sorted(x for x in probes if 1.0 <= x < 2.0)
+
+
+def _theta_zero_level(blocks, j):
+    """blocks with level j's on-value set to 0 and its on-cells kept."""
+    levels = list(blocks.levels)
+    levels[j] = replace(levels[j], theta=0.0)
+    return rearrange(BlockSequence(J=blocks.J, levels=tuple(levels)))
+
+
+class TestCoveringProfile:
+    """The bisect on the window prefix against the covering walk and the
+    dense sequence, on every window edge and one ulp either side."""
+
+    @pytest.fixture(params=["constant", "log-power", "random", "theta=0"])
+    def case(self, request, flagship_params, rng):
+        psi = log_power(0.25) if request.param == "log-power" else constant(1.0)
+        if request.param == "random":
+            return psi, rearrange(_random_blocks(rng, 11))
+        blocks = rearrange(build_lambda_blocks(psi, flagship_params, 12))
+        if request.param == "theta=0":
+            assert blocks.levels[9].n > 0
+            blocks = _theta_zero_level(blocks, 9)
+        return psi, blocks
+
+    def test_equals_walk_and_dense_on_window_edges(self, case):
+        psi, blocks = case
+        p = 1.0
+        depths = range(blocks.J + 1)
+        probes = _edge_probes(blocks)
+        dense = materialize(blocks)
+        for x, profile in zip(probes, covering_profile(blocks, psi, p, probes, depths)):
+            for J, (diagnostic, count) in zip(depths, profile):
+                covered = sum(1 for j in range(J + 1) if dense[math.floor(math.ldexp(x, j))] > 0.0)
+                assert count == coverage_count(blocks, x, J) == covered, (x, J)
+                assert diagnostic == sup_diagnostic(blocks, psi, p, x, J), (x, J)
+
+    def test_on_level_with_zero_theta_is_skipped(self):
+        # W_2 = 1/2, W_3 = 1, W_4 = 3/2: level 3's window is [1/2, 1) and
+        # carries 0, level 4's wraps onto [0, 1/2)
+        levels = [BlockLevel(0, 0.0, 0, 0), BlockLevel(1, 0.0, 0, 0), BlockLevel(2, 1.0, 2, 0),
+                  BlockLevel(3, 0.0, 4, 0), BlockLevel(4, 2.0, 8, 0)]
+        blocks = rearrange(BlockSequence(J=4, levels=tuple(levels)))
+        probes = [Fraction(5, 4), Fraction(7, 4)]
+        profiles = covering_profile(blocks, constant(1.0), 1.0, probes, [3, 4])
+        assert profiles == [[(1.0, 1), (2.0, 2)], [(0.0, 0), (0.0, 0)]]
+        for x, profile in zip(probes, profiles):
+            assert [count for _, count in profile] == [coverage_count(blocks, x, J) for J in (3, 4)]
 
 
 # ---------------------------------------------------------------------------
