@@ -191,25 +191,33 @@ def _cells(j: int, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _on_cells(lvl: BlockLevel, k: np.ndarray) -> np.ndarray:
-    """Whether each cell k is in T_j and in level lvl's on-window."""
+    """Whether each cell k is in T_j and in level lvl's on-window.  The window
+    offset (k - 2^j - start) mod 2^j is (k - start) & (2^j - 1); _cells keeps
+    |k| <= 2^62 + 2, so k - start cannot wrap in int64."""
     size = 1 << lvl.j
-    on = (k >= size) & (k < 2 * size)
-    on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
-    return on
+    return (k >= size) & (k < 2 * size) & (((k - lvl.start) & (size - 1)) < lvl.n)
+
+
+_DELTAS = np.arange(-1, 3)[:, None]  # cells floor(2^j xN) - 1 .. + 2
 
 
 def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
-    """Sum over on-cells k of (1/2) psi0((2^j xN - k)/2) at last coordinate xN."""
+    """Sum over on-cells k of (1/2) psi0((2^j xN - k)/2) at last coordinate xN.
+
+    One psi0 call on the on-entries of the 4 x n cell stencil; the rows are
+    added in cell order, and an off-cell's 0.0 leaves a sum of terms >= 0
+    bitwise unchanged.  The result keeps the input's shape and memory layout.
+    """
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
     lvl = field.blocks.levels[j]
     out = np.zeros_like(xN_arr)
     if lvl.n == 0 or lvl.theta <= 0.0:
         return out
-    base, offset = _cells(j, xN_arr)
-    for delta in (-1, 0, 1, 2):
-        on = _on_cells(lvl, base + delta)
-        # bumps of off-cells would be added as 0.0: evaluate on-cells only
-        out[on] += 0.5 * np.asarray(psi0((offset[on] - delta) / 2.0))
+    base, offset = _cells(j, xN_arr.reshape(-1))
+    on = _on_cells(lvl, base + _DELTAS)
+    rows = np.zeros(on.shape)
+    rows[on] = 0.5 * psi0((offset - _DELTAS)[on] / 2.0)
+    out[...] = (rows[0] + rows[1] + rows[2] + rows[3]).reshape(xN_arr.shape)
     return out
 
 
@@ -221,8 +229,8 @@ def level_plateau(field: AtomicField, j: int, xN) -> np.ndarray:
     lvl = field.blocks.levels[j]
     if lvl.n == 0 or lvl.theta <= 0.0:
         return np.zeros(xN_arr.shape, dtype=np.int8)
-    base, _ = _cells(j, xN_arr)
-    count = sum(_on_cells(lvl, base + delta).astype(np.int8) for delta in (-1, 0, 1, 2))
+    base, _ = _cells(j, xN_arr.reshape(-1))
+    count = _on_cells(lvl, base + _DELTAS).sum(axis=0).reshape(xN_arr.shape)
     return np.where(count == 4, 1, np.where(count == 0, 0, -1)).astype(np.int8)
 
 

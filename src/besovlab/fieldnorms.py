@@ -113,15 +113,24 @@ def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _plateau_cuts(field: AtomicField, j: int) -> np.ndarray:
-    """The x2 where level j's level_plateau changes from cell to cell.  A
-    point's plateau state is that of its cell, 0 outside the cells
-    2^j - 3 .. 2^(j+1) + 2."""
+def _plateau_cuts(field: AtomicField, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, states): the x2 where level j's level_plateau changes from cell
+    to cell, and states[i] the level_plateau of a point with i cuts <= x2
+    (states[0] = 0).  A point's plateau state is that of its cell, 0 outside
+    the cells 2^j - 3 .. 2^(j+1) + 2; the cuts are cell edges, so counting
+    them (searchsorted, side="right") reads the state exactly."""
     cell_x = np.ldexp(np.arange((1 << j) - 3, (2 << j) + 3, dtype=float), -j)
     state = level_plateau(field, j, cell_x)
-    cuts = cell_x[1:][state[1:] != state[:-1]]
-    cuts.flags.writeable = False
-    return cuts
+    change = np.flatnonzero(state[1:] != state[:-1]) + 1
+    cuts, states = cell_x[change], np.concatenate([state[:1], state[change]])
+    cuts.flags.writeable = states.flags.writeable = False
+    return cuts, states
+
+
+def _plateau_state(field: AtomicField, j: int, x2: np.ndarray) -> np.ndarray:
+    """level_plateau at x2, read off level j's cached cuts."""
+    cuts, states = _plateau_cuts(field, j)
+    return states[np.searchsorted(cuts, x2, side="right")]
 
 
 @lru_cache(maxsize=4096)
@@ -143,10 +152,10 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
     du = math.ldexp(res, j)
     x2 = _stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
     cols = x2 + np.arange(M + 1)[:, None] * h2  # cols[i, r] = x2_r + i h2
-    cuts = _plateau_cuts(field, j)
+    cuts, _ = _plateau_cuts(field, j)
     bounds = np.unique(np.concatenate([[0, x2.size], *(np.searchsorted(c, cuts) for c in cols)]))
     starts, lengths = bounds[:-1], np.diff(bounds)
-    runs = level_plateau(field, j, cols[:, starts])
+    runs = _plateau_state(field, j, cols[:, starts])
     edge = (runs < 0).any(axis=0)
     masks = ((runs == 1) << np.arange(M + 1)[:, None]).sum(axis=0)
     total = math.fsum(

@@ -27,7 +27,7 @@ _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
 
 # Deepest BlockSequence a command or configuration may build.  Each start_j is
 # a j-bit integer, so a build costs O(J^2): build_lambda_blocks plus rearrange
-# take 1.6 s and 177 MB of peak process memory at this depth.
+# take about 0.9 s and 177 MB of peak process memory at this depth.
 MAX_SEQ_DEPTH = 2**15
 
 
@@ -102,6 +102,29 @@ def lemma_le_partials(u, m: float, n: int) -> np.ndarray:
     return np.cumsum(terms / U**m)
 
 
+_LEMMA_CHUNK = 1 << 16  # terms per chunk of lemma_le_unit_partials: 0.5 MB a column
+
+
+def lemma_le_unit_partials(m: float, checkpoints) -> list[float]:
+    """lemma_le_partials(np.ones(n), m, n)[n_i - 1] at each checkpoint n_i,
+    bitwise, in memory that does not grow with n.
+
+    With u = 1 the running sum U_j is exactly j (for j < 2^53).  The series
+    is summed chunk by chunk, each chunk's cumsum starting from the partial
+    sum carried over, so the additions happen in numpy's sequential order.
+    """
+    if min(checkpoints) < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {min(checkpoints)}")
+    n_max, values, total = max(checkpoints), {}, 0.0
+    for lo in range(0, n_max, _LEMMA_CHUNK):
+        hi = min(lo + _LEMMA_CHUNK, n_max)
+        U = np.arange(lo + 1, hi + 1, dtype=float)
+        partials = np.cumsum(np.concatenate([[total], 1.0 / U**m]))  # partials[i] = S_(lo + i)
+        values.update((n, float(partials[n - lo])) for n in checkpoints if lo < n <= hi)
+        total = partials[-1]
+    return [values[n] for n in checkpoints]
+
+
 def build_S(desc: PsiDescriptor, kappa: float, J: int) -> np.ndarray:
     """(S_1, ..., S_J) with S_j = sum_{k=1..j} Psi(2^-k)^kappa."""
     if J < 1:
@@ -119,10 +142,9 @@ def gamma(desc: PsiDescriptor, kappa: float, j: int, m: float) -> float:
 
 
 def _exact_floor_count(g: float, j: int) -> int:
-    # floor(2^j * g) with g a float, computed exactly via binary rationals
-    frac = Fraction(g) * (1 << j)
-    n = math.floor(frac)
-    return min(max(n, 0), 1 << j)
+    # floor(2^j * g) with g a float, exact: g = num / den, den a power of 2
+    num, den = g.as_integer_ratio()
+    return min(max((num << j) // den, 0), 1 << j)
 
 
 def build_lambda_blocks(desc: PsiDescriptor, params: Params, J: int) -> BlockSequence:
@@ -145,9 +167,10 @@ def build_lambda_blocks(desc: PsiDescriptor, params: Params, J: int) -> BlockSeq
 
 
 def block_average(blocks: BlockSequence, j: int) -> float:
-    """n_j * theta_j / 2^j, the exact average of the sequence over T_j."""
+    """n_j * theta_j / 2^j, the exact average of the sequence over T_j.
+    n_j / 2^j is an int true division, correctly rounded in CPython."""
     lvl = blocks.levels[j]
-    return float(Fraction(lvl.n, 1 << j)) * lvl.theta
+    return lvl.n / (1 << j) * lvl.theta
 
 
 def total_window_weight(blocks: BlockSequence, J: int | None = None) -> Fraction:
@@ -235,13 +258,15 @@ def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> I
     gamma(j, 1.0), block_average(j) and mixed_norm(blocks, p, q, j); S_j and
     Gamma_j1 are 0.0 at j = 0.  S comes from one build_S, whose cumulative
     sum is prefix-stable.  The mixed-norm partial keeps the exact running
-    sum of block_average^(q/p) and rounds it once, as math.fsum over the
-    prefix does; for q = inf it keeps the running max of block_average^(1/p).
-    Rows are yielded one at a time, so a deep table never sits in memory.
+    sum of block_average^(q/p) as one integer in units of 2^-1074, which
+    every double is a whole multiple of, and rounds it once, as math.fsum
+    over the prefix does; for q = inf it keeps the running max of
+    block_average^(1/p).  Rows are yielded one at a time, so a deep table
+    never sits in memory.
     """
     kappa, p, q = params.kappa, params.p, params.q
     S = build_S(desc, kappa, blocks.J)
-    total = Fraction(0)
+    total, unit = 0, 1 << 1074
     best = 0.0
     for lvl in blocks.levels:
         j = lvl.j
@@ -250,8 +275,9 @@ def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> I
             best = max(best, average ** (1.0 / p))
             partial = best
         else:
-            total += Fraction(average ** (q / p))
-            partial = float(total) ** (1.0 / q)
+            num, den = (average ** (q / p)).as_integer_ratio()
+            total += num << (1075 - den.bit_length())  # den = 2^(bit_length - 1)
+            partial = (total / unit) ** (1.0 / q)
         S_j = float(S[j - 1]) if j >= 1 else 0.0
         yield {
             "j": j,

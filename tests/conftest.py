@@ -29,6 +29,20 @@ def field_j6(flagship_params, blocks_j8):
     return AtomicField(flagship_params, blocks_j8, 6)
 
 
+@pytest.fixture(scope="session")
+def window_field(flagship_params):
+    """make(j, start, n, theta=1.7): a flagship-parameter field whose only
+    level is j, with on-window (start, n)."""
+
+    def make(j, start, n, theta=1.7):
+        levels = [sequences.BlockLevel(i, 0.0, 0, 0) for i in range(j)]
+        levels.append(sequences.BlockLevel(j, theta, n, start))
+        blocks = sequences.BlockSequence(J=j, levels=tuple(levels), rearranged=True)
+        return AtomicField(flagship_params, blocks, j)
+
+    return make
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -232,3 +232,82 @@ class TestPartialMap:
                 assert w == float(level_weight(field, j, np.array([y]))[0])
         # the weight of level j does not depend on the depth J >= j
         assert computed == list(range(2, 9))
+
+
+def per_delta_level_weight(field, j, xN):
+    """level_weight one stencil cell at a time, one psi0 call per cell, with
+    the cell offset taken mod 2^j.  Test oracle for the fused kernel."""
+    xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
+    lvl = field.blocks.levels[j]
+    out = np.zeros_like(xN_arr)
+    if lvl.n == 0 or lvl.theta <= 0.0:
+        return out
+    base, offset = atoms._cells(j, xN_arr)
+    size = 1 << j
+    for delta in (-1, 0, 1, 2):
+        k = base + delta
+        on = (k >= size) & (k < 2 * size)
+        on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
+        out[on] += 0.5 * np.asarray(psi0((offset[on] - delta) / 2.0))
+    return out
+
+
+def cell_edges(j):
+    """Every cell edge k 2^-j near T_j and one ulp either side."""
+    edges = np.ldexp(np.arange((1 << j) - 8, (2 << j) + 9, dtype=float), -j)
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+class TestFusedLevelWeight:
+    """level_weight against the per-cell oracle, compared bitwise."""
+
+    def assert_equals_oracle(self, field, j, x):
+        fast, slow = level_weight(field, j, x), per_delta_level_weight(field, j, x)
+        assert fast.shape == slow.shape
+        assert fast.flags.f_contiguous == slow.flags.f_contiguous
+        assert np.array_equal(fast, slow)
+        return fast
+
+    def test_flagship_levels_at_every_cell_edge(self, flagship_params, psi_one, rng):
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 10))
+        field = AtomicField(flagship_params, blocks, 10)
+        for j in field.active_levels():
+            x = np.concatenate([cell_edges(j), rng.uniform(0.5, 2.5, 500)])
+            assert self.assert_equals_oracle(field, j, x).any()
+
+    @pytest.mark.parametrize("window", [(4, 13, 6), (4, 0, 16), (4, 6, 1), (2, 3, 2)],
+                             ids=["wrapped", "full", "one-cell", "level-2-wrapped"])
+    def test_hand_made_windows(self, window_field, window):
+        j, start, n = window
+        field = window_field(j, start, n)
+        assert self.assert_equals_oracle(field, j, cell_edges(j)).any()
+
+    @pytest.mark.parametrize("n, theta", [(0, 1.7), (5, 0.0)], ids=["n=0", "theta=0"])
+    def test_empty_level_is_zero(self, window_field, n, theta):
+        field = window_field(4, 3, n, theta)
+        assert not self.assert_equals_oracle(field, 4, cell_edges(4)).any()
+
+    def test_past_level_60(self, flagship_params, psi_one, rng):
+        J = 70
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, J))
+        field = AtomicField(flagship_params, blocks, J)
+        for j in (60, 61, 64, 70):
+            lvl = blocks.levels[j]
+            ends = np.array([float(lvl.start), float(lvl.start + lvl.n)])
+            edges = np.ldexp((1 << j) + ends, -j)
+            x = np.concatenate([
+                edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                rng.uniform(0.5, 2.5, 2000), [2.0**-8, 1.0, 2.0, 4.0, -1.0],
+            ])
+            assert self.assert_equals_oracle(field, j, x).any()
+
+    def test_shapes_and_layouts(self, field_j6):
+        j = 5
+        x = np.linspace(0.9, 2.1, 24)
+        cols = x + np.arange(3)[:, None] * 0.01
+        f_ordered = cols[:, np.arange(24) % 3 == 0]
+        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+        for xN in (1.3, np.float64(1.55), np.array(1.55), np.array([]), np.zeros((3, 0)),
+                   np.asfortranarray(x.reshape(4, 6)), f_ordered, cols):
+            self.assert_equals_oracle(field_j6, j, xN)
+        assert level_weight(field_j6, j, 1.55).shape == (1,)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +101,33 @@ class TestLemmaLE:
     def test_verdicts_pure_function_of_rows(self):
         report = run_lemma_le(small_config())
         assert lemma_le_verdicts(report.rows) == report.verdicts
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+    def test_flagship_suite_peak_memory_stays_small(self):
+        """run_lemma_le on the flagship config in a fresh process: the peak
+        resident size after the suite (VmHWM) exceeds the resident size
+        before it (VmRSS) by less than 16 MB."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _LEMMA_MEMORY_PROBE, str(root / "configs" / "flagship.json")],
+                              env=env, check=True, capture_output=True, text=True, timeout=300)
+        assert int(done.stdout) < 16 * 1024, f"lemma suite raised the peak by {done.stdout.strip()} kB"
+
+
+_LEMMA_MEMORY_PROBE = """
+import json, sys
+from besovlab.experiments import config_from_dict, run_lemma_le
+
+def status_kb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+config = config_from_dict(json.loads(open(sys.argv[1]).read()))
+before = status_kb("VmRSS")
+run_lemma_le(config)
+print(status_kb("VmHWM") - before)
+"""
 
 
 def _exact_oracle(row, config):

@@ -10,6 +10,7 @@ from besovlab.atoms import (
     _bump_factor,
     eval_f,
     level_box,
+    level_plateau,
     level_weight,
     partial_map,
     psi0,
@@ -227,15 +228,33 @@ PLATEAU_WINDOWS = {
 }
 
 
+def test_cut_states_equal_level_plateau(field_j10, window_field):
+    """The state read off the cached cuts is level_plateau's at every cell
+    edge, one ulp either side and far away, for levels 2-10 of the flagship
+    field and for wrapped windows, on 1-D and 2-D input."""
+    cases = [(field_j10, j) for j in field_j10.active_levels()]
+    for window in ("wrapped", "level-2-wrapped"):
+        j, start, n = PLATEAU_WINDOWS[window]
+        cases.append((window_field(j, start, n), j))
+    far = np.array([-np.inf, -1e300, -4.0, -1.0, 0.0, 0.5, 3.0, 4.0, 7.5, 1e300, np.inf])
+    seen = set()
+    for field, j in cases:
+        edges = np.ldexp(np.arange((1 << j) - 8, (2 << j) + 9, dtype=float), -j)
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), far])
+        expected = level_plateau(field, j, x)
+        assert np.array_equal(fieldnorms._plateau_state(field, j, x), expected)
+        rows = x[: 3 * edges.size].reshape(3, -1)  # 2-D, as level_diff_lp_pow passes its columns
+        assert np.array_equal(fieldnorms._plateau_state(field, j, rows), level_plateau(field, j, rows))
+        seen.update(expected.tolist())
+    assert seen == {-1, 0, 1}
+
+
 @pytest.mark.parametrize("window", sorted(PLATEAU_WINDOWS))
-def test_plateau_reduction_matches_full_grid(flagship_params, window):
+def test_plateau_reduction_matches_full_grid(window_field, window):
     """Every step of default_h_set(2, 2^-k), k = 0..j, on windows that wrap,
     fill the level, have no plateau, or touch the first or last cell."""
     j, start, n = PLATEAU_WINDOWS[window]
-    levels = [sequences.BlockLevel(i, 0.0, 0, 0) for i in range(j)]
-    levels.append(sequences.BlockLevel(j, 1.7, n, start))
-    blocks = sequences.BlockSequence(J=j, levels=tuple(levels), rearranged=True)
-    field = AtomicField(flagship_params, blocks, j)
+    field = window_field(j, start, n)
     res = default_level_resolution(j)
     signs = set()
     for k in range(j + 1):

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from besovlab.sequences import (
     level_table,
     lemma_le_partial,
     lemma_le_partials,
+    lemma_le_unit_partials,
     materialize,
     mixed_norm,
     rearrange,
@@ -31,6 +33,9 @@ from besovlab.sequences import (
     verify_blocks,
 )
 from besovlab.slowly_varying import constant, log_power, tabulated
+
+# lemma.m of configs/flagship.json
+FLAGSHIP_LEMMA_M = (0.5, 1.0, 1.5, 2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +81,25 @@ class TestLemmaLE:
         bound = U1 ** (1.0 - m) + U1 ** (1.0 - m) / (m - 1.0)
         assert value <= bound * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 10**6])
+    def test_streamed_unit_partials_are_bitwise_the_oracle(self, n):
+        checkpoints = sorted({c for c in (1, 2, 3, 1000, 2**16 - 1, 2**16, 2**16 + 1) if c <= n} | {n})
+        for m in FLAGSHIP_LEMMA_M:
+            partials = lemma_le_partials(np.ones(n), m, n)
+            assert lemma_le_unit_partials(m, checkpoints) == [float(partials[c - 1]) for c in checkpoints]
+
+    def test_streamed_unit_partials_across_many_chunks(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_LEMMA_CHUNK", 7)
+        n = 1000
+        checkpoints = list(range(1, n + 1))
+        for m in FLAGSHIP_LEMMA_M:
+            expected = lemma_le_partials(np.ones(n), m, n).tolist()
+            assert lemma_le_unit_partials(m, checkpoints) == expected
+
+    def test_streamed_unit_partials_reject_empty_prefix(self):
+        with pytest.raises(ValueError):
+            lemma_le_unit_partials(2.0, [0, 5])
+
 
 # ---------------------------------------------------------------------------
 # construction
@@ -116,6 +140,13 @@ class TestBuild:
         lvl = blocks.levels[2048]
         assert math.isfinite(lvl.theta)
         assert 0 < lvl.n <= 1 << 2048
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-4.0, max_value=4.0) | st.sampled_from([5e-324, 2.0**-1070, 2.0**-1022]),
+           st.integers(0, 5000))
+    def test_floor_count_by_shift_equals_fraction_form(self, g, j):
+        expected = min(max(math.floor(Fraction(g) * (1 << j)), 0), 1 << j)
+        assert sequences._exact_floor_count(g, j) == expected
 
     def test_requires_p_below_q(self, psi_one):
         params = Params(N=2, d=1, p=2.0, q=2.0, s=0.5, M=1, L=0.1)
@@ -403,6 +434,46 @@ class TestLevelTable:
         for J in (2, 17, 64):
             shallow = rearrange(build_lambda_blocks(psi, params, J))
             assert list(level_table(shallow, psi, params)) == table[: J + 1]
+
+
+@st.composite
+def _sparse_levels(draw):
+    """Blocks to depth J <= 5000 with a few levels of any n_j in 0..2^j and
+    any theta_j, subnormal ones included; every other level is zero."""
+    J = draw(st.integers(2, 5000))
+    levels = [BlockLevel(j, 0.0, 0, 0) for j in range(J + 1)]
+    for j in draw(st.lists(st.integers(2, J), max_size=12, unique=True)):
+        n = draw(st.integers(0, 1 << j) | st.sampled_from([1, 1 << j]))
+        theta = draw(st.floats(min_value=0.0, max_value=1e100) | st.sampled_from([5e-324, 2.0**-1060]))
+        levels[j] = BlockLevel(j, theta, n, 0)
+    return BlockSequence(J=J, levels=tuple(levels))
+
+
+class TestExactWithoutFraction:
+    """block_average and level_table's running sum against their Fraction
+    forms, compared with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5000).flatmap(lambda j: st.tuples(st.just(j), st.integers(0, 1 << j))),
+           st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([5e-324, 2.0**-1060]))
+    def test_block_average_equals_fraction_form(self, jn, theta):
+        j, n = jn
+        blocks = SimpleNamespace(levels={j: BlockLevel(j, theta, n, 0)})  # all block_average reads
+        assert block_average(blocks, j) == float(Fraction(n, 1 << j)) * theta
+
+    # q/p near 1 keeps subnormal block averages subnormal in the sum
+    SUM_PARAMS = (_TABLE_CASES["constant"][1], _TABLE_CASES["tabulated"][1],
+                  Params(N=2, d=1, p=1.0, q=1.0 + 2**-20, s=1.5, M=2, L=0.25))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sparse_levels(), st.sampled_from(SUM_PARAMS))
+    def test_running_sum_equals_fraction_sum(self, blocks, params):
+        p, q = params.p, params.q
+        total = Fraction(0)
+        for row, lvl in zip(level_table(blocks, constant(1.0), params), blocks.levels):
+            assert row["block_average"] == float(Fraction(lvl.n, 1 << lvl.j)) * lvl.theta
+            total += Fraction(row["block_average"] ** (q / p))
+            assert row["mixed_norm_partial"] == float(total) ** (1.0 / q)
 
 
 class TestSupDiagnostic:
