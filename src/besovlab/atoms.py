@@ -38,13 +38,6 @@ def bump_u(t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def bump_v(t):
-    """u(1+t) * u(1-t); even, supported exactly in (-1,1)."""
-    t_arr = np.asarray(t, dtype=float)
-    out = bump_u(1.0 + t_arr) * bump_u(1.0 - t_arr)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
 def psi0(t):
     """Normalized bump v(t) / (v(t-1) + v(t) + v(t+1)).
 
@@ -87,38 +80,6 @@ def atom_offset(params: Params, j: int, k: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Box:
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
-
-    def inflate(self, amount: float) -> "Box":
-        return Box(tuple(a - amount for a in self.lo), tuple(b + amount for b in self.hi))
-
-
-@dataclass(frozen=True)
-class BoxDomain:
-    """Finite union of axis-aligned boxes with a uniform grid resolution."""
-
-    boxes: tuple[Box, ...]
-    resolution: float
-
-    def __post_init__(self):
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
-
-    @property
-    def ndim(self) -> int:
-        return self.boxes[0].ndim if self.boxes else 0
-
-    def inflate(self, amount: float) -> "BoxDomain":
-        return BoxDomain(tuple(b.inflate(amount) for b in self.boxes), self.resolution)
-
-
-@dataclass(frozen=True)
 class AtomicField:
     """Truncated counterexample function f_J as a sum of bump atoms.
 
@@ -158,19 +119,27 @@ class AtomicField:
         ]
 
 
-def _level_for_x1(field: AtomicField, x1: np.ndarray) -> np.ndarray:
-    """Candidate level per point from the first coordinate; -1 when none.
+def _by_level(field: AtomicField, x1: np.ndarray, levels, level_value) -> np.ndarray:
+    """Values at the points with first coordinates x1 (1-D): level_value(j, idx)
+    at the points idx whose candidate level j is in levels, 0.0 elsewhere.
 
-    Level-j atoms satisfy |x1 - C_M j| <= 2^(1-j); C_M >= 6 separates levels.
+    Level-j atoms satisfy |x1 - C_M j| <= 2^(1-j), and C_M >= 6 separates
+    levels: a point whose nearest C_M j lies past 0 or J is more than 2 from
+    both ends, and fmax/fmin move NaN to level 0, where the test fails.
     """
+    out = np.zeros(x1.shape)
     cand = np.rint(x1 / field.C_M)
-    # clipped before the integer cast, which a far x1 would overflow
-    cand = np.clip(cand, -1, field.J + 1, out=cand).astype(int)
-    ok = (cand >= 0) & (cand <= field.J)
-    safe = np.clip(cand, 0, field.J)
-    width = 2.0 ** (1.0 - safe)
-    ok &= np.abs(x1 - field.C_M * safe) <= width
-    return np.where(ok, safe, -1)
+    cand = np.fmin(np.fmax(cand, 0, out=cand), field.J, out=cand).astype(int)
+    on = np.flatnonzero(np.abs(x1 - field.C_M * cand) <= np.ldexp(1.0, 1 - np.arange(field.J + 1))[cand])
+    cand = cand[on]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cand, minlength=field.J + 1))])
+    on = on[np.argsort(cand, kind="stable")]  # grouped by level, in point order
+    del cand  # the level loop below holds only the groups
+    for j in levels:
+        idx = on[bounds[j]:bounds[j + 1]]
+        if idx.size:
+            out[idx] = level_value(j, idx)
+    return out
 
 
 def _cells(j: int, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,15 +234,13 @@ def eval_f(field: AtomicField, x) -> np.ndarray:
     pts = np.atleast_2d(x_arr)
     if pts.shape[1] != field.params.N:
         raise ValueError(f"points must have {field.params.N} coordinates")
-    out = np.zeros(pts.shape[0])
-    levels = _level_for_x1(field, pts[:, 0])
-    for j in field.active_levels():
-        mask = levels == j
-        if not mask.any():
-            continue
-        sub = pts[mask]
+
+    def level_value(j, idx):
+        sub = pts[idx]
         factors = [_x1_factor(field, j, sub[:, i]) for i in range(field.params.N - 1)]
-        out[mask] = field.coef(j) * np.prod(factors, axis=0) * level_weight(field, j, sub[:, -1])
+        return field.coef(j) * np.prod(factors, axis=0) * level_weight(field, j, sub[:, -1])
+
+    out = _by_level(field, pts[:, 0], field.active_levels(), level_value)
     return float(out[0]) if single else out
 
 
@@ -315,37 +282,14 @@ def partial_map(field: AtomicField, y: float):
         for j in field.active_levels()
     }
 
+    nonzero = [j for j, w in weights.items() if w != 0.0]
+
     def g(x1):
         x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))
-        out = np.zeros_like(x1_arr)
-        levels = _level_for_x1(field, x1_arr)
-        for j, w in weights.items():
-            if w == 0.0:
-                continue
-            mask = levels == j
-            if mask.any():
-                out[mask] = level_x1_profile(field, j, x1_arr[mask]) * w
-        return float(out[0]) if np.asarray(x1).ndim == 0 else out
+        flat = x1_arr.reshape(-1)
+        out = _by_level(field, flat, nonzero, lambda j, idx: level_x1_profile(field, j, flat[idx]) * weights[j])
+        return float(out[0]) if np.asarray(x1).ndim == 0 else out.reshape(x1_arr.shape)
 
     g.level_weights = weights
     return g
 
-
-def level_box(field: AtomicField, j: int) -> Box:
-    """Support box of level j (N = 2): x1 near C_M j, x2 covering [1,2]."""
-    half = 2.0 ** (1 - j)
-    return Box(
-        (field.C_M * j - half, 1.0 - half),
-        (field.C_M * j + half, 2.0 + half),
-    )
-
-
-def support_boxes(field: AtomicField, inflate: float = 0.0, resolution: float | None = None) -> BoxDomain:
-    """Union of per-level support boxes, optionally inflated for difference
-    stencils.  Boxes are pairwise disjoint in x1 for every inflation < C_M - 1."""
-    if field.params.N != 2:
-        raise ValueError("support_boxes supports N = 2 only")
-    boxes = tuple(level_box(field, j).inflate(inflate) for j in field.active_levels())
-    if resolution is None:
-        resolution = 2.0 ** (-(field.J + 3))
-    return BoxDomain(boxes, resolution)

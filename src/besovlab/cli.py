@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: psi-check, seq-build, seq-verify, field-eval, norm-est,
-lemma-le, pathology-run, report.  Exit code 0 on a completed run, 2 on
-configuration validation failure.  CSV columns are stable across versions:
-lemma_le.csv has (m, n, partial_sum); sequence.csv and pathology.csv have
-(kind, tier, J, probe, value).
+lemma-le, pathology-run, report.  Exit code 0 on a completed run, 2 on a
+rejected configuration or an unwritable output path.  CSV columns are stable
+across versions: lemma_le.csv has (m, n, partial_sum); sequence.csv and
+pathology.csv have (kind, tier, J, probe, value).
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, fieldnorms, norms, sequences
-from .atoms import AtomicField, Box, BoxDomain, eval_f
+from .atoms import AtomicField, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
+from .norms import Box, BoxDomain
 from .params import load_config
 from .reporting import read_csv, write_csv, write_json
 from .slowly_varying import slow_variation_deviation, summability_partial
@@ -66,6 +67,11 @@ def cmd_psi_check(args) -> int:
 
 def cmd_seq_build(args) -> int:
     config = _load_experiment_config(args.config)
+    # blocks.json and seq.csv write each start_j < 2^J in decimal, seq-verify reads it back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    cap = (10**limit).bit_length() - 1  # the largest J with 2^J < 10^limit
+    if limit and args.J > cap:
+        raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, Python's {limit}-digit int-to-str limit")
     blocks = config.blocks(args.J, rearranged=not args.no_rearrange)
     text = sequences.blocks_to_json(blocks)
     if args.out:
@@ -277,6 +283,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the commands turn a failed input read into ConfigError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atoms import AtomicField, Box, _bump_factor, level_plateau, level_weight, partial_map
-from .norms import NormEstimate, _box_grid, _dyadic_seminorm, _stencil_coeffs, default_h_set
+from .atoms import AtomicField, _bump_factor, level_plateau, level_weight, partial_map
+from .norms import Box, NormEstimate, _box_grid, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from .slowly_varying import PsiDescriptor
 
 

@@ -13,10 +13,41 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atoms import Box, BoxDomain
 from .slowly_varying import PsiDescriptor, psi_dyadic
 
 LN2 = math.log(2.0)
+
+
+@dataclass(frozen=True)
+class Box:
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.lo)
+
+    def inflate(self, amount: float) -> "Box":
+        return Box(tuple(a - amount for a in self.lo), tuple(b + amount for b in self.hi))
+
+
+@dataclass(frozen=True)
+class BoxDomain:
+    """Finite union of axis-aligned boxes with a uniform grid resolution."""
+
+    boxes: tuple[Box, ...]
+    resolution: float
+
+    def __post_init__(self):
+        if not self.resolution > 0:
+            raise ValueError("resolution must be positive")
+
+    @property
+    def ndim(self) -> int:
+        return self.boxes[0].ndim if self.boxes else 0
+
+    def inflate(self, amount: float) -> "BoxDomain":
+        return BoxDomain(tuple(b.inflate(amount) for b in self.boxes), self.resolution)
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,6 @@ def write_json(path: str | Path, data: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 

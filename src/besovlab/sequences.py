@@ -23,8 +23,6 @@ import numpy as np
 from .params import Params
 from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 
-_DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
-
 # Deepest BlockSequence a command or configuration may build.  Each start_j is
 # a j-bit integer, so a build costs O(J^2): build_lambda_blocks plus rearrange
 # take about 0.9 s and 177 MB of peak process memory at this depth.
@@ -76,38 +74,12 @@ class BlockSequence:
         return (k - size - lvl.start) % size < lvl.n
 
 
-def lemma_le_partial(u, m: float, n: int) -> float:
-    """Partial sum over j = 1..n of u_j / (u_1 + ... + u_j)^m.
-
-    `u` is an array-like of at least n positive terms (u_1 first) or a
-    callable j -> u_j for 1-based j.  m <= 1 is accepted: the divergent
-    regime is exactly what the experiments exhibit.
-    """
-    return float(lemma_le_partials(u, m, n)[-1])
-
-
-def lemma_le_partials(u, m: float, n: int) -> np.ndarray:
-    """Running partial sums (length n) of the series of lemma_le_partial."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if callable(u):
-        terms = np.array([u(j) for j in range(1, n + 1)], dtype=float)
-    else:
-        terms = np.asarray(u, dtype=float)[:n]
-        if terms.size < n:
-            raise ValueError(f"need {n} terms, got {terms.size}")
-    if not np.all(terms > 0):
-        raise ValueError("sequence terms must all be positive")
-    U = np.cumsum(terms)
-    return np.cumsum(terms / U**m)
-
-
 _LEMMA_CHUNK = 1 << 16  # terms per chunk of lemma_le_unit_partials: 0.5 MB a column
 
 
 def lemma_le_unit_partials(m: float, checkpoints) -> list[float]:
-    """lemma_le_partials(np.ones(n), m, n)[n_i - 1] at each checkpoint n_i,
-    bitwise, in memory that does not grow with n.
+    """lemma_le_partials(np.ones(n), m, n)[n_i - 1] (tests/oracles.py) at each
+    checkpoint n_i, bitwise, in memory that does not grow with n.
 
     With u = 1 the running sum U_j is exactly j (for j < 2^53).  The series
     is summed chunk by chunk, each chunk's cumsum starting from the partial
@@ -171,13 +143,6 @@ def block_average(blocks: BlockSequence, j: int) -> float:
     n_j / 2^j is an int true division, correctly rounded in CPython."""
     lvl = blocks.levels[j]
     return lvl.n / (1 << j) * lvl.theta
-
-
-def total_window_weight(blocks: BlockSequence, J: int | None = None) -> Fraction:
-    """W_J = sum_{j<=J} n_j 2^-j, exact."""
-    if J is None:
-        J = blocks.J
-    return sum((Fraction(lvl.n, 1 << lvl.j) for lvl in blocks.levels[: J + 1]), Fraction(0))
 
 
 def _window_prefix(blocks: BlockSequence) -> Iterator[int]:
@@ -357,34 +322,17 @@ def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, probe
     return profiles
 
 
-def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:
-    """Dense array of values at indices 0 .. 2^(J+1)-1.  Test oracle only."""
-    if J is None:
-        J = blocks.J
-    if J > _DENSE_J_CAP:
-        raise ValueError(f"dense materialization capped at J={_DENSE_J_CAP}")
-    out = np.zeros(1 << (J + 1))
-    for j in range(J + 1):
-        lvl = blocks.levels[j]
-        size = 1 << j
-        for r in range(lvl.n):
-            out[size + (lvl.start + r) % size] = lvl.theta
-    return out
-
-
-def blocks_to_dict(blocks: BlockSequence) -> dict:
-    return {
+def blocks_to_json(blocks: BlockSequence) -> str:
+    return json.dumps({
         "J": blocks.J,
         "rearranged": blocks.rearranged,
         "cursor": [blocks.cursor.numerator, blocks.cursor.denominator],
-        "levels": [
-            {"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start}
-            for lvl in blocks.levels
-        ],
-    }
+        "levels": [{"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start} for lvl in blocks.levels],
+    }, indent=2)
 
 
-def blocks_from_dict(data: dict) -> BlockSequence:
+def blocks_from_json(text: str) -> BlockSequence:
+    data = json.loads(text)
     levels = tuple(
         BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"]))
         for d in sorted(data["levels"], key=lambda d: d["j"])
@@ -396,14 +344,6 @@ def blocks_from_dict(data: dict) -> BlockSequence:
         rearranged=bool(data.get("rearranged", False)),
         cursor=Fraction(int(num), int(den)),
     )
-
-
-def blocks_to_json(blocks: BlockSequence) -> str:
-    return json.dumps(blocks_to_dict(blocks), indent=2)
-
-
-def blocks_from_json(text: str) -> BlockSequence:
-    return blocks_from_dict(json.loads(text))
 
 
 def verify_blocks(blocks: BlockSequence) -> list[str]:

@@ -99,20 +99,6 @@ def _log_psi_from_ell(desc: PsiDescriptor, ell: float) -> float:
     raise ValueError("tabulated family has no closed form")
 
 
-def psi_eval(desc: PsiDescriptor, t: float) -> float:
-    """Value of Psi at t in (0,1]."""
-    if not 0 < t <= 1:
-        raise ValueError(f"t must lie in (0,1], got {t}")
-    if desc.family == TABULATED:
-        j = round(-math.log2(t))
-        if j < 0 or 2.0 ** (-j) != t:
-            raise ValueError(f"tabulated family defined only at dyadic t, got {t}")
-        return _table_lookup(desc, j)
-    if desc.family == CONSTANT:
-        return desc.c
-    return math.exp(_log_psi_from_ell(desc, -math.log(t)))
-
-
 def psi_dyadic(desc: PsiDescriptor, j: int) -> float:
     """Psi(2^-j) in closed form (never forms 2^-j, so deep j cannot underflow)."""
     if j < 0:

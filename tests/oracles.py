@@ -1,0 +1,161 @@
+"""Slow reference implementations that the tests compare besovlab's fast paths
+against; the program never calls them."""
+
+import functools
+import math
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+
+from besovlab import atoms, fieldnorms, norms
+from besovlab.atoms import AtomicField, _bump_factor, bump_u, level_weight, psi0
+from besovlab.norms import Box, BoxDomain
+from besovlab.sequences import BlockSequence
+from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup
+
+_DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
+
+
+def psi_eval(desc: PsiDescriptor, t: float) -> float:
+    """Value of Psi at t in (0,1]."""
+    if not 0 < t <= 1:
+        raise ValueError(f"t must lie in (0,1], got {t}")
+    if desc.family == TABULATED:
+        j = round(-math.log2(t))
+        if j < 0 or 2.0 ** (-j) != t:
+            raise ValueError(f"tabulated family defined only at dyadic t, got {t}")
+        return _table_lookup(desc, j)
+    if desc.family == CONSTANT:
+        return desc.c
+    return math.exp(_log_psi_from_ell(desc, -math.log(t)))
+
+
+def bump_v(t):
+    """u(1+t) * u(1-t); even, supported exactly in (-1,1)."""
+    t_arr = np.asarray(t, dtype=float)
+    out = bump_u(1.0 + t_arr) * bump_u(1.0 - t_arr)
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def level_box(field: AtomicField, j: int) -> Box:
+    """Support box of level j (N = 2): x1 near C_M j, x2 covering [1,2]."""
+    half = 2.0 ** (1 - j)
+    return Box(
+        (field.C_M * j - half, 1.0 - half),
+        (field.C_M * j + half, 2.0 + half),
+    )
+
+
+def support_boxes(field: AtomicField, inflate: float = 0.0, resolution: float | None = None) -> BoxDomain:
+    """Union of per-level support boxes, optionally inflated for difference
+    stencils.  Boxes are pairwise disjoint in x1 for every inflation < C_M - 1."""
+    if field.params.N != 2:
+        raise ValueError("support_boxes supports N = 2 only")
+    boxes = tuple(level_box(field, j).inflate(inflate) for j in field.active_levels())
+    if resolution is None:
+        resolution = 2.0 ** (-(field.J + 3))
+    return BoxDomain(boxes, resolution)
+
+
+def per_delta_level_weight(field, j, xN):
+    """level_weight one stencil cell at a time, one psi0 call per cell, with
+    the cell offset taken mod 2^j.  Test oracle for the fused kernel."""
+    xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
+    lvl = field.blocks.levels[j]
+    out = np.zeros_like(xN_arr)
+    if lvl.n == 0 or lvl.theta <= 0.0:
+        return out
+    base, offset = atoms._cells(j, xN_arr)
+    size = 1 << j
+    for delta in (-1, 0, 1, 2):
+        k = base + delta
+        on = (k >= size) & (k < 2 * size)
+        on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
+        out[on] += 0.5 * np.asarray(psi0((offset[on] - delta) / 2.0))
+    return out
+
+
+@functools.lru_cache(maxsize=2)
+def _full_grid(field, j, M, h, res):
+    """Delta_h^M of level j over c_j on the full 2-D level grid: every x2 row
+    reads w_j at all its stencil points."""
+    H, h2 = math.ldexp(h[0], j), h[1]
+    half = 2.0 ** (1 - j)
+    u = fieldnorms._stencil_axis(-2.0, 2.0, M, H, math.ldexp(res, j))
+    x2 = fieldnorms._stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
+    acc = np.zeros((u.size, x2.size))
+    for i, coef in enumerate(norms._stencil_coeffs(M)):
+        acc += coef * np.multiply.outer(_bump_factor(u + i * H), level_weight(field, j, x2 + i * h2))
+    return acc
+
+
+def full_grid_diff_lp_pow(field, j, p, M, h, res):
+    """level_diff_lp_pow on the full 2-D level grid.  Test oracle for the
+    plateau reduction."""
+    half = 2.0 ** (1 - j)
+    if abs(math.ldexp(h[0], j)) >= 4.0 or abs(h[1]) >= 1.0 + 2 * half:
+        return fieldnorms._disjoint_factor(M, p) * full_grid_diff_lp_pow(field, j, p, 0, (0.0, 0.0), res)
+    acc = _full_grid(field, j, M, h, res)
+    return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
+
+
+def lemma_le_partial(u, m: float, n: int) -> float:
+    """Partial sum over j = 1..n of u_j / (u_1 + ... + u_j)^m.
+
+    `u` is an array-like of at least n positive terms (u_1 first) or a
+    callable j -> u_j for 1-based j.  m <= 1 is accepted: the divergent
+    regime is exactly what the experiments exhibit.
+    """
+    return float(lemma_le_partials(u, m, n)[-1])
+
+
+def lemma_le_partials(u, m: float, n: int) -> np.ndarray:
+    """Running partial sums (length n) of the series of lemma_le_partial."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if callable(u):
+        terms = np.array([u(j) for j in range(1, n + 1)], dtype=float)
+    else:
+        terms = np.asarray(u, dtype=float)[:n]
+        if terms.size < n:
+            raise ValueError(f"need {n} terms, got {terms.size}")
+    if not np.all(terms > 0):
+        raise ValueError("sequence terms must all be positive")
+    U = np.cumsum(terms)
+    return np.cumsum(terms / U**m)
+
+
+def total_window_weight(blocks: BlockSequence, J: int | None = None) -> Fraction:
+    """W_J = sum_{j<=J} n_j 2^-j, exact."""
+    if J is None:
+        J = blocks.J
+    return sum((Fraction(lvl.n, 1 << lvl.j) for lvl in blocks.levels[: J + 1]), Fraction(0))
+
+
+def fraction_cursor_rearrange(blocks):
+    """The rearrangement by its rational cursor: start_j = floor(c 2^j), then
+    c <- frac((start_j + n_j) / 2^j).  Test oracle for rearrange."""
+    c = Fraction(0)
+    levels = []
+    for lvl in blocks.levels:
+        size = 1 << lvl.j
+        start = math.floor(c * size)
+        levels.append(replace(lvl, start=start))
+        c = Fraction(start + lvl.n, size) % 1
+    return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True, cursor=c)
+
+
+def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:
+    """Dense array of values at indices 0 .. 2^(J+1)-1."""
+    if J is None:
+        J = blocks.J
+    if J > _DENSE_J_CAP:
+        raise ValueError(f"dense materialization capped at J={_DENSE_J_CAP}")
+    out = np.zeros(1 << (J + 1))
+    for j in range(J + 1):
+        lvl = blocks.levels[j]
+        size = 1 << j
+        for r in range(lvl.n):
+            out[size + (lvl.start + r) % size] = lvl.theta
+    return out

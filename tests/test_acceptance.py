@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from besovlab import experiments, sequences
-from besovlab.atoms import AtomicField, Box, BoxDomain, eval_f, eval_f_dense, psi0, psi_nd
+from besovlab.atoms import AtomicField, eval_f, eval_f_dense, psi0, psi_nd
 from besovlab.experiments import ExperimentConfig, config_from_dict
-from besovlab.norms import modulus, seminorm
+from besovlab.norms import Box, BoxDomain, modulus, seminorm
 from besovlab.params import Params, load_config
 from besovlab.sequences import (
     BlockLevel,
@@ -23,14 +23,12 @@ from besovlab.sequences import (
     block_average,
     build_lambda_blocks,
     coverage_count,
-    lemma_le_partials,
-    materialize,
     mixed_norm,
     rearrange,
     sup_diagnostic,
-    total_window_weight,
 )
 from besovlab.slowly_varying import SATISFIED, VIOLATED, classify_condition, constant, log_power
+from oracles import lemma_le_partials, materialize, total_window_weight
 
 FLAGSHIP = Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
 PSI_ONE = constant(1.0)

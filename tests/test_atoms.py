@@ -6,23 +6,20 @@ import pytest
 from besovlab import atoms, sequences
 from besovlab.atoms import (
     AtomicField,
-    Box,
-    BoxDomain,
     atom_offset,
     bump_u,
-    bump_v,
     eval_f,
     eval_f_dense,
-    level_box,
     level_plateau,
     level_weight,
     partial_map,
     psi0,
     psi_nd,
-    support_boxes,
 )
+from besovlab.norms import Box, BoxDomain
 from besovlab.params import Params
 from besovlab.slowly_varying import constant
+from oracles import bump_v, level_box, per_delta_level_weight, support_boxes
 
 
 class TestBumps:
@@ -234,24 +231,6 @@ class TestPartialMap:
         assert computed == list(range(2, 9))
 
 
-def per_delta_level_weight(field, j, xN):
-    """level_weight one stencil cell at a time, one psi0 call per cell, with
-    the cell offset taken mod 2^j.  Test oracle for the fused kernel."""
-    xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
-    lvl = field.blocks.levels[j]
-    out = np.zeros_like(xN_arr)
-    if lvl.n == 0 or lvl.theta <= 0.0:
-        return out
-    base, offset = atoms._cells(j, xN_arr)
-    size = 1 << j
-    for delta in (-1, 0, 1, 2):
-        k = base + delta
-        on = (k >= size) & (k < 2 * size)
-        on[on] = ((k[on] - size - lvl.start) % size) < lvl.n
-        out[on] += 0.5 * np.asarray(psi0((offset[on] - delta) / 2.0))
-    return out
-
-
 def cell_edges(j):
     """Every cell edge k 2^-j near T_j and one ulp either side."""
     edges = np.ldexp(np.arange((1 << j) - 8, (2 << j) + 9, dtype=float), -j)
@@ -311,3 +290,60 @@ class TestFusedLevelWeight:
                    np.asfortranarray(x.reshape(4, 6)), f_ordered, cols):
             self.assert_equals_oracle(field_j6, j, xN)
         assert level_weight(field_j6, j, 1.55).shape == (1,)
+
+
+def per_level_formula(field, x1, weight):
+    """sum over the active levels j of c_j X(u_j) weight(j), level by level:
+    at most one term is nonzero at a point and every term is >= 0, so the sum
+    is that term bit for bit."""
+    out = np.zeros(np.shape(x1))
+    for j in field.active_levels():
+        out += field.coef(j) * atoms._x1_factor(field, j, x1) * weight(j)
+    return out
+
+
+class TestLevelDispatch:
+    """eval_f and the partial_map closure against the per-level formula,
+    compared bitwise, at each level's support edges and off every level."""
+
+    @pytest.fixture(scope="class")
+    def field(self, flagship_params, psi_one):
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 10))
+        return AtomicField(flagship_params, blocks, 10)
+
+    @staticmethod
+    def x1_points(field):
+        C_M, J = field.C_M, field.J
+        edges = np.array([C_M * j + s * 2.0 ** (1 - j) for j in range(2, J + 1) for s in (-1, 1)])
+        inside = C_M * np.arange(2, J + 1) + np.array([[-0.5], [0.0], [0.5]]) * 2.0 ** (1 - np.arange(2, J + 1))
+        gaps = C_M * np.arange(0, J + 2) + C_M / 2
+        far = [C_M * (J + 1) + d for d in (-2.0, -1e-3, 0.0, 1e-3, 2.0)]
+        odd = [-1e-300, -0.5, -1.0, -2.0, -3.0, -1e300, 1e300, -np.inf, np.inf, np.nan]
+        return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                               inside.ravel(), gaps, far, odd])
+
+    def test_eval_f_is_the_per_level_formula(self, field, rng):
+        j = rng.integers(2, field.J + 1, 2000)
+        inside = field.C_M * j + rng.uniform(-2.0, 2.0, j.size) * 2.0 ** -j
+        x1 = np.concatenate([np.repeat(self.x1_points(field), 7), inside])
+        x2 = np.concatenate([rng.uniform(0.5, 2.5, x1.size - 6), [1.0, 1.5, 2.0, -1e300, 1e300, np.nan]])
+        x2 = rng.permutation(x2)
+        fast = eval_f(field, np.column_stack([x1, x2]))
+        slow = per_level_formula(field, x1, lambda j: level_weight(field, j, x2))
+        assert np.array_equal(fast, slow)
+        assert (fast > 0).sum() > 200
+
+    def test_partial_map_is_the_per_level_formula(self, field):
+        x1 = self.x1_points(field)
+        for y in (1.3, 1.5, 1.77):
+            g = partial_map(field, y)
+            slow = per_level_formula(field, x1, lambda j: g.level_weights[j])
+            assert np.array_equal(g(x1), slow)
+            assert np.array_equal(g(x1), eval_f(field, np.column_stack([x1, np.full_like(x1, y)])))
+            assert (slow > 0).any()
+            square = x1[:60].reshape(6, 10)
+            for arr in (np.array(x1[5]), x1[:0], square, np.asfortranarray(square), square.T):
+                slow = per_level_formula(field, arr, lambda j: g.level_weights[j])
+                fast = g(arr)
+                assert np.shape(fast) == (arr.shape if arr.ndim else ())
+                assert np.array_equal(fast, slow)

@@ -7,9 +7,11 @@ besovlab in its own process to check field-eval against the dense oracle.
 Both are exercised here on tiny inputs; the bench files are only read.
 """
 
+import ast
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -133,3 +135,37 @@ def test_field_eval_oracle_calls():
     dense = eval_f_dense(field, pts)
     assert np.count_nonzero(dense) > 0
     np.testing.assert_allclose(eval_f(field, pts), dense, rtol=1e-12, atol=0.0)
+
+
+def _referenced_names(tree) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.rpartition(".")[2]] += 1
+    return names
+
+
+def test_src_holds_only_the_program():
+    """Every public module-level function and class in src/besovlab is
+    referenced in src/ or bench/ outside its own definition, or named by a
+    BENCHMARK.json per-layer metric.  Slow reference implementations that
+    only the tests call live in tests/oracles.py."""
+    src = sorted((ROOT / "src" / "besovlab").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in src + sorted(BENCH.rglob("*.py"))}
+    used = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    measured = {m["name"].rpartition(".")[0] for m in spec["per_layer"]}
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in src
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and used[node.name] == _referenced_names(node)[node.name]
+        and f"{path.stem}.{node.name}" not in measured
+    ]
+    assert unused == []

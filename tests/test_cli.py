@@ -12,7 +12,7 @@ import pytest
 from besovlab import sequences
 from besovlab.cli import main
 from besovlab.atoms import psi0
-from besovlab.experiments import MAX_LEMMA_N, config_from_dict
+from besovlab.experiments import MAX_LEMMA_N, ExperimentConfig, config_from_dict
 from besovlab.params import load_config
 
 
@@ -325,3 +325,65 @@ def test_removed_global_flags_are_rejected(config_path):
     for flag in ("--threads", "--seed"):
         with pytest.raises(SystemExit):
             main(["--config", config_path, flag, "1", "psi-check"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--out", "DIR", "seq-build", "--J", "4"],
+        ["seq-build", "--J", "4", "--csv", "DIR"],
+        ["--out", "DIR", "field-eval", "--J", "4", "--points", "POINTS"],
+        ["--out", "DIR", "norm-est", "--target", "indicator", "--J", "2"],
+        ["--out", "FILE", "lemma-le"],
+        ["--out", "FILE", "pathology-run"],
+        ["--out", "FILE", "report"],
+    ],
+    ids=["seq-build-out-dir", "seq-build-csv-dir", "field-eval-out-dir", "norm-est-out-dir",
+         "lemma-le-out-file", "pathology-run-out-file", "report-out-file"],
+)
+def test_unwritable_output_exits_2(config_path, tmp_path, capsys, argv):
+    """An output path naming a directory where a file goes, or a file where a
+    directory goes, exits 2 with a message and leaves the path as it was."""
+    paths = {"DIR": tmp_path / "taken", "FILE": tmp_path / "taken.txt", "POINTS": tmp_path / "pts.csv"}
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("taken\n")
+    paths["POINTS"].write_text("x1,x2\n24.0,1.5\n")
+    assert main(["--config", config_path, *(str(paths.get(a, a)) for a in argv)]) == 2
+    assert "error: cannot write output: " in capsys.readouterr().err
+    assert not any(paths["DIR"].iterdir()) and paths["FILE"].read_text() == "taken\n"
+
+
+@pytest.fixture
+def int_str_digits():
+    """set(limit): Python's int-to-str digit limit for the test, restored after."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_seq_build_past_the_int_str_digit_limit_exits_2(config_path, tmp_path, capsys, monkeypatch,
+                                                         int_str_digits):
+    """blocks.json, seq.csv and seq-verify's json.loads carry each start_j <
+    2^J as a decimal integer.  At the default limit of 4,300 digits seq-build
+    stops at J = 14,284: J = 14,285 exits 2 before any block is built."""
+    int_str_digits(4300)
+    monkeypatch.setattr(ExperimentConfig, "blocks", lambda *a, **k: pytest.fail("built blocks"))
+    out, table = tmp_path / "blocks.json", tmp_path / "seq.csv"
+    assert main(["--config", config_path, "--out", str(out),
+                 "seq-build", "--J", "14285", "--csv", str(table)]) == 2
+    assert "seq-build stops at J = 14284" in capsys.readouterr().err
+    assert not out.exists() and not table.exists()
+
+
+def test_seq_build_cap_follows_the_int_str_digit_limit(config_path, tmp_path, capsys, int_str_digits):
+    """At Python's least limit, 640 digits, the cap is J = 2126 (2^2126 <
+    10^640 < 2^2127): J = 2126 builds and reads back, J = 2127 exits 2."""
+    int_str_digits(640)
+    out = tmp_path / "blocks.json"
+    assert main(["--config", config_path, "--out", str(tmp_path / "deeper.json"),
+                 "seq-build", "--J", "2127"]) == 2
+    assert main(["--config", config_path, "--out", str(out),
+                 "seq-build", "--J", "2126", "--csv", str(tmp_path / "seq.csv")]) == 0
+    assert main(["seq-verify", str(out)]) == 0
+    assert "ok: J=2126" in capsys.readouterr().out
+    assert not (tmp_path / "deeper.json").exists()

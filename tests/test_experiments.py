@@ -23,7 +23,7 @@ from besovlab.experiments import (
     x_probe_points,
 )
 from besovlab.params import Params, load_config
-from besovlab.reporting import read_csv, read_json
+from besovlab.reporting import read_csv
 from besovlab.slowly_varying import constant, log_power
 
 
@@ -361,14 +361,14 @@ class TestEmission:
         assert names == {"sequence.csv", "sequence_verdicts.json", "sequence_trends.svg"}
         rows = read_csv(tmp_path / "sequence.csv")
         recomputed = verdicts_from_csv_rows("sequence", rows, config)
-        emitted = read_json(tmp_path / "sequence_verdicts.json")
+        emitted = json.loads((tmp_path / "sequence_verdicts.json").read_text())
         for key, value in recomputed.items():
             assert emitted[key] == value or emitted[key] == pytest.approx(value)
 
     def test_emitted_json_round_trip(self, tmp_path):
         report = run_lemma_le(small_config())
         emit_report(report, tmp_path, emit_svg=False)
-        emitted = read_json(tmp_path / "lemma_le_verdicts.json")
+        emitted = json.loads((tmp_path / "lemma_le_verdicts.json").read_text())
         assert emitted == json.loads(json.dumps(report.verdicts))
 
     def test_byte_determinism(self, tmp_path):

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -7,14 +6,10 @@ import pytest
 from besovlab import fieldnorms, norms, sequences
 from besovlab.atoms import (
     AtomicField,
-    _bump_factor,
     eval_f,
-    level_box,
     level_plateau,
-    level_weight,
     partial_map,
     psi0,
-    support_boxes,
 )
 from besovlab.fieldnorms import (
     default_level_resolution,
@@ -29,6 +24,7 @@ from besovlab.fieldnorms import (
     pm_seminorm,
 )
 from besovlab.slowly_varying import constant
+from oracles import full_grid_diff_lp_pow, level_box, support_boxes
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +45,6 @@ class TestLevelQuadrature:
     def test_level_lp_matches_generic_grid(self, small_field):
         res = 2.0**-9
         p = 1.0
-        from besovlab.atoms import level_box
-
         for j in small_field.active_levels():
             fast = level_lp_pow(small_field, j, p, res)
             # generic 2-D midpoint integration of |f| over the same box
@@ -68,8 +62,6 @@ class TestLevelQuadrature:
         # form must agree with brute-force integration over the union
         p, M, res = 1.0, 2, 2.0**-9
         j = small_field.active_levels()[0]
-        from besovlab.atoms import level_box
-
         b = level_box(small_field, j)
         w1 = b.hi[0] - b.lo[0]
         h = (2.0 * w1, 0.0)
@@ -92,8 +84,6 @@ class TestLevelQuadrature:
         j = small_field.active_levels()[0]
         h = (2.0**-5, 2.0**-6)
         fast = level_diff_lp_pow(small_field, j, p, M, h, res)
-        from besovlab.atoms import level_box
-
         b = level_box(small_field, j)
         lo1, hi1 = b.lo[0] - M * h[0], b.hi[0]
         lo2, hi2 = b.lo[1] - M * h[1], b.hi[1]
@@ -143,7 +133,7 @@ class TestAgainstGenericPath:
         y = 1.51
         res = 2.0**-9
         g = partial_map(small_field, y)
-        from besovlab.atoms import Box, BoxDomain, level_box
+        from besovlab.norms import Box, BoxDomain
 
         boxes = tuple(
             Box((level_box(small_field, j).lo[0],), (level_box(small_field, j).hi[0],))
@@ -187,30 +177,6 @@ class TestTopLevel:
     def test_pm_seminorm_requires_M_above_s(self, small_field):
         with pytest.raises(ValueError):
             pm_seminorm(small_field, 1.5, constant(1.0), 2.5, 1.0, 2, j_max=3)
-
-
-@functools.lru_cache(maxsize=2)
-def _full_grid(field, j, M, h, res):
-    """Delta_h^M of level j over c_j on the full 2-D level grid: every x2 row
-    reads w_j at all its stencil points."""
-    H, h2 = math.ldexp(h[0], j), h[1]
-    half = 2.0 ** (1 - j)
-    u = fieldnorms._stencil_axis(-2.0, 2.0, M, H, math.ldexp(res, j))
-    x2 = fieldnorms._stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
-    acc = np.zeros((u.size, x2.size))
-    for i, coef in enumerate(norms._stencil_coeffs(M)):
-        acc += coef * np.multiply.outer(_bump_factor(u + i * H), level_weight(field, j, x2 + i * h2))
-    return acc
-
-
-def full_grid_diff_lp_pow(field, j, p, M, h, res):
-    """level_diff_lp_pow on the full 2-D level grid.  Test oracle for the
-    plateau reduction."""
-    half = 2.0 ** (1 - j)
-    if abs(math.ldexp(h[0], j)) >= 4.0 or abs(h[1]) >= 1.0 + 2 * half:
-        return fieldnorms._disjoint_factor(M, p) * full_grid_diff_lp_pow(field, j, p, 0, (0.0, 0.0), res)
-    acc = _full_grid(field, j, M, h, res)
-    return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
 
 
 # (j, start, n) of a field whose only level is j

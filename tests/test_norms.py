@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from besovlab.atoms import Box, BoxDomain
 from besovlab.norms import (
+    Box,
+    BoxDomain,
     besov_norm,
     default_h_set,
     finite_diff,

@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 
 from besovlab.reporting import (
     format_cell,
     read_csv,
-    read_json,
     write_csv,
     write_json,
     write_svg_lines,
@@ -51,7 +52,7 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "verdicts.json"
     data = {"ok": True, "gap": 0.043, "by_depth": {"64": 2.2}}
     write_json(path, data)
-    assert read_json(path) == data
+    assert json.loads(path.read_text()) == data
 
 
 def test_svg_is_written_and_wellformed(tmp_path):

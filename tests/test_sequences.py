@@ -22,17 +22,14 @@ from besovlab.sequences import (
     gamma,
     LEVEL_COLUMNS,
     level_table,
-    lemma_le_partial,
-    lemma_le_partials,
     lemma_le_unit_partials,
-    materialize,
     mixed_norm,
     rearrange,
     sup_diagnostic,
-    total_window_weight,
     verify_blocks,
 )
 from besovlab.slowly_varying import constant, log_power, tabulated
+from oracles import fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight
 
 # lemma.m of configs/flagship.json
 FLAGSHIP_LEMMA_M = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -165,19 +162,6 @@ def _random_blocks(rng, J):
         theta = float(rng.uniform(0.1, 10.0)) if n else 0.0
         levels.append(BlockLevel(j, theta, n, 0))
     return BlockSequence(J=J, levels=tuple(levels))
-
-
-def fraction_cursor_rearrange(blocks):
-    """The rearrangement by its rational cursor: start_j = floor(c 2^j), then
-    c <- frac((start_j + n_j) / 2^j).  Test oracle for rearrange."""
-    c = Fraction(0)
-    levels = []
-    for lvl in blocks.levels:
-        size = 1 << lvl.j
-        start = math.floor(c * size)
-        levels.append(replace(lvl, start=start))
-        c = Fraction(start + lvl.n, size) % 1
-    return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True, cursor=c)
 
 
 def _assert_same_rearrangement(blocks):

@@ -13,12 +13,12 @@ from besovlab.slowly_varying import (
     log_power,
     psi_dyadic,
     psi_dyadic_log,
-    psi_eval,
     psi_from_dict,
     slow_variation_deviation,
     summability_partial,
     tabulated,
 )
+from oracles import psi_eval
 
 
 class TestEvaluation:
