@@ -117,14 +117,9 @@ def _read_points(path: str) -> np.ndarray:
 
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
-    if config.params.N != 2:
-        raise ConfigError("field-eval reads points (x1, x2): N = 2 only")
     pts = _read_points(args.points)
     field = AtomicField(config.params, config.blocks(args.J), args.J)
-    try:
-        values = eval_f(field, pts) if pts.size else np.zeros(0)
-    except OverflowError as exc:  # from AtomicField.coef
-        raise ConfigError(f"--J {args.J}: a level coefficient c_j is out of double range") from exc
+    values = eval_f(field, pts) if pts.size else np.zeros(0)
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         out.write("x1,x2,f\n")
@@ -153,24 +148,14 @@ def cmd_norm_est(args) -> int:
         domain = BoxDomain((Box((0.0,), (1.0,)),), 2.0**-12)
         est = norms.besov_norm(f, config.psi, params.s, params.p, params.q, params.M, domain, args.J)
     else:
-        cap = fieldnorms.grid_depth_cap(params.M)
-        if args.J > cap:
-            raise ConfigError(f"--J {args.J} is above the grid-tier depth cap {cap}")
-        if params.N != 2 or params.d != 1:
-            raise ConfigError("grid-tier field norms support N = 2, d = 1 only")
+        config.check_grid_depth(args.J)
         if args.target == "partial-map" and (args.y is None or not math.isfinite(args.y)):
             raise ConfigError(f"target partial-map needs a finite --y, got {args.y}")
         field = AtomicField(params, config.blocks(args.J), args.J)
         if args.target == "field":
-            est = fieldnorms.field_besov_norm(
-                field, config.psi, params.s, params.p, params.q, params.M,
-                j_max=args.J, res_scale=config.res_scale,
-            )
+            est = fieldnorms.field_besov_norm(field, config.psi, args.J, config.res_scale)
         else:  # partial-map; argparse admits no other target
-            est = fieldnorms.pm_seminorm(
-                field, args.y, config.psi, params.s, params.p, params.M,
-                j_max=args.J, res_scale=config.res_scale,
-            )
+            est = fieldnorms.pm_seminorm(field, args.y, config.psi, args.J, config.res_scale)
     wall_ms = (time.perf_counter() - start) * 1e3
     result = {
         "value": est.value,
@@ -283,6 +268,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # such as a coefficient c_j or an estimate term^q
+        detail = exc.args[-1] if exc.args else "overflow"
+        print(f"configuration error: a computed value is out of double range ({detail})", file=sys.stderr)
         return 2
     except OSError as exc:  # the commands turn a failed input read into ConfigError
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import fieldnorms, sequences
 from .atoms import AtomicField
-from .params import Params, params_from_dict, validate
+from .params import Params, as_int, params_from_dict, validate
 from .reporting import write_csv, write_json, write_svg_lines
 from .slowly_varying import (
     SATISFIED,
@@ -26,6 +26,7 @@ from .slowly_varying import (
     constant,
     psi_from_dict,
     table_depth,
+    weight_in_range,
 )
 
 LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100_000, 200_000, 1_000_000)
@@ -59,42 +60,53 @@ class ExperimentConfig:
     emit_svg: bool = True
 
     def __post_init__(self):
+        # the input gate: every violation in one ConfigError, then the depth checks
+        problems = validate(self.params)
         # J_mixed needs two depths for its Cauchy test; run_pathology takes
         # the extremes of the others
         for name, least in (("J_norm", 1), ("J_seq", 1), ("J_mixed", 2)):
             vals = getattr(self, name)
             if list(vals) != sorted(set(vals)):
-                raise ConfigError(f"{name} must be strictly increasing, got {vals}")
-            if len(vals) < least:
-                raise ConfigError(f"{name} needs at least {least} entries, got {vals}")
-            if vals[0] < 1:
-                raise ConfigError(f"{name} entries must be >= 1, got {vals}")
+                problems.append(f"{name} must be strictly increasing, got {vals}")
+            elif len(vals) < least:
+                problems.append(f"{name} needs at least {least} entries, got {vals}")
+            elif vals[0] < 1:
+                problems.append(f"{name} entries must be >= 1, got {vals}")
         for name in ("x_probes", "y_probes"):
             # the probes are 1 + i/count + 1/128, which reach 2 at count = 128
             count = getattr(self, name)
             if not 1 <= count <= MAX_PROBES:
-                raise ConfigError(f"{name} must lie in 1..{MAX_PROBES}, got {count}")
-        cap = fieldnorms.grid_depth_cap(self.params.M)
-        if max(self.J_norm) > cap:
-            raise ConfigError(f"J_norm reaches {max(self.J_norm)}, above the grid-tier cap {cap}")
+                problems.append(f"{name} must lie in 1..{MAX_PROBES}, got {count}")
         if not (math.isfinite(self.res_scale) and self.res_scale > 0):
-            raise ConfigError(f"grid.res_scale must be finite and > 0, got {self.res_scale}")
+            problems.append(f"grid.res_scale must be finite and > 0, got {self.res_scale}")
         if not 1 <= self.lemma_n_max <= MAX_LEMMA_N:
-            raise ConfigError(f"lemma.n_max must lie in 1..{MAX_LEMMA_N}, got {self.lemma_n_max}")
+            problems.append(f"lemma.n_max must lie in 1..{MAX_LEMMA_N}, got {self.lemma_n_max}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+        self.check_grid_depth(max(self.J_norm))
         self.check_depth(self.deepest)
 
+    def check_grid_depth(self, J: int) -> None:
+        """Reject a grid-tier depth J above fieldnorms.grid_depth_cap, lowered
+        by log2(1/r) at res_scale r < 1: such a grid is that many levels finer."""
+        cap, finer = fieldnorms.grid_depth_cap(self.params.M), max(0.0, -math.log2(self.res_scale))
+        if J + finer > cap:
+            raise ConfigError(f"grid-tier depth {J} is above the grid-tier cap {cap} less {finer:g}, "
+                              f"for res_scale {self.res_scale}")
+
     def check_depth(self, J: int, least: int = 1) -> None:
-        """Reject a depth J below `least`, past a tabulated psi, or above
-        sequences.MAX_SEQ_DEPTH, before any block is built."""
+        """Reject a depth J below `least`, above sequences.MAX_SEQ_DEPTH, past
+        a tabulated psi, or where psi leaves slowly_varying.weight_in_range,
+        before any block is built."""
         if J < least:
             raise ConfigError(f"--J must be >= {least}, got {J}")
         if J > sequences.MAX_SEQ_DEPTH:
             raise ConfigError(f"depth {J} is above the block cap {sequences.MAX_SEQ_DEPTH}")
-        for psi in (self.psi, self.control_psi):
+        for name, psi in (("psi", self.psi), ("control_psi", self.control_psi)):
             if psi is not None and table_depth(psi) < J:
-                raise ConfigError(
-                    f"tabulated psi covers j = 0..{table_depth(psi)}, the run reads j = 0..{J}"
-                )
+                raise ConfigError(f"tabulated {name} covers j = 0..{table_depth(psi)}, the run reads j = 0..{J}")
+            if psi is not None and not weight_in_range(psi, self.params.kappa, J):
+                raise ConfigError(f"{name}: Psi(2^-j) or (J + 1) Psi(2^-j)^kappa leaves the positive doubles at a j <= {J}")
 
     def blocks(self, J: int, rearranged: bool = True) -> sequences.BlockSequence:
         """The block sequence at depth J, after check_depth; it needs p < q."""
@@ -115,7 +127,6 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     ConfigError."""
     try:
         params = params_from_dict(cfg)
-        params.kappa  # p <= q etc. surface here rather than mid-run
         j_cfg = cfg.get("J", {})
         if isinstance(j_cfg, (list, tuple)):
             j_cfg = {"norm": list(j_cfg)}
@@ -127,20 +138,20 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
             params=params,
             psi=psi_from_dict(cfg["psi"]),
             res_scale=float(grid.get("res_scale", 1.0)),
-            x_probes=int(probes.get("x", 64)),
-            y_probes=int(probes.get("y", 16)),
+            x_probes=as_int(probes.get("x", 64), "probes.x"),
+            y_probes=as_int(probes.get("y", 16), "probes.y"),
             diag_threshold=float(cfg.get("diag_threshold", 2.5)),
             control_psi=psi_from_dict(control) if control else None,
             emit_svg=bool(cfg.get("emit_svg", True)),
         )
         for key in ("norm", "seq", "mixed"):
             if key in j_cfg:
-                kwargs[f"J_{key}"] = tuple(int(j) for j in j_cfg[key])
+                kwargs[f"J_{key}"] = tuple(as_int(j, f"J.{key}") for j in j_cfg[key])
         if "m" in lemma:
             kwargs["lemma_m"] = tuple(float(m) for m in lemma["m"])
         if "n_max" in lemma:
-            kwargs["lemma_n_max"] = int(lemma["n_max"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            kwargs["lemma_n_max"] = as_int(lemma["n_max"], "lemma.n_max")
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(**kwargs)
 
@@ -338,11 +349,6 @@ def sequence_verdicts(rows: list[dict], J_mixed, diag_threshold: float) -> dict:
 
 def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> Report:
     params, desc = config.params, config.psi
-    violations = validate(params)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    if params.N != 2 or params.d != 1:
-        raise ConfigError("pathology run supports N = 2, d = 1 only")
     if exact is None:
         exact = exact_tier(config)
     blocks = exact.blocks
@@ -350,10 +356,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     j_max = max(config.J_norm)  # common t-depth so the sweep compares like with like
     for J in config.J_norm:
         field = AtomicField(params, blocks, J)
-        est = fieldnorms.field_besov_norm(
-            field, desc=constant(1.0), s=params.s, p=params.p, q=params.q,
-            M=params.M, j_max=j_max, res_scale=config.res_scale,
-        )
+        est = fieldnorms.field_besov_norm(field, constant(1.0), j_max, config.res_scale)
         rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
     y_probes = [float(x) for x in x_probe_points(config.y_probes)]
@@ -361,10 +364,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     for d, J in enumerate(config.J_norm):
         field = AtomicField(params, blocks, J)
         for y, profile in zip(y_probes, coverage):
-            est = fieldnorms.pm_seminorm(
-                field, y, desc, params.s, params.p, params.M,
-                j_max=j_max, res_scale=config.res_scale,
-            )
+            est = fieldnorms.pm_seminorm(field, y, desc, j_max, config.res_scale)
             rows.append(_row("pm_seminorm", "grid", J, y, est.value))
             rows.append(_row("pm_coverage", "exact", J, y, float(profile[d][1])))
     rows.extend(exact.diagnostics)

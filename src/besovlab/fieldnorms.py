@@ -40,10 +40,11 @@ GRID_ABS_TOL = 1e-9
 
 def grid_depth_cap(M: int) -> int:
     """Deepest level J with C_M J 2^J eps <= GRID_ABS_TOL, for C_M = 2(M+2):
-    J = 15 for M = 2."""
+    J = 15 for M = 2.  The integer C_M J 2^J is compared with the float
+    GRID_ABS_TOL / eps exactly, so no M overflows a double here."""
     C_M = 2 * (M + 2)
     J = 0
-    while C_M * (J + 1) * 2.0 ** (J + 1) * sys.float_info.epsilon <= GRID_ABS_TOL:
+    while C_M * (J + 1) << (J + 1) <= GRID_ABS_TOL / sys.float_info.epsilon:
         J += 1
     return J
 
@@ -167,7 +168,8 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
     return abs(field.coef(j)) ** p * math.ldexp(total, -j) * res
 
 
-def field_lp(field: AtomicField, p: float, res_scale: float = 1.0) -> float:
+def field_lp(field: AtomicField, res_scale: float = 1.0) -> float:
+    p = field.params.p
     total = math.fsum(
         level_lp_pow(lf, j, p, default_level_resolution(j, res_scale))
         for lf, j in _level_fields(field)
@@ -188,8 +190,9 @@ def _max_over_steps(levels, steps, diff_lp_pow, p: float, M: int, res_scale: flo
     return best
 
 
-def _estimate(field: AtomicField, omega, desc, s, q, M, j_max, res_scale, h_samples):
+def _estimate(field: AtomicField, omega, desc, q, j_max, res_scale, h_samples):
     """NormEstimate of the dyadic seminorm of modulus omega, on level grids."""
+    s, M = field.params.s, field.params.M
     if not M > s:
         raise ValueError(f"M > s required, got M={M}, s={s}")
     value = _dyadic_seminorm(omega, desc, s, q, j_max)
@@ -197,55 +200,28 @@ def _estimate(field: AtomicField, omega, desc, s, q, M, j_max, res_scale, h_samp
     return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=h_samples)
 
 
-def field_modulus(field: AtomicField, p: float, M: int, t: float, res_scale: float = 1.0) -> float:
+def field_modulus(field: AtomicField, t: float, res_scale: float = 1.0) -> float:
     levels = [(lf, j, 1.0) for lf, j in _level_fields(field)]
     steps = [(float(h[0]), float(h[1])) for h in default_h_set(2, t)]
-    return _max_over_steps(levels, steps, level_diff_lp_pow, p, M, res_scale)
+    return _max_over_steps(levels, steps, level_diff_lp_pow, field.params.p, field.params.M, res_scale)
 
 
-def field_seminorm(
-    field: AtomicField,
-    desc: PsiDescriptor,
-    s: float,
-    p: float,
-    q: float,
-    M: int,
-    j_max: int,
-    res_scale: float = 1.0,
-) -> NormEstimate:
-    """Level-decomposed estimate of the 2-D generalized Besov seminorm."""
-    omega = lambda t: field_modulus(field, p, M, t, res_scale)
-    return _estimate(field, omega, desc, s, q, M, j_max, res_scale, h_samples=16)
+def field_seminorm(field: AtomicField, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
+    """Level-decomposed 2-D generalized Besov seminorm, in field.params' s, p, q, M."""
+    omega = lambda t: field_modulus(field, t, res_scale)
+    return _estimate(field, omega, desc, field.params.q, j_max, res_scale, h_samples=16)
 
 
-def field_besov_norm(
-    field: AtomicField,
-    desc: PsiDescriptor,
-    s: float,
-    p: float,
-    q: float,
-    M: int,
-    j_max: int,
-    res_scale: float = 1.0,
-) -> NormEstimate:
-    semi = field_seminorm(field, desc, s, p, q, M, j_max, res_scale)
-    return replace(semi, value=semi.value + field_lp(field, p, res_scale))
+def field_besov_norm(field: AtomicField, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
+    semi = field_seminorm(field, desc, j_max, res_scale)
+    return replace(semi, value=semi.value + field_lp(field, res_scale))
 
 
-def pm_seminorm(
-    field: AtomicField,
-    y: float,
-    desc: PsiDescriptor,
-    s: float,
-    p: float,
-    M: int,
-    j_max: int,
-    q: float = math.inf,
-    res_scale: float = 1.0,
-) -> NormEstimate:
-    """Estimate of the 1-D generalized seminorm of the partial map at y."""
+def pm_seminorm(field: AtomicField, y: float, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
+    """1-D generalized seminorm of the partial map at y, q = inf, in field.params' s, p, M."""
+    p, M = field.params.p, field.params.M
     weights = partial_map(field, y).level_weights
     levels = [(field, j, abs(w) ** p) for j, w in weights.items() if w != 0.0]
     omega = lambda t: _max_over_steps(
         levels, default_h_set(1, t), pm_level_diff_lp_pow, p, M, res_scale)
-    return _estimate(field, omega, desc, s, q, M, j_max, res_scale, h_samples=6)
+    return _estimate(field, omega, desc, math.inf, j_max, res_scale, h_samples=6)

@@ -64,24 +64,22 @@ class Params:
 
 
 def validate(params: Params) -> list[str]:
-    """Return the list of violated invariants (empty when the config is usable).
-
-    Violations are data, not failures: callers decide whether to proceed.
-    """
+    """Every violated hypothesis (empty when the config is usable): N = 2,
+    d = 1, 0 < p <= q with p finite, s > sigma_p, an integer M > s, and
+    0 < L < 1 - p/q when p < q; p = q suits the commands that build no blocks."""
     v: list[str] = []
-    if not isinstance(params.N, int) or params.N < 2:
-        v.append(f"N must be an integer >= 2, got {params.N}")
-    if not isinstance(params.d, int) or not 1 <= params.d < max(params.N, 2):
-        v.append(f"d must satisfy 1 <= d < N, got d={params.d}, N={params.N}")
+    if params.N != 2:
+        v.append(f"N must be 2 (the planar shape N = 2, d = 1), got N={params.N}")
+    if params.d != 1:
+        v.append(f"d must satisfy d = 1 (the planar shape N = 2, d = 1), got d={params.d}")
     if not params.p > 0:
         v.append(f"p must be positive, got {params.p}")
     if math.isinf(params.p):
         v.append("p = inf rejected in experiment configurations")
-    if not params.q > 0:
-        v.append(f"q must be positive, got {params.q}")
-    if params.p > 0 and not math.isinf(params.p):
-        if not params.s > sigma_p(params.p, max(params.N, 1)):
-            v.append(f"s > sigma_p fails: s={params.s}, sigma_p={sigma_p(params.p, max(params.N, 1))}")
+    if not params.p <= params.q:
+        v.append(f"p <= q fails: p={params.p}, q={params.q}")
+    if 0 < params.p < INF and not params.s > sigma_p(params.p, 2):
+        v.append(f"s > sigma_p fails: s={params.s}, sigma_p={sigma_p(params.p, 2)}")
     if not isinstance(params.M, int) or params.M < 1:
         v.append(f"M must be an integer >= 1, got {params.M}")
     elif not params.M > params.s:
@@ -93,15 +91,22 @@ def validate(params: Params) -> list[str]:
     return v
 
 
+def as_int(value, name: str) -> int:
+    """A counting config field as an int: 2.0 reads as 2, 2.5 is rejected."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def params_from_dict(cfg: dict) -> Params:
     """Build Params from a JSON config object with keys {N, d, p, q, s, M, L}."""
     return Params(
-        N=int(cfg["N"]),
-        d=int(cfg["d"]),
+        N=as_int(cfg["N"], "N"),
+        d=as_int(cfg["d"], "d"),
         p=float(cfg["p"]),
         q=float(cfg["q"]),
         s=float(cfg["s"]),
-        M=int(cfg["M"]),
+        M=as_int(cfg["M"], "M"),
         L=float(cfg["L"]) if cfg.get("L") is not None else None,
     )
 

@@ -7,7 +7,10 @@ depth j = 1000 never have to materialize t itself (which would underflow).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import count
+
+from .params import as_int
 
 LN2 = math.log(2.0)
 
@@ -37,8 +40,10 @@ class PsiDescriptor:
     b2: float = 0.0
     c: float = 1.0
     table: tuple[tuple[int, float], ...] = ()
+    _first_value: dict = field(init=False, repr=False, compare=False)  # j -> value, O(1) lookups
 
     def __post_init__(self):
+        object.__setattr__(self, "_first_value", dict(reversed(self.table)))
         if self.family not in (CONSTANT, LOG_POWER, ITERATED_LOG_POWER, TABULATED):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == CONSTANT and not self.c > 0:
@@ -74,18 +79,13 @@ def table_depth(desc: PsiDescriptor) -> float:
     """
     if desc.family != TABULATED:
         return math.inf
-    known = {j for j, _ in desc.table}
-    depth = -1
-    while depth + 1 in known:
-        depth += 1
-    return depth
+    return next(j for j in count() if j not in desc._first_value) - 1
 
 
 def _table_lookup(desc: PsiDescriptor, j: int) -> float:
-    for jj, value in desc.table:
-        if jj == j:
-            return value
-    raise ValueError(f"tabulated descriptor has no entry for j={j}")
+    if j not in desc._first_value:
+        raise ValueError(f"tabulated descriptor has no entry for j={j}")
+    return desc._first_value[j]
 
 
 def _log_psi_from_ell(desc: PsiDescriptor, ell: float) -> float:
@@ -117,6 +117,34 @@ def psi_dyadic_log(desc: PsiDescriptor, j: int) -> float:
     if desc.family == TABULATED:
         return math.log(_table_lookup(desc, j))
     return _log_psi_from_ell(desc, j * LN2)
+
+
+def _extreme_levels(desc: PsiDescriptor, J: int):
+    """Levels j <= J that include where Psi(2^-j) is least and largest.
+    ln Psi(2^-j) = -b x - b2 ln(1 + x) with x = ln(1 + j ln 2) is monotone in
+    j for b2 >= 0, else concave in x with its top at x = -b2/b - 1."""
+    if desc.family == TABULATED:
+        return range(J + 1)
+    levels = {0, J}
+    if desc.family == ITERATED_LOG_POWER and desc.b2 < 0 < desc.b:
+        x = -desc.b2 / desc.b - 1.0
+        if 0.0 < x < math.log1p(J * LN2):
+            top = math.expm1(x) / LN2
+            levels |= {math.floor(top), min(math.ceil(top), J)}
+    return levels
+
+
+def weight_in_range(desc: PsiDescriptor, kappa: float, J: int) -> bool:
+    """Whether Psi(2^-j) and, for finite kappa, (J + 1) Psi(2^-j)^kappa (which
+    bounds the running sums S_j) are positive finite doubles at every
+    j = 0..J.  Powers are monotone, so only _extreme_levels are read."""
+    try:
+        values = [psi_dyadic(desc, j) for j in _extreme_levels(desc, J)]
+        if math.isfinite(kappa):
+            values += [(J + 1) * v**kappa for v in values]
+    except OverflowError:
+        return False
+    return all(0.0 < v < math.inf for v in values)
 
 
 def summability_partial(desc: PsiDescriptor, kappa: float, J: int) -> float:
@@ -196,5 +224,5 @@ def psi_from_dict(cfg: dict) -> PsiDescriptor:
     if family == ITERATED_LOG_POWER:
         return iterated_log_power(float(cfg["b"]), float(cfg.get("b2", 0.0)))
     if family == TABULATED:
-        return tabulated(cfg["table"])
+        return tabulated((as_int(j, "psi.table j"), v) for j, v in cfg["table"])
     raise ValueError(f"unknown psi family {family!r}")

@@ -209,6 +209,33 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,inf\n"]),
         ({"s": 0.5}, ["field-eval", "--J", "2100", "--points", "x1,x2\n16800.0,1.5\n"]),
         ({"M": 1}, ["pathology-run"]),
+        ({"M": 1}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"M": 1}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "1.5"]),
+        ({"M": 1}, ["norm-est", "--target", "indicator", "--J", "4"]),
+        ({"L": 0.9}, ["psi-check"]),
+        ({"L": 0.9}, ["seq-build", "--J", "4"]),
+        ({"L": 0.9}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,1.5\n"]),
+        ({"L": 0.9}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"L": 0.9}, ["lemma-le"]),
+        ({"L": 0.9}, ["report"]),
+        ({"N": 3}, ["psi-check"]),
+        ({"N": 3}, ["seq-build", "--J", "4"]),
+        ({"N": 3}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,1.5\n"]),
+        ({"N": 3}, ["lemma-le"]),
+        ({"N": 3}, ["pathology-run"]),
+        ({"d": 2}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "1.5"]),
+        ({"q": 0.5}, ["psi-check"]),
+        ({"M": 2.5}, ["pathology-run"]),
+        ({"N": 2.5}, ["psi-check"]),
+        ({"J": {"norm": [4, 6.5], "seq": [16, 32, 64], "mixed": [16, 32]}}, ["pathology-run"]),
+        ({"probes": {"x": 8.5, "y": 2}}, ["pathology-run"]),
+        ({"lemma": {"m": [0.5], "n_max": 2000.5}}, ["lemma-le"]),
+        ({"psi": {"family": "tabulated", "table": [[j + 0.5, 1.0] for j in range(65)]}}, ["psi-check"]),
+        ({"psi": {"family": "constant", "c": 1e300}}, ["psi-check"]),
+        ({"psi": {"family": "constant", "c": 1e-300}}, ["seq-build", "--J", "4"]),
+        ({"control_psi": {"family": "log-power", "b": 1000}}, ["psi-check"]),
+        ({"q": 1e308}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"grid": {"res_scale": 1e-300}}, ["norm-est", "--target", "field", "--J", "4"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -223,7 +250,14 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "indicator-2-to-Js-overflows", "indicator-J-1100", "indicator-2-to-minus-J-underflows",
         "lemma-n-max-above-cap", "partial-map-y-nan", "partial-map-y-inf",
         "field-eval-point-nan", "field-eval-point-inf", "field-eval-coefficient-overflows",
-        "M-below-s-pathology-run",
+        "M-below-s-pathology-run", "M-below-s-norm-est-field", "M-below-s-norm-est-partial-map",
+        "M-below-s-norm-est-indicator", "L-above-bound-psi-check", "L-above-bound-seq-build",
+        "L-above-bound-field-eval", "L-above-bound-norm-est", "L-above-bound-lemma-le",
+        "L-above-bound-report", "N-3-psi-check", "N-3-seq-build", "N-3-field-eval", "N-3-lemma-le",
+        "N-3-pathology-run", "d-2-norm-est-partial-map", "q-below-p-psi-check", "M-not-integral",
+        "N-not-integral", "J-norm-not-integral", "x-probes-not-integral", "lemma-n-max-not-integral",
+        "psi-table-j-not-integral", "psi-c-power-overflows", "psi-c-power-underflows",
+        "control-psi-underflows", "estimate-term-q-overflows", "res-scale-too-fine",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
@@ -245,6 +279,32 @@ def test_p_equals_q_config_keeps_commands_without_blocks(config_path, tmp_path, 
     assert main(["--config", path, "psi-check"]) == 0
     assert json.loads(capsys.readouterr().out)["kappa"] == float("inf")
     assert main(["--config", path, "--out", str(tmp_path / "out"), "lemma-le"]) == 0
+
+
+def test_integral_floats_read_as_integers(config_path, tmp_path):
+    """2.0 is the integer 2 wherever a config field counts."""
+    changes = {"N": 2.0, "d": 1.0, "M": 2.0, "probes": {"x": 8.0, "y": 2.0},
+               "J": {"norm": [4.0, 6.0], "seq": [16.0, 32.0, 64.0], "mixed": [16.0, 32.0]},
+               "lemma": {"m": [0.5], "n_max": 2000.0}}
+    config = config_from_dict(load_config(_with(config_path, tmp_path, **changes)))
+    counts = (config.params.N, config.params.d, config.params.M, config.x_probes, config.y_probes,
+              config.lemma_n_max, *config.J_norm, *config.J_seq, *config.J_mixed)
+    assert counts == (2, 1, 2, 8, 2, 2000, 4, 6, 16, 32, 64, 16, 32)
+    assert all(type(n) is int for n in counts)
+
+
+def test_table_of_ones_reproduces_the_constant_run(config_path, tmp_path):
+    """A tabulated psi of ones writes seq.csv and sequence.csv byte for byte
+    as constant(1.0) does."""
+    ones = _with(config_path, tmp_path, psi={"family": "tabulated", "table": [[j, 1.0] for j in range(65)]})
+    outputs = []
+    for label, path in (("constant", config_path), ("ones", ones)):
+        out = tmp_path / label
+        assert main(["--config", path, "--out", str(out / "blocks.json"),
+                     "seq-build", "--J", "64", "--csv", str(out / "seq.csv")]) == 0
+        assert main(["--config", path, "--out", str(out), "pathology-run"]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("seq.csv", "sequence.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_lemma_n_max_cap_admits_the_flagship():

@@ -71,6 +71,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="block cap"):
             small_config(J_mixed=(16, sequences.MAX_SEQ_DEPTH + 1))
 
+    def test_gate_lists_every_violation(self):
+        params = Params(N=3, d=1, p=1.0, q=2.0, s=1.5, M=1, L=0.9)
+        with pytest.raises(ConfigError) as err:
+            small_config(params=params, x_probes=0)
+        for fragment in ("N must be 2", "M > s fails", "L < 1 - p/q fails", "x_probes must lie"):
+            assert fragment in str(err.value)
+
+    def test_grid_depth_cap_follows_res_scale(self):
+        """A grid at res_scale 1/4 is as fine as one two levels deeper."""
+        assert small_config(J_norm=(4, 13), res_scale=0.25).J_norm == (4, 13)
+        with pytest.raises(ConfigError, match="grid-tier cap 15"):
+            small_config(J_norm=(4, 14), res_scale=0.25)
+        assert small_config(J_norm=(4, 15), res_scale=4.0).J_norm == (4, 15)
+
     def test_rejects_invalid_exponents(self):
         with pytest.raises(ConfigError):
             config_from_dict(

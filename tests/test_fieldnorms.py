@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,23 +161,24 @@ class TestAgainstGenericPath:
 
 class TestTopLevel:
     def test_field_lp_positive(self, small_field):
-        assert field_lp(small_field, 1.0) > 0.0
+        assert field_lp(small_field) > 0.0
 
     def test_modulus_vanishes_with_t_like_smooth_function(self, small_field):
         # the field is C^inf, so omega_2(t) -> 0 as t -> 0
-        big = field_modulus(small_field, 1.0, 2, 2.0**-1)
-        small = field_modulus(small_field, 1.0, 2, 2.0**-8)
+        big = field_modulus(small_field, 2.0**-1)
+        small = field_modulus(small_field, 2.0**-8)
         assert small < big
 
-    def test_besov_norm_exceeds_seminorm(self, small_field, flagship_params):
-        p = flagship_params
-        semi = field_seminorm(small_field, constant(1.0), p.s, p.p, p.q, p.M, j_max=4)
-        full = field_besov_norm(small_field, constant(1.0), p.s, p.p, p.q, p.M, j_max=4)
+    def test_besov_norm_exceeds_seminorm(self, small_field):
+        semi = field_seminorm(small_field, constant(1.0), j_max=4)
+        full = field_besov_norm(small_field, constant(1.0), j_max=4)
         assert full.value > semi.value
 
     def test_pm_seminorm_requires_M_above_s(self, small_field):
+        params = replace(small_field.params, s=2.5)  # M = 2 <= s
+        field = AtomicField(params, small_field.blocks, small_field.J)
         with pytest.raises(ValueError):
-            pm_seminorm(small_field, 1.5, constant(1.0), 2.5, 1.0, 2, j_max=3)
+            pm_seminorm(field, 1.5, constant(1.0), j_max=3)
 
 
 # (j, start, n) of a field whose only level is j
@@ -289,9 +291,8 @@ class TestLevelReuse:
             raise AssertionError("a cache key hashed a BlockLevel")
 
         monkeypatch.setattr(sequences.BlockLevel, "__hash__", refuse)
-        p = flagship_params
-        norm = field_besov_norm(field, psi_one, p.s, p.p, p.q, p.M, j_max=3)
-        semi = pm_seminorm(field, 1.51, psi_one, p.s, p.p, p.M, j_max=3)
+        norm = field_besov_norm(field, psi_one, j_max=3)
+        semi = pm_seminorm(field, 1.51, psi_one, j_max=3)
         assert norm.value > 0.0 and semi.value > 0.0
 
     def test_depths_share_level_integrals(self, flagship_params, psi_one):
@@ -301,7 +302,7 @@ class TestLevelReuse:
 
         def norm_and_misses(blocks, J):
             before = level_diff_lp_pow.cache_info().misses
-            est = field_besov_norm(AtomicField(p, blocks, J), psi_one, p.s, p.p, p.q, p.M, j_max=6)
+            est = field_besov_norm(AtomicField(p, blocks, J), psi_one, j_max=6)
             return est.value, level_diff_lp_pow.cache_info().misses - before
 
         def fresh_blocks():

@@ -82,6 +82,8 @@ class TestParams:
             (dict(M=1), "M > s fails"),
             (dict(L=0.9), "L < 1 - p/q"),
             (dict(p=0.5, s=1.5), "s > sigma_p"),
+            (dict(N=3), "N must be 2"),
+            (dict(q=0.5), "p <= q fails"),
         ],
     )
     def test_violations_reported(self, overrides, fragment):
@@ -109,3 +111,11 @@ def test_params_from_dict_kappa_never_read():
         {"N": 2, "d": 1, "p": 1, "q": 2, "s": 1.5, "M": 2, "kappa": 99}
     )
     assert params.kappa == pytest.approx(2.0)
+
+
+def test_params_from_dict_rejects_non_integral_counts():
+    base = {"N": 2, "d": 1, "p": 1, "q": 2, "s": 1.5}
+    assert type(params_from_dict({**base, "M": 2.0}).M) is int
+    for bad in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            params_from_dict({**base, "M": bad})

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besovlab.slowly_varying import (
     INCONCLUSIVE,
@@ -16,7 +16,9 @@ from besovlab.slowly_varying import (
     psi_from_dict,
     slow_variation_deviation,
     summability_partial,
+    table_depth,
     tabulated,
+    weight_in_range,
 )
 from oracles import psi_eval
 
@@ -59,6 +61,12 @@ class TestEvaluation:
             psi_dyadic(desc, 7)
         with pytest.raises(ValueError):
             psi_eval(desc, 0.3)
+
+    def test_tabulated_lookup_takes_the_first_entry(self):
+        desc = tabulated([(0, 1.0), (1, 2.0), (2, 4.0), (1, 3.0)])
+        assert [psi_dyadic(desc, j) for j in range(3)] == [1.0, 2.0, 4.0]
+        assert table_depth(desc) == 2
+        assert desc == tabulated([(0, 1.0), (1, 2.0), (2, 4.0), (1, 3.0)])
 
     def test_eval_domain(self):
         with pytest.raises(ValueError):
@@ -103,6 +111,37 @@ class TestSummability:
 
     def test_classifier_tabulated_inconclusive(self):
         assert classify_condition(tabulated([(0, 1.0)]), 2.0) == INCONCLUSIVE
+
+
+def _weight_in_range_oracle(desc, kappa, J):
+    """weight_in_range by evaluating every level j = 0..J."""
+    try:
+        values = [psi_dyadic(desc, j) for j in range(J + 1)]
+        powers = [v**kappa for v in values] if math.isfinite(kappa) else []
+    except OverflowError:
+        return False
+    ok = all(0.0 < v < math.inf for v in values + powers)
+    return ok and (not powers or (J + 1) * max(powers) < math.inf)
+
+
+class TestWeightRange:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["constant", "log-power", "iterated-log-power"]),
+        st.floats(0.0, 300.0), st.floats(-2000.0, 2000.0),
+        st.floats(1e-300, 1e300) | st.floats(1e-3, 1e3),
+        st.floats(0.5, 20.0) | st.just(math.inf),
+        st.integers(0, 300),
+    )
+    @example("iterated-log-power", 100.0, -500.0, 1.0, 2.0, 20000)  # in range at both ends, not at j = 77
+    @example("constant", 0.0, 0.0, 1e154, 2.0, 1)  # (J + 1) c^kappa overflows
+    def test_extreme_levels_decide_as_every_level_does(self, family, b, b2, c, kappa, J):
+        desc = psi_from_dict({"family": family, "b": b, "b2": b2, "c": c})
+        assert weight_in_range(desc, kappa, J) == _weight_in_range_oracle(desc, kappa, J)
+
+    def test_tabulated_reads_every_level(self):
+        desc = tabulated([(j, 1.0) for j in range(9)] + [(9, 1e200)])
+        assert weight_in_range(desc, 2.0, 8) and not weight_in_range(desc, 2.0, 9)
 
 
 class TestSlowVariation:
