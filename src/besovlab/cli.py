@@ -10,6 +10,7 @@ pathology.csv have (kind, tier, J, probe, value).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from .atoms import AtomicField, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
 from .norms import Box, BoxDomain
 from .params import load_config
-from .reporting import read_csv, write_csv, write_json
+from .reporting import read_csv, write_json
 from .slowly_varying import slow_variation_deviation, summability_partial
 
 
@@ -51,18 +52,36 @@ def cmd_psi_check(args) -> int:
     config = _load_experiment_config(args.config)
     config.check_depth(max(PSI_CHECK_DEPTHS))
     kappa = config.params.kappa
+    finite = lambda v: v if math.isfinite(v) else None  # strict JSON: kappa = inf (p = q) is null
     result = {
         "classification": experiments.classify_condition(config.psi, kappa),
-        "kappa": kappa,
-        "slow_variation_deviation_r0.5_j40": slow_variation_deviation(config.psi, 0.5, 40),
+        "kappa": finite(kappa),
+        "slow_variation_deviation_r0.5_j40": finite(slow_variation_deviation(config.psi, 0.5, 40)),
     }
     if math.isfinite(kappa):
         result["summability_partials"] = {
             str(J): summability_partial(config.psi, kappa, J) for J in PSI_CHECK_DEPTHS
         }
-    json.dump(result, sys.stdout, indent=2, sort_keys=True)
+    json.dump(result, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
     print()
     return 0
+
+
+@contextlib.contextmanager
+def _output(path: str | None, **open_kwargs):
+    """A text stream to path, its parent made, or stdout when path is None.
+    A command that fails while writing removes the file: no partial output."""
+    if path is None:
+        yield sys.stdout
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "w", **open_kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def cmd_seq_build(args) -> int:
@@ -73,15 +92,10 @@ def cmd_seq_build(args) -> int:
     if limit and args.J > cap:
         raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, Python's {limit}-digit int-to-str limit")
     blocks = config.blocks(args.J, rearranged=not args.no_rearrange)
-    text = sequences.blocks_to_json(blocks)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
-    if args.csv:
-        rows = sequences.level_table(blocks, config.psi, config.params)
-        write_csv(args.csv, list(sequences.LEVEL_COLUMNS), rows)
+    rows = sequences.level_table(blocks, config.psi, config.params) if args.csv else None
+    csv_out = _output(args.csv, newline="") if args.csv else contextlib.nullcontext()
+    with _output(args.out) as out, csv_out as table:
+        sequences.write_blocks(blocks, out, rows, table)
     return 0
 
 
@@ -115,21 +129,21 @@ def _read_points(path: str) -> np.ndarray:
     return pts
 
 
+# points per eval_f call of field-eval: memory stays a few MB at any file size
+FIELD_EVAL_CHUNK = 1 << 14
+
+
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
-    pts = _read_points(args.points)
+    pts = _read_points(args.points)  # the whole file is checked before any output
     field = AtomicField(config.params, config.blocks(args.J), args.J)
-    values = eval_f(field, pts) if pts.size else np.zeros(0)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+    with _output(args.out) as out:
         out.write("x1,x2,f\n")
-        out.writelines(
-            f"{a!r},{b!r},{v!r}\n"
-            for a, b, v in zip(pts[:, 0].tolist(), pts[:, 1].tolist(), values.tolist())
-        )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        for lo in range(0, len(pts), FIELD_EVAL_CHUNK):
+            chunk = pts[lo:lo + FIELD_EVAL_CHUNK]
+            # eval_f is pointwise, so each value is bitwise that of one call on every point
+            cells = np.column_stack([chunk, eval_f(field, chunk)]).ravel().tolist()
+            out.write("%r,%r,%r\n" * len(chunk) % tuple(cells))
     return 0
 
 

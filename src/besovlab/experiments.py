@@ -32,6 +32,9 @@ from .slowly_varying import (
 LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100_000, 200_000, 1_000_000)
 DIVERGENCE_PARTIAL_THRESHOLD = 10.0
 MAX_PROBES = 127
+# Coarsest grid: 64/res_scale midpoints (spacing res_scale/16 in u) across the
+# bump's support (-2, 2).  Coarser grids miss bumps: norm values fall to 0.0.
+MAX_RES_SCALE = 4.0
 # Largest lemma.n_max.  The suite streams the series in chunks of 2^16 terms,
 # so its memory does not grow with n_max: at this cap five m take about 0.35 s
 # and 32 MB of VmHWM in all, 2 MB above the resident size before the suite.
@@ -77,8 +80,8 @@ class ExperimentConfig:
             count = getattr(self, name)
             if not 1 <= count <= MAX_PROBES:
                 problems.append(f"{name} must lie in 1..{MAX_PROBES}, got {count}")
-        if not (math.isfinite(self.res_scale) and self.res_scale > 0):
-            problems.append(f"grid.res_scale must be finite and > 0, got {self.res_scale}")
+        if not 0 < self.res_scale <= MAX_RES_SCALE:  # NaN fails too
+            problems.append(f"grid.res_scale must lie in (0, {MAX_RES_SCALE:g}], got {self.res_scale}")
         if not 1 <= self.lemma_n_max <= MAX_LEMMA_N:
             problems.append(f"lemma.n_max must lie in 1..{MAX_LEMMA_N}, got {self.lemma_n_max}")
         if problems:

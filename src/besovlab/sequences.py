@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import TextIO
 
 import numpy as np
 
@@ -322,13 +324,27 @@ def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, probe
     return profiles
 
 
-def blocks_to_json(blocks: BlockSequence) -> str:
-    return json.dumps({
-        "J": blocks.J,
-        "rearranged": blocks.rearranged,
-        "cursor": [blocks.cursor.numerator, blocks.cursor.denominator],
-        "levels": [{"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start} for lvl in blocks.levels],
-    }, indent=2)
+def write_blocks(blocks: BlockSequence, out: TextIO, rows: Iterable[dict] | None = None,
+                 table: TextIO | None = None) -> None:
+    """blocks as indented JSON to out and, given the level_table rows, the
+    LEVEL_COLUMNS CSV to table, in one streamed pass over the levels: the bytes
+    of json.dumps(indent=2) and reporting.write_csv (tests/oracles.py).  Each
+    start_j, whose decimal conversion is quadratic in j, is converted once."""
+    cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
+    out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
+              f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
+    if table is not None:
+        table.write(",".join(LEVEL_COLUMNS) + "\n")
+    sep = ""
+    for lvl, row in zip(blocks.levels, repeat(None) if rows is None else rows):
+        start = str(lvl.start)
+        out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
+                  f'      "n": {lvl.n},\n      "start": {start}\n    }}')
+        sep = ","
+        if row is not None:
+            table.write(f'{lvl.j},{row["S_j"]!r},{row["Gamma_j1"]!r},{lvl.n},{lvl.theta!r},{start},'
+                        f'{row["block_average"]!r},{row["mixed_norm_partial"]!r}\n')
+    out.write("\n  ]\n}\n")
 
 
 def blocks_from_json(text: str) -> BlockSequence:
@@ -356,8 +372,7 @@ def verify_blocks(blocks: BlockSequence) -> list[str]:
         if lvl.theta < 0:
             problems.append(f"theta_{lvl.j} negative")
     if blocks.rearranged:
-        expected = rearrange(BlockSequence(J=blocks.J, levels=tuple(
-            replace(lvl, start=0) for lvl in blocks.levels)))
+        expected = rearrange(blocks)  # its starts and cursor follow from the n_j alone
         for lvl, exp in zip(blocks.levels, expected.levels):
             if lvl.start != exp.start:
                 problems.append(f"start_{lvl.j}={lvl.start} inconsistent with cursor rule ({exp.start})")

@@ -2,6 +2,7 @@
 against; the program never calls them."""
 
 import functools
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -9,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from besovlab import atoms, fieldnorms, norms
-from besovlab.atoms import AtomicField, _bump_factor, bump_u, level_weight, psi0
+from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, psi0
 from besovlab.norms import Box, BoxDomain
-from besovlab.sequences import BlockSequence
+from besovlab.reporting import write_csv
+from besovlab.sequences import LEVEL_COLUMNS, BlockSequence, level_table
 from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup
 
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
@@ -159,3 +161,27 @@ def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:
         for r in range(lvl.n):
             out[size + (lvl.start + r) % size] = lvl.theta
     return out
+
+
+def blocks_to_json(blocks: BlockSequence) -> str:
+    """blocks.json through the json encoder, without its final newline.
+    Byte oracle for sequences.write_blocks."""
+    return json.dumps({
+        "J": blocks.J,
+        "rearranged": blocks.rearranged,
+        "cursor": [blocks.cursor.numerator, blocks.cursor.denominator],
+        "levels": [{"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start} for lvl in blocks.levels],
+    }, indent=2)
+
+
+def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:
+    """seq.csv through reporting.write_csv.  Byte oracle for sequences.write_blocks."""
+    write_csv(path, list(LEVEL_COLUMNS), level_table(blocks, desc, params))
+
+
+def field_eval_text(field: AtomicField, pts: np.ndarray) -> str:
+    """field-eval's output from one eval_f call on every point.  Byte oracle
+    for the chunked command."""
+    values = eval_f(field, pts) if pts.size else np.zeros(0)
+    return "x1,x2,f\n" + "".join(
+        f"{a!r},{b!r},{v!r}\n" for a, b, v in zip(pts[:, 0].tolist(), pts[:, 1].tolist(), values.tolist()))

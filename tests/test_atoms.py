@@ -16,6 +16,7 @@ from besovlab.atoms import (
     psi0,
     psi_nd,
 )
+from besovlab.cli import FIELD_EVAL_CHUNK
 from besovlab.norms import Box, BoxDomain
 from besovlab.params import Params
 from besovlab.slowly_varying import constant
@@ -332,6 +333,20 @@ class TestLevelDispatch:
         slow = per_level_formula(field, x1, lambda j: level_weight(field, j, x2))
         assert np.array_equal(fast, slow)
         assert (fast > 0).sum() > 200
+
+    def test_eval_f_on_a_chunk_is_bitwise_the_same_rows_of_one_call(self, field, rng):
+        """eval_f is pointwise: field-eval's chunks give every point the value
+        of one call on all points, bit for bit, whatever the chunk size."""
+        n = 2 * FIELD_EVAL_CHUNK + 1001
+        j = rng.integers(2, field.J + 1, n)
+        x1 = field.C_M * j + rng.uniform(-2.0, 2.0, n) * 2.0 ** -j
+        x1[::5] = np.resize(self.x1_points(field), x1[::5].size)
+        pts = np.column_stack([x1, rng.uniform(0.5, 2.5, n)])
+        whole = eval_f(field, pts)
+        assert (whole > 0).sum() > n // 10
+        for size, stop in ((1, 100), (7, 2000), (1000, n), (FIELD_EVAL_CHUNK, n)):
+            parts = [eval_f(field, pts[lo:min(lo + size, stop)]) for lo in range(0, stop, size)]
+            assert np.concatenate(parts).tobytes() == whole[:stop].tobytes(), size
 
     def test_partial_map_is_the_per_level_formula(self, field):
         x1 = self.x1_points(field)

@@ -7,13 +7,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from besovlab import sequences
-from besovlab.cli import main
+from besovlab.atoms import AtomicField
+from besovlab.cli import FIELD_EVAL_CHUNK, main
 from besovlab.atoms import psi0
 from besovlab.experiments import MAX_LEMMA_N, ExperimentConfig, config_from_dict
 from besovlab.params import load_config
+from oracles import blocks_to_json, field_eval_text, write_level_csv
 
 
 @pytest.fixture
@@ -236,6 +239,7 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"control_psi": {"family": "log-power", "b": 1000}}, ["psi-check"]),
         ({"q": 1e308}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"grid": {"res_scale": 1e-300}}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"grid": {"res_scale": 16}}, ["norm-est", "--target", "field", "--J", "4"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -258,6 +262,7 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "N-not-integral", "J-norm-not-integral", "x-probes-not-integral", "lemma-n-max-not-integral",
         "psi-table-j-not-integral", "psi-c-power-overflows", "psi-c-power-underflows",
         "control-psi-underflows", "estimate-term-q-overflows", "res-scale-too-fine",
+        "res-scale-too-coarse",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
@@ -273,12 +278,29 @@ def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
     assert not (tmp_path / "out").exists()
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict parsers do."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_p_equals_q_config_keeps_commands_without_blocks(config_path, tmp_path, capsys):
     """kappa = inf is a valid config: psi-check and lemma-le need no blocks."""
     path = _with(config_path, tmp_path, q=1)
     assert main(["--config", path, "psi-check"]) == 0
-    assert json.loads(capsys.readouterr().out)["kappa"] == float("inf")
+    assert _strict_json(capsys.readouterr().out)["kappa"] is None
     assert main(["--config", path, "--out", str(tmp_path / "out"), "lemma-le"]) == 0
+
+
+def test_psi_check_prints_a_deviation_that_overflows_as_null(config_path, tmp_path, capsys):
+    """Psi(2^-21) / Psi(2^-20) = 1e300 / 1e-300 overflows: strict JSON has no
+    Infinity, so the slow-variation deviation prints as null."""
+    table = [[j, {20: 1e-300, 21: 1e300}.get(j, 1.0)] for j in range(513)]
+    path = _with(config_path, tmp_path, p=0.3, q=0.6, s=5.0, M=6, psi={"family": "tabulated", "table": table})
+    assert main(["--config", path, "psi-check"]) == 0
+    result = _strict_json(capsys.readouterr().out)
+    assert result["slow_variation_deviation_r0.5_j40"] is None and result["kappa"] == pytest.approx(0.6)
 
 
 def test_integral_floats_read_as_integers(config_path, tmp_path):
@@ -447,3 +469,80 @@ def test_seq_build_cap_follows_the_int_str_digit_limit(config_path, tmp_path, ca
     assert main(["seq-verify", str(out)]) == 0
     assert "ok: J=2126" in capsys.readouterr().out
     assert not (tmp_path / "deeper.json").exists()
+
+
+FLAGSHIP = str(Path(__file__).resolve().parent.parent / "configs" / "flagship.json")
+
+
+@pytest.mark.parametrize("J", [1, 2, 8, 64])
+@pytest.mark.parametrize("rearranged", [True, False], ids=["rearranged", "no-rearrange"])
+@pytest.mark.parametrize("flagship", [False, True], ids=["small", "flagship"])
+def test_seq_build_streams_the_encoder_bytes(config_path, tmp_path, capsys, J, rearranged, flagship):
+    """blocks.json, on stdout and through --out, is byte for byte the json
+    encoder's document, and seq.csv is reporting.write_csv's."""
+    path = FLAGSHIP if flagship else config_path
+    config = config_from_dict(load_config(path))
+    blocks = config.blocks(J, rearranged=rearranged)
+    write_level_csv(tmp_path / "oracle.csv", blocks, config.psi, config.params)
+    argv = ["seq-build", "--J", str(J), *([] if rearranged else ["--no-rearrange"])]
+    assert main(["--config", path, *argv]) == 0
+    assert main(["--config", path, "--out", str(tmp_path / "blocks.json"),
+                 *argv, "--csv", str(tmp_path / "seq.csv")]) == 0
+    text = blocks_to_json(blocks) + "\n"
+    assert capsys.readouterr().out == text
+    assert (tmp_path / "blocks.json").read_bytes() == text.encode()
+    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_seq_build_with_an_unwritable_csv_leaves_no_blocks_file(config_path, tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    assert main(["--config", config_path, "--out", str(tmp_path / "blocks.json"),
+                 "seq-build", "--J", "4", "--csv", str(tmp_path / "taken")]) == 2
+    assert "error: cannot write output: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+def _chunked_points(J, n=2 * FIELD_EVAL_CHUNK + 123):
+    """n points over three chunks, nine in ten on the level supports of a
+    depth-J field of the test config."""
+    rng = np.random.default_rng(18)
+    j = rng.integers(2, J + 1, n)
+    x1 = 8.0 * j + rng.uniform(-2.0, 2.0, n) * 2.0 ** -j  # C_M = 8 at M = 2
+    x1[::10] = rng.uniform(-5.0, 8.0 * J + 5.0, x1[::10].size)
+    return np.column_stack([x1, rng.uniform(0.9, 2.1, n)])
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+def test_field_eval_chunks_write_the_single_call_bytes(config_path, tmp_path, header):
+    """Across three chunks field-eval writes byte for byte what one eval_f
+    call on every point gives."""
+    J = 6
+    pts = _chunked_points(J)
+    points = tmp_path / "pts.csv"
+    points.write_text(("x1,x2\n" if header else "") + "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()))
+    result = tmp_path / "f.csv"
+    assert main(["--config", config_path, "--out", str(result),
+                 "field-eval", "--J", str(J), "--points", str(points)]) == 0
+    config = config_from_dict(load_config(config_path))
+    expected = field_eval_text(AtomicField(config.params, config.blocks(J), J), pts)
+    assert result.read_bytes() == expected.encode()
+    assert sum(float(line.rsplit(",", 1)[1]) > 0 for line in expected.splitlines()[1:]) > len(pts) // 4
+
+
+@pytest.mark.parametrize(
+    "changes, J, last",
+    [({}, 6, "1.5,abc"), ({"s": 0.5}, 2100, "16800.0,1.5")],
+    ids=["bad-cell", "coefficient-overflows"],
+)
+def test_field_eval_failing_in_the_last_chunk_writes_nothing(config_path, tmp_path, capsys, changes, J, last):
+    """A bad cell in the last chunk is found before any output is opened; a
+    coefficient that overflows there removes the partial output."""
+    path = _with(config_path, tmp_path, **changes)
+    far = "".join(f"{-3.0 - i},1.5\n" for i in range(2 * FIELD_EVAL_CHUNK + 5))
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2\n" + far + last + "\n")
+    result = tmp_path / "f.csv"
+    assert main(["--config", path, "--out", str(result),
+                 "field-eval", "--J", str(J), "--points", str(points)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not result.exists()

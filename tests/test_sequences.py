@@ -14,7 +14,6 @@ from besovlab.sequences import (
     BlockSequence,
     block_average,
     blocks_from_json,
-    blocks_to_json,
     build_S,
     build_lambda_blocks,
     coverage_count,
@@ -29,7 +28,7 @@ from besovlab.sequences import (
     verify_blocks,
 )
 from besovlab.slowly_varying import constant, log_power, tabulated
-from oracles import fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight
+from oracles import blocks_to_json, fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight
 
 # lemma.m of configs/flagship.json
 FLAGSHIP_LEMMA_M = (0.5, 1.0, 1.5, 2.0, 3.0)
