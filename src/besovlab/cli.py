@@ -34,7 +34,7 @@ def _load_experiment_config(path: str | None) -> ExperimentConfig:
         raise ConfigError("--config is required for this subcommand")
     try:
         cfg = load_config(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return config_from_dict(cfg)
 
@@ -101,8 +101,9 @@ def cmd_seq_build(args) -> int:
 
 def cmd_seq_verify(args) -> int:
     try:
-        blocks = sequences.blocks_from_json(Path(args.infile).read_text())
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        with open(args.infile) as stream:
+            blocks = sequences.read_blocks(stream)
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read blocks from {args.infile}: {exc!r}") from exc
     problems = sequences.verify_blocks(blocks)
     for problem in problems:

@@ -10,10 +10,16 @@ level integral takes the same local x1 axis, the global x2 axis (which 2^j
 maps exactly onto the local one) and |c_j|^p once, outside the grid.  On an
 x2 row whose stencil points all have weight exactly 1 or 0 (the bumps are a
 partition of unity) it is T over the points of weight 1, so only the rows
-near the on-window's edges read w_j.  It is cached on the field cut at depth
-j, so every depth J >= j shares it.  Where the stencil translates are
-disjoint (|H| >= 4, or |h2| past the x2 extent) a difference norm is a
-binomial multiple of the level's L^p norm.
+near the on-window's edges read w_j, and only at their stencil points whose
+weight is neither.  It is cached on the field cut at depth j, so every depth
+J >= j shares it.  Where the stencil translates are disjoint (|H| >= 4, or
+|h2| past the x2 extent) a difference norm is a binomial multiple of the
+level's L^p norm.
+
+Difference norms are even in h: Delta_{-h}^M g(x) = (-1)^M Delta_h^M g(x - Mh),
+and the grid built for -h holds the points of the one for h shifted by Mh.  So
+the moduli compute one integral per pair +-h of default_h_set and give -h its
+mirror's value; the two integrals differ only by rounding.
 """
 
 from __future__ import annotations
@@ -142,8 +148,14 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
     stencil column is sorted, so cutting it where level_plateau changes from
     cell to cell splits the rows into runs on which every point's weight is
     1, 0 or unknown.  A run of rows whose weights are all 1 or 0 contributes
-    its length times T over the points of weight 1; only the runs near the
-    window's edges read w_j.
+    its length times T over the points of weight 1.  Only the runs near the
+    window's edges read w_j, at their points of unknown weight; their other
+    points take 1.0 or 0.0, level_weight's value to within 1 eps.
+
+    h and -h give the same integral up to rounding (module docstring).  On
+    the flagship field's steps, levels 2-10 and t = 2^-k for k <= 10, the two
+    differ by 1.1e-11 relative at worst (level 2, t = 2^-10, where small steps
+    cancel in T) and by at most 1e-14 for t >= 2^-6.
     """
     H, h2 = math.ldexp(h[0], j), h[1]
     half = 2.0 ** (1 - j)
@@ -163,7 +175,10 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
         int(n) * _bump_diff_lp_pow(p, M, H, du, int(mask))
         for mask, n in zip(masks[~edge], lengths[~edge]) if mask
     )
-    w = level_weight(field, j, cols[:, np.repeat(edge, lengths)])
+    state = np.repeat(runs[:, edge], lengths[edge], axis=1)  # of each edge-row stencil point
+    w = state.astype(float)
+    unknown = state < 0
+    w[unknown] = level_weight(field, j, cols[:, np.repeat(edge, lengths)][unknown])
     total += float(np.sum(np.abs(w.T @ _stencil_rows(M, H, du)) ** p)) * du
     return abs(field.coef(j)) ** p * math.ldexp(total, -j) * res
 
@@ -201,8 +216,11 @@ def _estimate(field: AtomicField, omega, desc, q, j_max, res_scale, h_samples):
 
 
 def field_modulus(field: AtomicField, t: float, res_scale: float = 1.0) -> float:
+    """max over the 16 steps of default_h_set(2, t).  Each radius lists its 8
+    directions by angle, so direction k + 4 mirrors k: the directions 0-3 of
+    each radius stand for their pairs."""
     levels = [(lf, j, 1.0) for lf, j in _level_fields(field)]
-    steps = [(float(h[0]), float(h[1])) for h in default_h_set(2, t)]
+    steps = [(float(h[0]), float(h[1])) for i, h in enumerate(default_h_set(2, t)) if i % 8 < 4]
     return _max_over_steps(levels, steps, level_diff_lp_pow, field.params.p, field.params.M, res_scale)
 
 
@@ -217,11 +235,16 @@ def field_besov_norm(field: AtomicField, desc: PsiDescriptor, j_max: int, res_sc
     return replace(semi, value=semi.value + field_lp(field, res_scale))
 
 
-def pm_seminorm(field: AtomicField, y: float, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
-    """1-D generalized seminorm of the partial map at y, q = inf, in field.params' s, p, M."""
+def pm_modulus(field: AtomicField, y: float, res_scale: float = 1.0):
+    """t -> max over the 6 steps of default_h_set(1, t) of the partial map's
+    difference norm at y; the steps t, 3t/4 and t/2 stand for their pairs."""
     p, M = field.params.p, field.params.M
     weights = partial_map(field, y).level_weights
     levels = [(field, j, abs(w) ** p) for j, w in weights.items() if w != 0.0]
-    omega = lambda t: _max_over_steps(
-        levels, default_h_set(1, t), pm_level_diff_lp_pow, p, M, res_scale)
+    return lambda t: _max_over_steps(levels, default_h_set(1, t)[::2], pm_level_diff_lp_pow, p, M, res_scale)
+
+
+def pm_seminorm(field: AtomicField, y: float, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
+    """1-D generalized seminorm of the partial map at y, q = inf, in field.params' s, p, M."""
+    omega = pm_modulus(field, y, res_scale)
     return _estimate(field, omega, desc, math.inf, j_max, res_scale, h_samples=6)

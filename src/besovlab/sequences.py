@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -347,17 +348,108 @@ def write_blocks(blocks: BlockSequence, out: TextIO, rows: Iterable[dict] | None
     out.write("\n  ]\n}\n")
 
 
-def blocks_from_json(text: str) -> BlockSequence:
-    data = json.loads(text)
-    levels = tuple(
-        BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"]))
-        for d in sorted(data["levels"], key=lambda d: d["j"])
-    )
-    num, den = data.get("cursor", [0, 1])
+_JSON_CHUNK = 1 << 16  # characters read_blocks reads at a time
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _JsonStream:
+    """The values and punctuation of a JSON text stream, in order, through a
+    buffer that holds the unread rest of one chunk and at most one value."""
+
+    def __init__(self, stream: TextIO):
+        self.stream, self.buf, self.pos = stream, "", 0
+        self.decoder = json.JSONDecoder()
+
+    def _more(self) -> bool:
+        """Append the next chunk to the unread text; False at end of stream.
+        A chunk is at least as long as the unread text, so a long value is
+        decoded a logarithmic number of times."""
+        chunk = self.stream.read(max(_JSON_CHUNK, len(self.buf) - self.pos))
+        if chunk:
+            self.buf, self.pos = self.buf[self.pos:] + chunk, 0
+        return bool(chunk)
+
+    def _peek(self) -> str:
+        """The next character after whitespace, not consumed; "" at the end."""
+        while True:
+            self.pos = _JSON_SPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self._more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def punct(self, allowed: str) -> str:
+        """Consume the next character, which must be one of allowed."""
+        c = self._peek()
+        if not c or c not in allowed:
+            raise ValueError(f"expected one of {allowed!r}, found {c or 'end of file'!r}")
+        self.pos += 1
+        return c
+
+    def value(self):
+        """Decode the next value.  One that ends within 2 characters of the
+        buffer's end may go on in the next chunk (a number cut after ".",
+        "e" or "e-" decodes as its prefix), so it is decoded again with more."""
+        self._peek()
+        while True:
+            try:
+                value, end = self.decoder.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError:
+                if not self._more():
+                    raise
+                continue
+            if end + 2 < len(self.buf) or not self._more():
+                self.pos = end
+                return value
+
+    def items(self) -> Iterator:
+        """The values of the array that starts here, decoded one at a time."""
+        self.punct("[")
+        if self._peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield self.value()
+            if self.punct(",]") == "]":
+                return
+
+    def members(self) -> Iterator[str]:
+        """The keys of the object that starts here; the caller consumes each
+        member's value before asking for the next key."""
+        self.punct("{")
+        if self._peek() == "}":
+            self.pos += 1
+            return
+        while True:
+            key = self.value()
+            if not isinstance(key, str):
+                raise ValueError(f"object key {key!r} is not a string")
+            self.punct(":")
+            yield key
+            if self.punct(",}") == "}":
+                return
+
+    def end(self) -> None:
+        if self._peek():
+            raise ValueError("extra data after the document")
+
+
+def read_blocks(stream: TextIO) -> BlockSequence:
+    """The BlockSequence of a blocks.json document, read from a text stream
+    one level object at a time: the top-level keys in any order, any JSON
+    whitespace.  Equals json.load of the whole document (tests/oracles.py);
+    a malformed or truncated one raises ValueError, KeyError or TypeError."""
+    doc, fields, levels = _JsonStream(stream), {}, []
+    for key in doc.members():
+        if key == "levels":
+            levels = [BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"]))
+                      for d in doc.items()]
+        else:
+            fields[key] = doc.value()
+    doc.end()
+    num, den = fields.get("cursor", [0, 1])
     return BlockSequence(
-        J=int(data["J"]),
-        levels=levels,
-        rearranged=bool(data.get("rearranged", False)),
+        J=int(fields["J"]),
+        levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
+        rearranged=bool(fields.get("rearranged", False)),
         cursor=Fraction(int(num), int(den)),
     )
 

@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from besovlab import atoms, fieldnorms, norms
-from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, psi0
+from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, partial_map, psi0
 from besovlab.norms import Box, BoxDomain
 from besovlab.reporting import write_csv
-from besovlab.sequences import LEVEL_COLUMNS, BlockSequence, level_table
+from besovlab.sequences import LEVEL_COLUMNS, BlockLevel, BlockSequence, level_table
 from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup
 
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
@@ -102,6 +102,24 @@ def full_grid_diff_lp_pow(field, j, p, M, h, res):
     return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
 
 
+def all_steps_field_modulus(field, t, res_scale=1.0):
+    """field_modulus with every one of the 16 steps of default_h_set(2, t)
+    computed.  Test oracle for the mirrored steps."""
+    levels = [(lf, j, 1.0) for lf, j in fieldnorms._level_fields(field)]
+    steps = [(float(h[0]), float(h[1])) for h in norms.default_h_set(2, t)]
+    p, M = field.params.p, field.params.M
+    return fieldnorms._max_over_steps(levels, steps, fieldnorms.level_diff_lp_pow, p, M, res_scale)
+
+
+def all_steps_pm_modulus(field, y, t, res_scale=1.0):
+    """pm_modulus(field, y)(t) with every one of the 6 steps of
+    default_h_set(1, t) computed.  Test oracle for the mirrored steps."""
+    p, M = field.params.p, field.params.M
+    levels = [(field, j, abs(w) ** p) for j, w in partial_map(field, y).level_weights.items() if w != 0.0]
+    steps = norms.default_h_set(1, t)
+    return fieldnorms._max_over_steps(levels, steps, fieldnorms.pm_level_diff_lp_pow, p, M, res_scale)
+
+
 def lemma_le_partial(u, m: float, n: int) -> float:
     """Partial sum over j = 1..n of u_j / (u_1 + ... + u_j)^m.
 
@@ -172,6 +190,23 @@ def blocks_to_json(blocks: BlockSequence) -> str:
         "cursor": [blocks.cursor.numerator, blocks.cursor.denominator],
         "levels": [{"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start} for lvl in blocks.levels],
     }, indent=2)
+
+
+def blocks_from_json(text: str) -> BlockSequence:
+    """The BlockSequence of a whole blocks.json text, through json.loads.
+    Test oracle for sequences.read_blocks."""
+    data = json.loads(text)
+    levels = tuple(
+        BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"]))
+        for d in sorted(data["levels"], key=lambda d: d["j"])
+    )
+    num, den = data.get("cursor", [0, 1])
+    return BlockSequence(
+        J=int(data["J"]),
+        levels=levels,
+        rearranged=bool(data.get("rearranged", False)),
+        cursor=Fraction(int(num), int(den)),
+    )
 
 
 def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:

@@ -97,6 +97,20 @@ def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):
     assert main(["seq-verify", str(out)]) == 1
 
 
+def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
+    """Truncated, malformed, non-JSON and non-UTF-8 files exit 2 with the
+    same message, whichever point the streamed reader reaches."""
+    out = tmp_path / "blocks.json"
+    assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "12"]) == 0
+    text = out.read_text()
+    bad = tmp_path / "bad.json"
+    for content in (text[: len(text) // 2].encode(), text[:-3].encode(), b"", b"\x89PNG\r\n\xff\xfe",
+                    text.replace('"start"', '"begin"', 1).encode(), (text + "]").encode()):
+        bad.write_bytes(content)
+        assert main(["seq-verify", str(bad)]) == 2, content[-20:]
+        assert f"cannot read blocks from {bad}" in capsys.readouterr().err
+
+
 def test_field_eval(config_path, tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("x1,x2\n24.0,1.5\n0.0,0.0\n")
@@ -361,13 +375,17 @@ def test_field_eval_at_a_deep_level(config_path, tmp_path):
 def test_unreadable_input_files_exit_2(config_path, tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
+    too_deep = tmp_path / "deep.json"  # json raises RecursionError, not ValueError
+    too_deep.write_text('{"J": ' + "[" * 100_000 + "]" * 100_000 + "}")
     missing = str(tmp_path / "missing")
     for argv in (
         ["--config", missing, "psi-check"],
         ["--config", str(bad_json), "psi-check"],
+        ["--config", str(too_deep), "psi-check"],
         ["--config", config_path, "field-eval", "--J", "4", "--points", missing],
         ["seq-verify", missing],
         ["seq-verify", str(bad_json)],
+        ["seq-verify", str(too_deep)],
         ["seq-verify", config_path],
     ):
         assert main(argv) == 2, argv
@@ -445,7 +463,7 @@ def int_str_digits():
 
 def test_seq_build_past_the_int_str_digit_limit_exits_2(config_path, tmp_path, capsys, monkeypatch,
                                                          int_str_digits):
-    """blocks.json, seq.csv and seq-verify's json.loads carry each start_j <
+    """blocks.json, seq.csv and seq-verify's JSON decoder carry each start_j <
     2^J as a decimal integer.  At the default limit of 4,300 digits seq-build
     stops at J = 14,284: J = 14,285 exits 2 before any block is built."""
     int_str_digits(4300)

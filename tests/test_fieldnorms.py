@@ -9,6 +9,7 @@ from besovlab.atoms import (
     AtomicField,
     eval_f,
     level_plateau,
+    level_weight,
     partial_map,
     psi0,
 )
@@ -22,10 +23,18 @@ from besovlab.fieldnorms import (
     level_diff_lp_pow,
     level_lp_pow,
     pm_level_diff_lp_pow,
+    pm_modulus,
     pm_seminorm,
 )
+from besovlab.experiments import x_probe_points
 from besovlab.slowly_varying import constant
-from oracles import full_grid_diff_lp_pow, level_box, support_boxes
+from oracles import (
+    all_steps_field_modulus,
+    all_steps_pm_modulus,
+    full_grid_diff_lp_pow,
+    level_box,
+    support_boxes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +244,55 @@ def test_plateau_reduction_matches_full_grid(window_field, window):
                     assert fast == pytest.approx(full_grid_diff_lp_pow(field, j, p, M, h, res),
                                                  rel=1e-11, abs=0.0), (h, M, p)
     assert signs == {-1.0, 1.0}
+
+
+def test_level_weight_is_its_plateau_state(field_j10, window_field, rng):
+    """Where level_plateau reads 1, level_weight is 1 to within 1 eps; where
+    it reads 0, level_weight is exactly 0.0: the values level_diff_lp_pow
+    takes for edge-row points of known state."""
+    cases = [(field_j10, j) for j in field_j10.active_levels()]
+    cases += [(window_field(*PLATEAU_WINDOWS[w]), PLATEAU_WINDOWS[w][0]) for w in ("wrapped", "full")]
+    seen = set()
+    for field, j in cases:
+        edges = np.ldexp(np.arange((1 << j) - 4, (2 << j) + 5, dtype=float), -j)
+        x = np.concatenate([rng.uniform(0.9, 2.1, 20_000), edges, np.nextafter(edges, -np.inf)])
+        state, w = level_plateau(field, j, x), level_weight(field, j, x)
+        assert np.all(np.abs(w[state == 1] - 1.0) <= np.finfo(float).eps)
+        assert np.all(w[state == 0] == 0.0) and not np.signbit(w[state == 0]).any()
+        seen.update(state.tolist())
+    assert seen == {-1, 0, 1}
+
+
+def test_mirrored_steps_give_the_same_integral(field_j10, flagship_params):
+    """Difference norms are even in h: at levels 2-10 and t = 2^-k, k = 0..10,
+    each step and its exact negation agree up to rounding, which small steps
+    magnify in T (README Known defects)."""
+    p, M = flagship_params.p, flagship_params.M
+    for j in field_j10.active_levels():
+        res = default_level_resolution(j)
+        for k in range(11):
+            for step in norms.default_h_set(2, 2.0**-k):
+                h = (float(step[0]), float(step[1]))
+                assert level_diff_lp_pow(field_j10, j, p, M, (-h[0], -h[1]), res) == pytest.approx(
+                    level_diff_lp_pow(field_j10, j, p, M, h, res), rel=2e-11, abs=0.0), (j, h)
+            for h in norms.default_h_set(1, 2.0**-k):
+                assert pm_level_diff_lp_pow(field_j10, j, p, M, -h, res) == pytest.approx(
+                    pm_level_diff_lp_pow(field_j10, j, p, M, h, res), rel=1e-13, abs=0.0), (j, h)
+
+
+@pytest.mark.parametrize("J", [6, 8, 10])
+def test_moduli_match_all_steps_oracle(field_j10, J):
+    """field_modulus and pm_modulus, which compute one step of each +-h pair,
+    equal the moduli over every step at the flagship's depths, t-levels and
+    16 y-probes."""
+    field = AtomicField(field_j10.params, field_j10.blocks, J)
+    ts = [2.0**-k for k in range(11)]
+    for t in ts:
+        assert field_modulus(field, t) == pytest.approx(all_steps_field_modulus(field, t), rel=1e-10, abs=0.0)
+    for y in map(float, x_probe_points(16)):
+        omega = pm_modulus(field, y)
+        for t in ts:
+            assert omega(t) == pytest.approx(all_steps_pm_modulus(field, y, t), rel=1e-10, abs=0.0), (y, t)
 
 
 class TestLevelReuse:

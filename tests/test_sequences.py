@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +15,6 @@ from besovlab.sequences import (
     BlockLevel,
     BlockSequence,
     block_average,
-    blocks_from_json,
     build_S,
     build_lambda_blocks,
     coverage_count,
@@ -23,12 +24,14 @@ from besovlab.sequences import (
     level_table,
     lemma_le_unit_partials,
     mixed_norm,
+    read_blocks,
     rearrange,
     sup_diagnostic,
     verify_blocks,
+    write_blocks,
 )
 from besovlab.slowly_varying import constant, log_power, tabulated
-from oracles import blocks_to_json, fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight
+from oracles import blocks_from_json, blocks_to_json, fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight
 
 # lemma.m of configs/flagship.json
 FLAGSHIP_LEMMA_M = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -491,12 +494,106 @@ class TestSupDiagnostic:
 # serialization and verification
 
 
+def _fields(blocks):
+    """Every field of a sequence; sequences themselves compare by identity."""
+    return [getattr(blocks, f) for f in ("J", "levels", "rearranged", "cursor")]
+
+
+def _read(text, chunk):
+    """read_blocks on text, reading chunk characters at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "_JSON_CHUNK", chunk)
+        return read_blocks(io.StringIO(text))
+
+
+def _doc(blocks, reverse=False):
+    """blocks.json's object; reverse puts every key and the levels in reverse order."""
+    order = reversed if reverse else list
+    levels = [dict(order(list({"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start}.items())))
+              for lvl in order(blocks.levels)]
+    return dict(order([("J", blocks.J), ("rearranged", blocks.rearranged),
+                       ("cursor", [blocks.cursor.numerator, blocks.cursor.denominator]), ("levels", levels)]))
+
+
+@pytest.fixture(scope="module")
+def blocks_j64(flagship_params, psi_one):
+    """64 levels, whose starts have up to 20 digits, with thetas in exponent
+    notation such as 1.7782794100389228e-05."""
+    blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, 64))
+    levels = tuple(replace(lvl, theta=lvl.theta * 1e-5) for lvl in blocks.levels)
+    return BlockSequence(J=64, levels=levels, rearranged=True, cursor=blocks.cursor)
+
+
 class TestSerialization:
     def test_json_round_trip(self, blocks_j8):
-        again = blocks_from_json(blocks_to_json(blocks_j8))
-        # sequences compare by identity; the round trip must keep every field
-        fields = ("J", "levels", "rearranged", "cursor")
-        assert [getattr(again, f) for f in fields] == [getattr(blocks_j8, f) for f in fields]
+        again = read_blocks(io.StringIO(blocks_to_json(blocks_j8)))
+        assert _fields(again) == _fields(blocks_j8)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+    def test_read_blocks_matches_whole_text_oracle(self, blocks_j8, blocks_j64, flagship_params, psi_one, chunk):
+        """write_blocks' own layout, rearranged or not, compact JSON and keys
+        and levels in reverse order, whatever chunk boundaries cut."""
+        for blocks in (blocks_j8, blocks_j64, build_lambda_blocks(psi_one, flagship_params, 8)):
+            out = io.StringIO()
+            write_blocks(blocks, out)
+            texts = [out.getvalue(), json.dumps(_doc(blocks), separators=(",", ":")),
+                     json.dumps(_doc(blocks, reverse=True), indent="\t")]
+            for text in texts:
+                assert _fields(_read(text, chunk)) == _fields(blocks_from_json(text)) == _fields(blocks)
+
+    def test_read_blocks_at_every_chunk_boundary(self, blocks_j64):
+        """A chunk that ends anywhere, also inside a top-level number such as
+        J = 0.4e+1 after its ".", "e" or "e+", changes nothing."""
+        levels = tuple(replace(lvl, theta=theta) for lvl, theta in zip(blocks_j64.levels[:5],
+                                                                        (0.0, 2.0, 1.25e-05, 3e+300, 0.5)))
+        text = json.dumps(_doc(BlockSequence(J=4, levels=levels))).replace('"J": 4', '"J": 0.4e+1')
+        expected = _fields(blocks_from_json(text))
+        assert expected[0] == 4
+
+        class CutStream:
+            """Reads as a file would, but the first read stops after cut characters."""
+
+            def __init__(self, cut):
+                self.pos, self.cut = 0, cut
+
+            def read(self, n):
+                end = min(self.pos + n, self.cut if self.pos < self.cut else len(text))
+                piece, self.pos = text[self.pos:end], end
+                return piece
+
+        for cut in range(1, len(text)):
+            assert _fields(read_blocks(CutStream(cut))) == expected, text[:cut]
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=st.integers(1, 48), reverse=st.booleans(), sort_keys=st.booleans(),
+           indent=st.one_of(st.none(), st.text(" \t\r\n", max_size=3)),
+           comma=st.text(" \t\r\n", max_size=2), colon=st.text(" \t\r\n", max_size=2),
+           around=st.text(" \t\r\n", max_size=3))
+    def test_read_blocks_takes_any_json_whitespace(self, blocks_j8, chunk, reverse, sort_keys,
+                                                   indent, comma, colon, around):
+        text = around + json.dumps(_doc(blocks_j8, reverse), indent=indent, sort_keys=sort_keys,
+                                   separators=("," + comma, ":" + colon)) + around
+        assert _fields(_read(text, chunk)) == _fields(blocks_from_json(text)) == _fields(blocks_j8)
+
+    def test_read_blocks_rejects_what_the_oracle_rejects(self, flagship_params, psi_one):
+        """Every prefix of a document, and malformed ones, raise as json.loads
+        does; only the whole document (with or without its newline) parses."""
+        out = io.StringIO()
+        write_blocks(rearrange(build_lambda_blocks(psi_one, flagship_params, 3)), out)
+        text = out.getvalue()
+        bad = [text[:cut] for cut in range(len(text) - 1)] + [
+            "{not json", "[]", "{}", '{"J": 2}', '{"J": 0, "levels": 5}', '{"J": 0, "levels": [1]}',
+            '{"J": 0, "levels": [{"j": 0, "theta": 0.0, "n": 0}]}', text + "x", text + "{}",
+            text.replace('"J"', "J"), text.replace(",", ",,", 1), text.replace("]", ",]", 1),
+        ]
+        for doc in bad:
+            for chunk in (1, 5, 1 << 16):
+                with pytest.raises((ValueError, KeyError, TypeError)):
+                    _read(doc, chunk)
+            with pytest.raises((ValueError, KeyError, TypeError)):
+                blocks_from_json(doc)
+        for doc in (text, text[:-1], '{"J": 0, "levels": [{"j": 0, "theta": 0.0, "n": 0, "start": 0}]}'):
+            assert _fields(_read(doc, 1)) == _fields(blocks_from_json(doc))
 
     def test_verify_accepts_fresh_build(self, blocks_j8):
         assert verify_blocks(blocks_j8) == []
