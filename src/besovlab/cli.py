@@ -2,17 +2,18 @@
 
 Subcommands: psi-check, seq-build, seq-verify, field-eval, norm-est,
 lemma-le, pathology-run, report.  Exit code 0 on a completed run, 2 on a
-rejected configuration or an unwritable output path.  CSV columns are stable
-across versions: lemma_le.csv has (m, n, partial_sum); sequence.csv and
-pathology.csv have (kind, tier, J, probe, value).
+rejected configuration, an unreadable input file or an unwritable output
+path.  Every JSON output is strict, with null for a non-finite value.  CSV
+columns are stable across versions: lemma_le.csv has (m, n, partial_sum);
+sequence.csv and pathology.csv have (kind, tier, J, probe, value).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import itertools
-import json
 import math
 import sys
 import warnings
@@ -25,7 +26,7 @@ from .atoms import AtomicField, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
 from .norms import Box, BoxDomain
 from .params import load_config
-from .reporting import read_csv, write_json
+from .reporting import output, read_csv, write_json
 from .slowly_varying import slow_variation_deviation, summability_partial
 
 
@@ -39,12 +40,6 @@ def _load_experiment_config(path: str | None) -> ExperimentConfig:
     return config_from_dict(cfg)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 PSI_CHECK_DEPTHS = (8, 64, 512)
 
 
@@ -52,36 +47,17 @@ def cmd_psi_check(args) -> int:
     config = _load_experiment_config(args.config)
     config.check_depth(max(PSI_CHECK_DEPTHS))
     kappa = config.params.kappa
-    finite = lambda v: v if math.isfinite(v) else None  # strict JSON: kappa = inf (p = q) is null
-    result = {
+    result = {  # kappa = inf (p = q) prints as null
         "classification": experiments.classify_condition(config.psi, kappa),
-        "kappa": finite(kappa),
-        "slow_variation_deviation_r0.5_j40": finite(slow_variation_deviation(config.psi, 0.5, 40)),
+        "kappa": kappa,
+        "slow_variation_deviation_r0.5_j40": slow_variation_deviation(config.psi, 0.5, 40),
     }
     if math.isfinite(kappa):
         result["summability_partials"] = {
             str(J): summability_partial(config.psi, kappa, J) for J in PSI_CHECK_DEPTHS
         }
-    json.dump(result, sys.stdout, indent=2, sort_keys=True, allow_nan=False)
-    print()
+    write_json(None, result)
     return 0
-
-
-@contextlib.contextmanager
-def _output(path: str | None, **open_kwargs):
-    """A text stream to path, its parent made, or stdout when path is None.
-    A command that fails while writing removes the file: no partial output."""
-    if path is None:
-        yield sys.stdout
-        return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", **open_kwargs)
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
 
 
 def cmd_seq_build(args) -> int:
@@ -93,8 +69,8 @@ def cmd_seq_build(args) -> int:
         raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, Python's {limit}-digit int-to-str limit")
     blocks = config.blocks(args.J, rearranged=not args.no_rearrange)
     rows = sequences.level_table(blocks, config.psi, config.params) if args.csv else None
-    csv_out = _output(args.csv, newline="") if args.csv else contextlib.nullcontext()
-    with _output(args.out) as out, csv_out as table:
+    csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
+    with output(args.out) as out, csv_out as table:
         sequences.write_blocks(blocks, out, rows, table)
     return 0
 
@@ -138,7 +114,7 @@ def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
     pts = _read_points(args.points)  # the whole file is checked before any output
     field = AtomicField(config.params, config.blocks(args.J), args.J)
-    with _output(args.out) as out:
+    with output(args.out) as out:
         out.write("x1,x2,f\n")
         for lo in range(0, len(pts), FIELD_EVAL_CHUNK):
             chunk = pts[lo:lo + FIELD_EVAL_CHUNK]
@@ -179,18 +155,14 @@ def cmd_norm_est(args) -> int:
         "h_samples": est.h_samples,
         "wall_time_ms": wall_ms,
     }
-    if args.out:
-        write_json(args.out, result)
-    else:
-        json.dump(result, sys.stdout, indent=2, sort_keys=True)
-        print()
+    write_json(args.out, result)
     return 0
 
 
 def cmd_lemma_le(args) -> int:
     config = _load_experiment_config(args.config)
     report = experiments.run_lemma_le(config)
-    files = experiments.emit_report(report, _out_dir(args), config.emit_svg)
+    files = experiments.emit_report(report, Path(args.out or "out"), config.emit_svg)
     for path in files:
         print(path)
     return 0
@@ -205,7 +177,7 @@ def cmd_pathology_run(args) -> int:
         experiments.run_sequence_experiment(config, exact),
         experiments.run_pathology(config, exact),
     ]
-    out = _out_dir(args)
+    out = Path(args.out or "out")
     files = []
     for report in reports:
         files += experiments.emit_report(report, out, config.emit_svg)
@@ -218,13 +190,15 @@ def cmd_pathology_run(args) -> int:
 
 def cmd_report(args) -> int:
     config = _load_experiment_config(args.config)
-    out = _out_dir(args)
+    out = Path(args.out or "out")
     verdicts = {}
     for name in ("lemma_le", "sequence", "pathology"):
         csv_path = out / f"{name}.csv"
-        if csv_path.exists():
-            rows = read_csv(csv_path)
-            verdicts[name] = experiments.verdicts_from_csv_rows(name, rows, config)
+        if csv_path.exists():  # every CSV is read before verdicts.json is written
+            try:
+                verdicts[name] = experiments.verdicts_from_csv_rows(name, read_csv(csv_path), config)
+            except (ArithmeticError, LookupError, OSError, TypeError, ValueError, csv.Error) as exc:
+                raise ConfigError(f"cannot read {csv_path}: {exc!r}") from exc
     write_json(out / "verdicts.json", verdicts)
     print(out / "verdicts.json")
     return 0

@@ -329,7 +329,7 @@ def _plateau_verdicts(rows: list[dict], kind: str) -> dict:
     lo, hi = float(bound_rows[0]["value"]), float(bound_rows[-1]["value"])
     return {
         f"{kind}_plateau": bool(hi <= lo * 1.05),
-        f"{kind}_values": {str(bound_rows[0]["J"]): lo, str(bound_rows[-1]["J"]): hi},
+        f"{kind}_values": {str(int(bound_rows[0]["J"])): lo, str(int(bound_rows[-1]["J"])): hi},
     }
 
 
@@ -500,19 +500,11 @@ def _trend_series(report: Report) -> dict[str, list[tuple[float, float]]]:
 
 
 def verdicts_from_csv_rows(name: str, rows: list[dict], config: ExperimentConfig) -> dict:
-    """Recompute a report's verdicts from parsed CSV rows (strings allowed),
-    plus the keys that follow from the configuration."""
-    parsed = []
-    for row in rows:
-        r = dict(row)
-        for key in ("value", "partial_sum", "m"):
-            if r.get(key) not in (None, ""):
-                r[key] = float(r[key])
-        for key in ("J", "n"):
-            if r.get(key) not in (None, ""):
-                r[key] = int(r[key])
-        parsed.append(r)
-    return _verdicts(name, parsed, config)
+    """Recompute a report's verdicts from its read_csv rows, plus the keys
+    that follow from the configuration.  Every verdict reads a cell through
+    int or float, and float(repr(x)) == x, so string cells give the run's
+    verdicts."""
+    return _verdicts(name, rows, config)
 
 
 def _verdicts(name: str, rows: list[dict], config: ExperimentConfig) -> dict:

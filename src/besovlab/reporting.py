@@ -1,18 +1,39 @@
 """CSV / JSON / SVG emission for experiment reports.
 
+Every output opens through `output`, which leaves no partial file behind.
 CSV cells are written with Python's shortest round-trip float repr, so a run
-with a fixed configuration is byte-reproducible.  The SVG writer is a tiny
-built-in line chart (no plotting dependency): depth on a logarithmic axis,
-one polyline per series.
+with a fixed configuration is byte-reproducible.  JSON is strict: a
+non-finite float is written as null.  The SVG writer is a tiny built-in line
+chart (no plotting dependency): depth on a logarithmic axis, one polyline
+per series.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import sys
 from collections.abc import Iterable
 from pathlib import Path
+
+
+@contextlib.contextmanager
+def output(path: str | Path | None):
+    """A text stream to path, its parent made, or stdout when path is None.
+    A command that fails while writing removes the file: no partial output."""
+    if path is None:
+        yield sys.stdout
+        return
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def format_cell(value) -> str:
@@ -26,9 +47,7 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: str | Path, fieldnames: list[str], rows: Iterable[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
@@ -40,12 +59,20 @@ def read_csv(path: str | Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def write_json(path: str | Path, data: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _finite(data):
+    """data with every non-finite float, at any depth, replaced by None."""
+    if isinstance(data, dict):
+        return {key: _finite(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_finite(value) for value in data]
+    return None if isinstance(data, float) and not math.isfinite(data) else data
+
+
+def write_json(path: str | Path | None, data) -> None:
+    """data as indented, key-sorted strict JSON to path, or to stdout when
+    path is None; NaN and infinities are written as null."""
+    with output(path) as fh:
+        fh.write(json.dumps(_finite(data), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -97,6 +124,5 @@ def write_svg_lines(
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    with output(path) as fh:
+        fh.write("\n".join(parts) + "\n")

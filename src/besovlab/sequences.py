@@ -352,99 +352,75 @@ _JSON_CHUNK = 1 << 16  # characters read_blocks reads at a time
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 
 
-class _JsonStream:
-    """The values and punctuation of a JSON text stream, in order, through a
-    buffer that holds the unread rest of one chunk and at most one value."""
-
-    def __init__(self, stream: TextIO):
-        self.stream, self.buf, self.pos = stream, "", 0
-        self.decoder = json.JSONDecoder()
-
-    def _more(self) -> bool:
-        """Append the next chunk to the unread text; False at end of stream.
-        A chunk is at least as long as the unread text, so a long value is
-        decoded a logarithmic number of times."""
-        chunk = self.stream.read(max(_JSON_CHUNK, len(self.buf) - self.pos))
-        if chunk:
-            self.buf, self.pos = self.buf[self.pos:] + chunk, 0
-        return bool(chunk)
-
-    def _peek(self) -> str:
-        """The next character after whitespace, not consumed; "" at the end."""
-        while True:
-            self.pos = _JSON_SPACE.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf) or not self._more():
-                return self.buf[self.pos:self.pos + 1]
-
-    def punct(self, allowed: str) -> str:
-        """Consume the next character, which must be one of allowed."""
-        c = self._peek()
-        if not c or c not in allowed:
-            raise ValueError(f"expected one of {allowed!r}, found {c or 'end of file'!r}")
-        self.pos += 1
-        return c
-
-    def value(self):
-        """Decode the next value.  One that ends within 2 characters of the
-        buffer's end may go on in the next chunk (a number cut after ".",
-        "e" or "e-" decodes as its prefix), so it is decoded again with more."""
-        self._peek()
-        while True:
-            try:
-                value, end = self.decoder.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError:
-                if not self._more():
-                    raise
-                continue
-            if end + 2 < len(self.buf) or not self._more():
-                self.pos = end
-                return value
-
-    def items(self) -> Iterator:
-        """The values of the array that starts here, decoded one at a time."""
-        self.punct("[")
-        if self._peek() == "]":
-            self.pos += 1
-            return
-        while True:
-            yield self.value()
-            if self.punct(",]") == "]":
-                return
-
-    def members(self) -> Iterator[str]:
-        """The keys of the object that starts here; the caller consumes each
-        member's value before asking for the next key."""
-        self.punct("{")
-        if self._peek() == "}":
-            self.pos += 1
-            return
-        while True:
-            key = self.value()
-            if not isinstance(key, str):
-                raise ValueError(f"object key {key!r} is not a string")
-            self.punct(":")
-            yield key
-            if self.punct(",}") == "}":
-                return
-
-    def end(self) -> None:
-        if self._peek():
-            raise ValueError("extra data after the document")
-
-
 def read_blocks(stream: TextIO) -> BlockSequence:
     """The BlockSequence of a blocks.json document, read from a text stream
     one level object at a time: the top-level keys in any order, any JSON
     whitespace.  Equals json.load of the whole document (tests/oracles.py);
-    a malformed or truncated one raises ValueError, KeyError or TypeError."""
-    doc, fields, levels = _JsonStream(stream), {}, []
-    for key in doc.members():
+    a malformed or truncated one raises ValueError, KeyError or TypeError.
+
+    The buffer holds the unread rest of one chunk and at most one value.  A
+    read is at least as long as the unread text, so a long value is decoded
+    a logarithmic number of times.
+    """
+    decoder, buf, pos = json.JSONDecoder(), "", 0
+
+    def more() -> bool:
+        """Append the next chunk to the unread text; False at end of stream."""
+        nonlocal buf, pos
+        chunk = stream.read(max(_JSON_CHUNK, len(buf) - pos))
+        if chunk:
+            buf, pos = buf[pos:] + chunk, 0
+        return bool(chunk)
+
+    def peek(expect: str = "") -> str:
+        """The next character after whitespace, "" at the end.  Given expect,
+        it must be one of those characters, and it is consumed."""
+        nonlocal pos
+        while (pos := _JSON_SPACE.match(buf, pos).end()) == len(buf) and more():
+            pass
+        c = buf[pos:pos + 1]
+        if expect:
+            if not c or c not in expect:
+                raise ValueError(f"expected one of {expect!r}, found {c or 'end of file'!r}")
+            pos += 1
+        return c
+
+    def value():
+        """Decode the next value.  One that ends within 2 characters of the
+        buffer's end may go on in the next chunk (a number cut after ".",
+        "e" or "e-" decodes as its prefix), so it is decoded again with more."""
+        nonlocal pos
+        peek()
+        while True:
+            try:
+                decoded, end = decoder.raw_decode(buf, pos)
+            except json.JSONDecodeError:
+                if not more():
+                    raise
+                continue
+            if end + 2 < len(buf) or not more():
+                pos = end
+                return decoded
+
+    fields, levels, sep = {}, [], peek("{")
+    while sep != "}":
+        key = value()
+        if not isinstance(key, str):
+            raise ValueError(f"object key {key!r} is not a string")
+        peek(":")
         if key == "levels":
-            levels = [BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"]))
-                      for d in doc.items()]
+            levels, sep = [], peek("[")
+            if peek() == "]":  # an empty array
+                sep = peek("]")
+            while sep != "]":
+                d = value()
+                levels.append(BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"])))
+                sep = peek(",]")
         else:
-            fields[key] = doc.value()
-    doc.end()
+            fields[key] = value()
+        sep = peek(",}")
+    if peek():
+        raise ValueError("extra data after the document")
     num, den = fields.get("cursor", [0, 1])
     return BlockSequence(
         J=int(fields["J"]),

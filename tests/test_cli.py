@@ -564,3 +564,47 @@ def test_field_eval_failing_in_the_last_chunk_writes_nothing(config_path, tmp_pa
                  "field-eval", "--J", str(J), "--points", str(points)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not result.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("sequence", "kind,tier,J,probe,value\nmixed_norm,exact,16,,abc\nmixed_norm,exact,32,,1.0\n"),
+        ("sequence", "kind,tier,J,probe,value\ndiagnostic,exact,16,1.0078125,1.0\n"),
+        ("sequence", "kind,tier,J,probe,value\nmixed_norm,exact\n"),
+        ("lemma_le", "a,b,c\n1,2,3\n"),
+        ("lemma_le", "m,n,partial_sum\n1.0,1,0.0\n1.0,2,0.0\n"),
+        ("pathology", "kind,tier,J,probe,value\npm_seminorm,grid,4,1.5,1.0\npm_seminorm,grid,6,1.5,2.0\n"
+                      "pm_coverage,exact,4,1.25,1.0\npm_coverage,exact,6,1.25,2.0\n"),
+    ],
+    ids=["value-not-a-number", "no-mixed-norm-rows", "short-row", "lemma-other-columns",
+         "lemma-partial-sums-zero", "pathology-coverage-of-other-probes"],
+)
+def test_report_on_an_unreadable_csv_exits_2(config_path, tmp_path, capsys, name, text):
+    """report reads CSVs from outside the program: one it cannot turn into
+    verdicts exits 2 with a message and leaves verdicts.json as it was."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / f"{name}.csv").write_text(text)
+    (out / "verdicts.json").write_text("before\n")
+    assert main(["--config", config_path, "--out", str(out), "report"]) == 2
+    assert f"configuration error: cannot read {out / f'{name}.csv'}: " in capsys.readouterr().err
+    assert (out / "verdicts.json").read_text() == "before\n"
+
+
+def test_a_zero_first_depth_writes_strict_json(tmp_path):
+    """At a first J.norm and J.mixed depth with no active level, the relative
+    increase and gap are infinite: every JSON file, before and after report,
+    parses under a strict parser and holds them as null."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "flagship.json")
+    cfg["J"] = {"norm": [1, 3], "seq": [1, 8], "mixed": [1, 2]}
+    cfg["lemma"]["n_max"] = 100
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    for command in ("pathology-run", "report"):
+        assert main(["--config", str(path), "--out", str(out), command]) == 0
+        files = {p.name: _strict_json(p.read_text()) for p in out.glob("*.json")}
+        assert len(files) == 4, sorted(files)
+        verdicts = files["verdicts.json"]
+        assert verdicts["pathology"]["norm2d_relative_increase"] is None
+        assert verdicts["sequence"]["mixed_norm_relative_gap"] is None

@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import pytest
 
 from besovlab.reporting import (
     format_cell,
@@ -72,3 +74,30 @@ def test_svg_tolerates_empty_series(tmp_path):
     path = tmp_path / "empty.svg"
     write_svg_lines(path, {})
     assert "<svg" in path.read_text()
+
+
+def test_write_csv_failing_partway_leaves_no_file(tmp_path):
+    path = tmp_path / "sub" / "table.csv"
+
+    def rows():
+        yield {"a": 1}
+        raise RuntimeError("row 2")
+
+    with pytest.raises(RuntimeError):
+        write_csv(path, ["a"], rows())
+    assert not path.exists() and path.parent.is_dir()
+
+
+def test_json_is_strict_with_null_for_non_finite_floats(tmp_path, capsys):
+    path = tmp_path / "sub" / "data.json"
+    data = {"b": [math.inf, (1.0, -math.inf)], "a": {"gap": math.nan, "ok": True}}
+    expected = {"a": {"gap": None, "ok": True}, "b": [None, [1.0, None]]}
+    write_json(path, data)
+    write_json(None, data)
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for text in (path.read_text(), capsys.readouterr().out):
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert json.loads(text, parse_constant=reject) == expected
