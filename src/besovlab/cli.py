@@ -15,6 +15,9 @@ import contextlib
 import csv
 import itertools
 import math
+import operator
+import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -88,39 +91,59 @@ def cmd_seq_verify(args) -> int:
     return 1 if problems else 0
 
 
-def _read_points(path: str) -> np.ndarray:
-    """(n, 2) array of the first two columns of a points CSV, whose first
-    line is a header when its first two cells read x1, x2.  Every cell must
-    be a finite number."""
-    try:
-        with open(path) as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no points
-            first = fh.readline()
-            header = [c.strip() for c in first.split(",")[:2]] == ["x1", "x2"]
-            lines = itertools.chain([] if header else [first], fh)
-            pts = np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"points file {path}: {exc}") from exc
-    if not np.isfinite(pts).all():
-        raise ConfigError(f"points file {path}: a point is not finite")
-    return pts
+# points per chunk of field-eval: each chunk is read, checked, evaluated and
+# written before the next is read, so memory does not grow with the file
+FIELD_EVAL_CHUNK = 1 << 12
 
 
-# points per eval_f call of field-eval: memory stays a few MB at any file size
-FIELD_EVAL_CHUNK = 1 << 14
+def _point_chunks(fh, path: str):
+    """The points of an open points CSV as (n, 2) arrays of its first two
+    columns, n <= FIELD_EVAL_CHUNK.  The first line is a header when its first
+    two cells read x1, x2.  Every cell must be a finite number; a bad cell is
+    reported with its line in the file."""
+    numbers = itertools.count(1)  # each line's number, paired with it at C speed
+    lines = map(operator.itemgetter(1), zip(numbers, fh))
+
+    def first_row():
+        first = next(lines, "")
+        if [c.strip() for c in first.split(",")[:2]] != ["x1", "x2"]:
+            yield first
+
+    rows = itertools.chain(first_row(), lines)
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a blank line, or no points left
+                pts = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2, max_rows=FIELD_EVAL_CHUNK)
+        except (OSError, UnicodeError) as exc:  # text is decoded in blocks, ahead of the lines
+            raise ConfigError(f"points file {path}: {exc}") from exc
+        except ValueError as exc:  # loadtxt stops at the bad line, and counts its rows within the chunk
+            message = re.sub(r" at row [0-9]+", "", str(exc))
+            raise ConfigError(f"points file {path}, line {next(numbers) - 1}: {message}") from exc
+        if not len(pts):
+            return
+        if not np.isfinite(pts).all():
+            raise ConfigError(f"points file {path}: a point is not finite")
+        yield pts
 
 
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
-    pts = _read_points(args.points)  # the whole file is checked before any output
-    field = AtomicField(config.params, config.blocks(args.J), args.J)
-    with output(args.out) as out:
-        out.write("x1,x2,f\n")
-        for lo in range(0, len(pts), FIELD_EVAL_CHUNK):
-            chunk = pts[lo:lo + FIELD_EVAL_CHUNK]
-            # eval_f is pointwise, so each value is bitwise that of one call on every point
-            cells = np.column_stack([chunk, eval_f(field, chunk)]).ravel().tolist()
-            out.write("%r,%r,%r\n" * len(chunk) % tuple(cells))
+    try:
+        points = open(args.points)
+    except OSError as exc:
+        raise ConfigError(f"points file {args.points}: {exc}") from exc
+    with points:
+        # output() empties --out before the points are read, so it must not be the points file
+        if args.out and os.path.exists(args.out) and os.path.samefile(args.points, args.out):
+            raise ConfigError(f"--out {args.out} is the points file, which field-eval reads as it writes")
+        field = AtomicField(config.params, config.blocks(args.J), args.J)
+        with output(args.out) as out:
+            out.write("x1,x2,f\n")
+            for chunk in _point_chunks(points, args.points):
+                # eval_f is pointwise, so each value is bitwise that of one call on every point
+                cells = np.column_stack([chunk, eval_f(field, chunk)]).ravel().tolist()
+                out.write("%r,%r,%r\n" * len(chunk) % tuple(cells))
     return 0
 
 
@@ -199,6 +222,8 @@ def cmd_report(args) -> int:
                 verdicts[name] = experiments.verdicts_from_csv_rows(name, read_csv(csv_path), config)
             except (ArithmeticError, LookupError, OSError, TypeError, ValueError, csv.Error) as exc:
                 raise ConfigError(f"cannot read {csv_path}: {exc!r}") from exc
+    if not verdicts and not out.is_file():  # a file at --out fails below, as an unwritable output
+        raise ConfigError(f"no lemma_le.csv, sequence.csv or pathology.csv in {out}")
     write_json(out / "verdicts.json", verdicts)
     print(out / "verdicts.json")
     return 0

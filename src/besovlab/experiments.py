@@ -82,6 +82,8 @@ class ExperimentConfig:
                 problems.append(f"{name} must lie in 1..{MAX_PROBES}, got {count}")
         if not 0 < self.res_scale <= MAX_RES_SCALE:  # NaN fails too
             problems.append(f"grid.res_scale must lie in (0, {MAX_RES_SCALE:g}], got {self.res_scale}")
+        if not all(math.isfinite(m) for m in self.lemma_m):
+            problems.append(f"lemma.m entries must be finite, got {self.lemma_m}")
         if not 1 <= self.lemma_n_max <= MAX_LEMMA_N:
             problems.append(f"lemma.n_max must lie in 1..{MAX_LEMMA_N}, got {self.lemma_n_max}")
         if problems:

@@ -22,17 +22,25 @@ from pathlib import Path
 @contextlib.contextmanager
 def output(path: str | Path | None):
     """A text stream to path, its parent made, or stdout when path is None.
-    A command that fails while writing removes the file: no partial output."""
+    A command that fails while writing removes the file and the directories
+    made for it: no partial output."""
     if path is None:
         yield sys.stdout
         return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="")
+    parent = Path(path).parent
+    made = [folder for folder in (parent, *parent.parents) if not folder.exists()]  # deepest first
+    parent.mkdir(parents=True, exist_ok=True)
+    fh = None
     try:
+        fh = open(path, "w", newline="")
         with fh:
             yield fh
     except BaseException:
-        Path(path).unlink(missing_ok=True)
+        if fh is not None:
+            Path(path).unlink(missing_ok=True)
+        for folder in made:
+            with contextlib.suppress(OSError):  # no longer empty: another process wrote there
+                folder.rmdir()
         raise
 
 

@@ -94,7 +94,9 @@ def lemma_le_unit_partials(m: float, checkpoints) -> list[float]:
     for lo in range(0, n_max, _LEMMA_CHUNK):
         hi = min(lo + _LEMMA_CHUNK, n_max)
         U = np.arange(lo + 1, hi + 1, dtype=float)
-        partials = np.cumsum(np.concatenate([[total], 1.0 / U**m]))  # partials[i] = S_(lo + i)
+        with np.errstate(over="ignore", divide="ignore"):  # U**m past the double range: a term of 0 or inf
+            terms = 1.0 / U**m
+        partials = np.cumsum(np.concatenate([[total], terms]))  # partials[i] = S_(lo + i)
         values.update((n, float(partials[n - lo])) for n in checkpoints if lo < n <= hi)
         total = partials[-1]
     return [values[n] for n in checkpoints]

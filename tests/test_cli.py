@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besovlab import sequences
-from besovlab.atoms import AtomicField
+from besovlab import cli, sequences
+from besovlab.atoms import AtomicField, eval_f
 from besovlab.cli import FIELD_EVAL_CHUNK, main
 from besovlab.atoms import psi0
 from besovlab.experiments import MAX_LEMMA_N, ExperimentConfig, config_from_dict
 from besovlab.params import load_config
-from oracles import blocks_to_json, field_eval_text, write_level_csv
+from oracles import blocks_to_json, field_eval_text, lemma_le_partials, write_level_csv
 
 
 @pytest.fixture
@@ -254,6 +254,9 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"q": 1e308}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"grid": {"res_scale": 1e-300}}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"grid": {"res_scale": 16}}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"lemma": {"m": [0.5, math.nan], "n_max": 2000}}, ["lemma-le"]),
+        ({"lemma": {"m": [math.inf], "n_max": 2000}}, ["lemma-le"]),
+        ({"lemma": {"m": [-math.inf], "n_max": 2000}}, ["pathology-run"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -276,7 +279,7 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "N-not-integral", "J-norm-not-integral", "x-probes-not-integral", "lemma-n-max-not-integral",
         "psi-table-j-not-integral", "psi-c-power-overflows", "psi-c-power-underflows",
         "control-psi-underflows", "estimate-term-q-overflows", "res-scale-too-fine",
-        "res-scale-too-coarse",
+        "res-scale-too-coarse", "lemma-m-nan", "lemma-m-inf", "lemma-m-minus-inf-pathology-run",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
@@ -547,23 +550,95 @@ def test_field_eval_chunks_write_the_single_call_bytes(config_path, tmp_path, he
     assert sum(float(line.rsplit(",", 1)[1]) > 0 for line in expected.splitlines()[1:]) > len(pts) // 4
 
 
-@pytest.mark.parametrize(
+# a bad cell, and a coefficient that overflows at the level only the last chunk reaches
+failing_last_chunks = pytest.mark.parametrize(
     "changes, J, last",
     [({}, 6, "1.5,abc"), ({"s": 0.5}, 2100, "16800.0,1.5")],
     ids=["bad-cell", "coefficient-overflows"],
 )
+
+
+@failing_last_chunks
 def test_field_eval_failing_in_the_last_chunk_writes_nothing(config_path, tmp_path, capsys, changes, J, last):
-    """A bad cell in the last chunk is found before any output is opened; a
-    coefficient that overflows there removes the partial output."""
+    """A bad cell or a coefficient that overflows in the last chunk exits 2
+    after the earlier chunks are written, and removes the partial output."""
+    result = tmp_path / "f.csv"
+    assert _field_eval_failing_in_the_third_chunk(config_path, tmp_path, changes, J, last, result) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not result.exists()
+
+
+def _field_eval_failing_in_the_third_chunk(config_path, tmp_path, changes, J, last, out) -> int:
+    """field-eval's exit code on a header, 2 chunks and 5 rows of points where
+    the field is 0, then the line `last` (line 2 FIELD_EVAL_CHUNK + 7)."""
     path = _with(config_path, tmp_path, **changes)
     far = "".join(f"{-3.0 - i},1.5\n" for i in range(2 * FIELD_EVAL_CHUNK + 5))
     points = tmp_path / "pts.csv"
     points.write_text("x1,x2\n" + far + last + "\n")
-    result = tmp_path / "f.csv"
-    assert main(["--config", path, "--out", str(result),
-                 "field-eval", "--J", str(J), "--points", str(points)]) == 2
+    return main(["--config", path, *(["--out", str(out)] if out else []),
+                 "field-eval", "--J", str(J), "--points", str(points)])
+
+
+@failing_last_chunks
+def test_a_failed_field_eval_leaves_no_directory(config_path, tmp_path, capsys, changes, J, last):
+    """The directories output() made for --out go with the removed file."""
+    out = tmp_path / "new" / "sub" / "f.csv"
+    assert _field_eval_failing_in_the_third_chunk(config_path, tmp_path, changes, J, last, out) == 2
     assert "configuration error" in capsys.readouterr().err
-    assert not result.exists()
+    assert not (tmp_path / "new").exists()
+
+
+def test_field_eval_names_the_file_line_of_a_bad_cell(config_path, tmp_path, capsys):
+    """The message names the bad cell's line in the file, not its row in the
+    chunk; on stdout the rows of the two earlier chunks are already printed."""
+    assert _field_eval_failing_in_the_third_chunk(config_path, tmp_path, {}, 6, "1.5,abc", None) == 2
+    captured = capsys.readouterr()
+    line = 2 * FIELD_EVAL_CHUNK + 7
+    assert captured.err == (f"configuration error: points file {tmp_path / 'pts.csv'}, line {line}: "
+                            "could not convert string 'abc' to float64, column 2.\n")
+    assert len(captured.out.splitlines()) == 1 + 2 * FIELD_EVAL_CHUNK
+
+
+def test_field_eval_streams_odd_lines_across_chunks(config_path, tmp_path, monkeypatch):
+    """Blank lines, comment lines, CRLF endings and a third column, each on a
+    chunk boundary, give the oracle's bytes on the parsed points; no eval_f
+    call gets more than FIELD_EVAL_CHUNK points."""
+    chunk, J = 5, 6
+    monkeypatch.setattr(cli, "FIELD_EVAL_CHUNK", chunk)
+    sizes = []
+
+    def counted_eval_f(field, pts):
+        sizes.append(len(pts))
+        return eval_f(field, pts)
+
+    monkeypatch.setattr(cli, "eval_f", counted_eval_f)
+    pts = _chunked_points(J, n=4 * chunk + 3)
+    lines = ["x1,x2", "", "# a comment"]
+    for i, (a, b) in enumerate(pts.tolist()):
+        lines.append(f"{a!r},{b!r}" + (",7" if i % chunk in (0, chunk - 1) else ""))
+        if i % chunk == chunk - 1:
+            lines += ["", "# between chunks"]
+    points = tmp_path / "pts.csv"
+    points.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    result = tmp_path / "f.csv"
+    assert main(["--config", config_path, "--out", str(result),
+                 "field-eval", "--J", str(J), "--points", str(points)]) == 0
+    config = config_from_dict(load_config(config_path))
+    expected = field_eval_text(AtomicField(config.params, config.blocks(J), J), pts)
+    assert result.read_bytes() == expected.encode()
+    assert sizes == [chunk] * 4 + [3]
+
+
+def test_field_eval_onto_its_points_file_exits_2(config_path, tmp_path, capsys):
+    """--out naming the points file, by any path, exits 2 and leaves it as it was."""
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2\n24.0,1.5\n")
+    (tmp_path / "sub").mkdir()
+    for out in (points, tmp_path / "sub" / ".." / "pts.csv"):
+        assert main(["--config", config_path, "--out", str(out),
+                     "field-eval", "--J", "6", "--points", str(points)]) == 2
+        assert "is the points file" in capsys.readouterr().err
+        assert points.read_text() == "x1,x2\n24.0,1.5\n"
 
 
 @pytest.mark.parametrize(
@@ -590,6 +665,41 @@ def test_report_on_an_unreadable_csv_exits_2(config_path, tmp_path, capsys, name
     assert main(["--config", config_path, "--out", str(out), "report"]) == 2
     assert f"configuration error: cannot read {out / f'{name}.csv'}: " in capsys.readouterr().err
     assert (out / "verdicts.json").read_text() == "before\n"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh-dir", "empty-dir"])
+def test_report_with_no_csv_exits_2(config_path, tmp_path, capsys, existing):
+    """report on an --out with none of its CSVs (a mistyped directory, say)
+    exits 2 and creates nothing."""
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+    assert main(["--config", config_path, "--out", str(out), "report"]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: no lemma_le.csv, sequence.csv or pathology.csv in {out}\n")
+    assert out.is_dir() == existing and not (existing and any(out.iterdir()))
+
+
+def test_lemma_le_past_the_double_range_warns_nothing(config_path, tmp_path):
+    """At m = 400, U**m overflows and at m = -400 it underflows: the partial
+    sums are the oracle's, bit for bit, with nothing on stderr even when
+    warnings are errors."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    path = _with(config_path, tmp_path, lemma={"m": [-400.0, 400.0], "n_max": 1000})
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "besovlab.cli", "--config", path,
+         "--out", str(tmp_path / "out"), "lemma-le"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = list(csv.DictReader((tmp_path / "out" / "lemma_le.csv").read_text().splitlines()))
+    with np.errstate(over="ignore", divide="ignore"):
+        for m in (-400.0, 400.0):
+            partials = lemma_le_partials(np.ones(1000), m, 1000)
+            got = [(int(r["n"]), float(r["partial_sum"])) for r in rows if float(r["m"]) == m]
+            assert got and got == [(n, float(partials[n - 1])) for n, _ in got]
 
 
 def test_a_zero_first_depth_writes_strict_json(tmp_path):

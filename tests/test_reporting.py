@@ -6,6 +6,7 @@ import pytest
 
 from besovlab.reporting import (
     format_cell,
+    output,
     read_csv,
     write_csv,
     write_json,
@@ -85,7 +86,16 @@ def test_write_csv_failing_partway_leaves_no_file(tmp_path):
 
     with pytest.raises(RuntimeError):
         write_csv(path, ["a"], rows())
-    assert not path.exists() and path.parent.is_dir()
+    assert not path.parent.exists() and tmp_path.is_dir()
+
+
+def test_a_failed_output_removes_only_the_directories_it_made(tmp_path):
+    (tmp_path / "kept").mkdir()
+    path = tmp_path / "kept" / "new" / "sub" / "table.csv"
+    with pytest.raises(RuntimeError), output(path) as fh:
+        fh.write("a\n")
+        raise RuntimeError("write failed")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]
 
 
 def test_json_is_strict_with_null_for_non_finite_floats(tmp_path, capsys):
