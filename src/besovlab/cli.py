@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, fieldnorms, norms, sequences
+from . import experiments, fieldnorms, sequences
 from .atoms import AtomicField, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
-from .norms import Box, BoxDomain
 from .params import load_config
 from .reporting import output, read_csv, write_json
 from .slowly_varying import slow_variation_deviation, summability_partial
@@ -96,25 +95,47 @@ def cmd_seq_verify(args) -> int:
 FIELD_EVAL_CHUNK = 1 << 12
 
 
-def _point_chunks(fh, path: str):
-    """The points of an open points CSV as (n, 2) arrays of its first two
-    columns, n <= FIELD_EVAL_CHUNK.  The first line is a header when its first
-    two cells read x1, x2.  Every cell must be a finite number; a bad cell is
-    reported with its line in the file."""
+def _rows(fh):
+    """(numbers, rows): the lines of an open points CSV after its header, if it
+    has one, and a counter whose next value less one is the last line's number."""
     numbers = itertools.count(1)  # each line's number, paired with it at C speed
     lines = map(operator.itemgetter(1), zip(numbers, fh))
 
-    def first_row():
+    def first_row():  # the first line is a header when its first two cells read x1, x2
         first = next(lines, "")
         if [c.strip() for c in first.split(",")[:2]] != ["x1", "x2"]:
             yield first
 
-    rows = itertools.chain(first_row(), lines)
-    while True:
+    return numbers, itertools.chain(first_row(), lines)
+
+
+def _load_points(rows, max_rows: int) -> np.ndarray:
+    """The first two cells of the next max_rows data rows; loadtxt reads no line past the last."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a blank line, or no points left
+        return np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2, max_rows=max_rows)
+
+
+def _line_of_point(fh, chunk: int, row: int) -> str:
+    """", line <n>" for row `row` of the 0-based chunk `chunk` of the points
+    file fh, read again up to that row.  "" if fh cannot seek."""
+    if not fh.seekable():
+        return ""
+    fh.seek(0)
+    numbers, rows = _rows(fh)
+    for size in [FIELD_EVAL_CHUNK] * chunk + [row + 1]:  # chunk by chunk, as _point_chunks read them
+        _load_points(rows, size)
+    return f", line {next(numbers) - 1}"
+
+
+def _point_chunks(fh, path: str):
+    """The points of an open points CSV as (n, 2) arrays of its first two
+    columns, n <= FIELD_EVAL_CHUNK.  Every cell must be a finite number; a bad
+    cell is reported with its line in the file."""
+    numbers, rows = _rows(fh)
+    for chunk in itertools.count():
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a blank line, or no points left
-                pts = np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2, max_rows=FIELD_EVAL_CHUNK)
+            pts = _load_points(rows, FIELD_EVAL_CHUNK)
         except (OSError, UnicodeError) as exc:  # text is decoded in blocks, ahead of the lines
             raise ConfigError(f"points file {path}: {exc}") from exc
         except ValueError as exc:  # loadtxt stops at the bad line, and counts its rows within the chunk
@@ -123,7 +144,8 @@ def _point_chunks(fh, path: str):
         if not len(pts):
             return
         if not np.isfinite(pts).all():
-            raise ConfigError(f"points file {path}: a point is not finite")
+            line = _line_of_point(fh, chunk, int(np.argmin(np.isfinite(pts).all(axis=1))))
+            raise ConfigError(f"points file {path}{line}: a point is not finite")
         yield pts
 
 
@@ -151,25 +173,15 @@ def cmd_norm_est(args) -> int:
     import time
 
     config = _load_experiment_config(args.config)
-    params = config.params
     start = time.perf_counter()
-    if args.target == "indicator":
-        config.check_depth(args.J, least=0)
-        # the dyadic sum reads 2^(j s) and t = 2^-j for j <= J
-        if args.J * params.s >= sys.float_info.max_exp or 2.0**-args.J == 0.0:
-            raise ConfigError(f"--J {args.J}: 2^(J s) or 2^-J is out of double range")
-        f = lambda x: ((np.asarray(x) >= 0) & (np.asarray(x) < 1)).astype(float)
-        domain = BoxDomain((Box((0.0,), (1.0,)),), 2.0**-12)
-        est = norms.besov_norm(f, config.psi, params.s, params.p, params.q, params.M, domain, args.J)
-    else:
-        config.check_grid_depth(args.J)
-        if args.target == "partial-map" and (args.y is None or not math.isfinite(args.y)):
-            raise ConfigError(f"target partial-map needs a finite --y, got {args.y}")
-        field = AtomicField(params, config.blocks(args.J), args.J)
-        if args.target == "field":
-            est = fieldnorms.field_besov_norm(field, config.psi, args.J, config.res_scale)
-        else:  # partial-map; argparse admits no other target
-            est = fieldnorms.pm_seminorm(field, args.y, config.psi, args.J, config.res_scale)
+    config.check_grid_depth(args.J)
+    if args.target == "partial-map" and (args.y is None or not math.isfinite(args.y)):
+        raise ConfigError(f"target partial-map needs a finite --y, got {args.y}")
+    field = AtomicField(config.params, config.blocks(args.J), args.J)
+    if args.target == "field":
+        est = fieldnorms.field_besov_norm(field, config.psi, args.J, config.res_scale)
+    else:  # partial-map; argparse admits no other target
+        est = fieldnorms.pm_seminorm(field, args.y, config.psi, args.J, config.res_scale)
     wall_ms = (time.perf_counter() - start) * 1e3
     result = {
         "value": est.value,
@@ -252,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, required=True)
     p.add_argument("--points", required=True, help="CSV with columns x1,x2")
 
-    p = sub.add_parser("norm-est", help="grid norm estimate for a selected function")
-    p.add_argument("--target", choices=["indicator", "field", "partial-map"], required=True)
+    p = sub.add_parser("norm-est", help="grid norm estimate of the field or a partial map")
+    p.add_argument("--target", choices=["field", "partial-map"], required=True)
     p.add_argument("--J", type=int, default=8, help="field depth / t-levels")
     p.add_argument("--y", type=float, help="freeze coordinate for partial-map")
 

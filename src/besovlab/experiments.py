@@ -99,12 +99,12 @@ class ExperimentConfig:
             raise ConfigError(f"grid-tier depth {J} is above the grid-tier cap {cap} less {finer:g}, "
                               f"for res_scale {self.res_scale}")
 
-    def check_depth(self, J: int, least: int = 1) -> None:
-        """Reject a depth J below `least`, above sequences.MAX_SEQ_DEPTH, past
-        a tabulated psi, or where psi leaves slowly_varying.weight_in_range,
+    def check_depth(self, J: int) -> None:
+        """Reject a depth J below 1, above sequences.MAX_SEQ_DEPTH, past a
+        tabulated psi, or where psi leaves slowly_varying.weight_in_range,
         before any block is built."""
-        if J < least:
-            raise ConfigError(f"--J must be >= {least}, got {J}")
+        if J < 1:
+            raise ConfigError(f"--J must be >= 1, got {J}")
         if J > sequences.MAX_SEQ_DEPTH:
             raise ConfigError(f"depth {J} is above the block cap {sequences.MAX_SEQ_DEPTH}")
         for name, psi in (("psi", self.psi), ("control_psi", self.control_psi)):

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .atoms import AtomicField, _bump_factor, level_plateau, level_weight, partial_map
-from .norms import Box, NormEstimate, _box_grid, _dyadic_seminorm, _stencil_coeffs, default_h_set
+from .norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from .slowly_varying import PsiDescriptor
 
 
@@ -71,7 +71,9 @@ def _disjoint_factor(M: int, p: float) -> float:
 
 def _stencil_axis(lo: float, hi: float, M: int, h: float, res: float) -> np.ndarray:
     """Midpoint grid over [lo, hi] widened by the reach of the stencil along h."""
-    return _box_grid(Box((lo - M * max(h, 0.0),), (hi - M * min(h, 0.0),)), res)[0]
+    lo, hi = lo - M * max(h, 0.0), hi - M * min(h, 0.0)
+    ncells = max(1, int(math.ceil((hi - lo) / res - 1e-9)))
+    return lo + (np.arange(ncells) + 0.5) * res
 
 
 @lru_cache(maxsize=4096)

@@ -332,7 +332,8 @@ def write_blocks(blocks: BlockSequence, out: TextIO, rows: Iterable[dict] | None
     """blocks as indented JSON to out and, given the level_table rows, the
     LEVEL_COLUMNS CSV to table, in one streamed pass over the levels: the bytes
     of json.dumps(indent=2) and reporting.write_csv (tests/oracles.py).  Each
-    start_j, whose decimal conversion is quadratic in j, is converted once."""
+    n_j and start_j, j-bit integers whose decimal conversion is quadratic in
+    j, is converted once."""
     cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
     out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
               f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
@@ -340,12 +341,12 @@ def write_blocks(blocks: BlockSequence, out: TextIO, rows: Iterable[dict] | None
         table.write(",".join(LEVEL_COLUMNS) + "\n")
     sep = ""
     for lvl, row in zip(blocks.levels, repeat(None) if rows is None else rows):
-        start = str(lvl.start)
+        n, start = str(lvl.n), str(lvl.start)
         out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
-                  f'      "n": {lvl.n},\n      "start": {start}\n    }}')
+                  f'      "n": {n},\n      "start": {start}\n    }}')
         sep = ","
         if row is not None:
-            table.write(f'{lvl.j},{row["S_j"]!r},{row["Gamma_j1"]!r},{lvl.n},{lvl.theta!r},{start},'
+            table.write(f'{lvl.j},{row["S_j"]!r},{row["Gamma_j1"]!r},{n},{lvl.theta!r},{start},'
                         f'{row["block_average"]!r},{row["mixed_norm_partial"]!r}\n')
     out.write("\n  ]\n}\n")
 

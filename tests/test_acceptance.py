@@ -15,7 +15,6 @@ import pytest
 from besovlab import experiments, sequences
 from besovlab.atoms import AtomicField, eval_f, eval_f_dense, psi0, psi_nd
 from besovlab.experiments import ExperimentConfig, config_from_dict
-from besovlab.norms import Box, BoxDomain, modulus, seminorm
 from besovlab.params import Params, load_config
 from besovlab.sequences import (
     BlockLevel,
@@ -28,7 +27,7 @@ from besovlab.sequences import (
     sup_diagnostic,
 )
 from besovlab.slowly_varying import SATISFIED, VIOLATED, classify_condition, constant, log_power
-from oracles import lemma_le_partials, materialize, total_window_weight
+from oracles import Box, BoxDomain, lemma_le_partials, materialize, modulus, seminorm, total_window_weight
 
 FLAGSHIP = Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
 PSI_ONE = constant(1.0)

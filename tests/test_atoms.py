@@ -17,10 +17,9 @@ from besovlab.atoms import (
     psi_nd,
 )
 from besovlab.cli import FIELD_EVAL_CHUNK
-from besovlab.norms import Box, BoxDomain
 from besovlab.params import Params
 from besovlab.slowly_varying import constant
-from oracles import bump_v, level_box, per_delta_level_weight, support_boxes
+from oracles import Box, BoxDomain, bump_v, level_box, per_delta_level_weight, support_boxes
 
 
 class TestBumps:

@@ -123,16 +123,6 @@ def test_field_eval(config_path, tmp_path, capsys):
     assert float(lines[2].split(",")[2]) == 0.0
 
 
-def test_norm_est_indicator(config_path, tmp_path):
-    out = tmp_path / "est.json"
-    assert main(["--config", config_path, "--out", str(out),
-                 "norm-est", "--target", "indicator", "--J", "4"]) == 0
-    est = json.loads(out.read_text())
-    assert est["value"] > 0.0
-    assert est["t_levels"] == 5
-    assert "wall_time_ms" in est
-
-
 def test_norm_est_partial_map_needs_y(config_path):
     assert main(["--config", config_path, "norm-est", "--target", "partial-map"]) == 2
 
@@ -202,6 +192,7 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"N": 3, "d": 2}, ["norm-est", "--target", "field", "--J", "4"]),
         ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n1.5,np.float64(66.0)\n"]),
         ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n1.5,1.5\n24.0\n"]),
+        ({}, ["field-eval", "--J", "4", "--points", "x1,x2\n1.5,1.5\n   \n24.0,1.5\n"]),
         ({"grid": {"res_scale": -1}}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"grid": {"res_scale": 0}}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"probes": {"x": "abc", "y": 2}}, ["psi-check"]),
@@ -216,9 +207,6 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"q": 1}, ["pathology-run"]),
         ({"q": 1}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"q": 1}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "1.5"]),
-        ({}, ["norm-est", "--target", "indicator", "--J", "683"]),
-        ({}, ["norm-est", "--target", "indicator", "--J", "1100"]),
-        ({"s": 0.5}, ["norm-est", "--target", "indicator", "--J", "1100"]),
         ({"lemma": {"m": [0.5], "n_max": MAX_LEMMA_N + 1}}, ["lemma-le"]),
         ({}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "nan"]),
         ({}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "inf"]),
@@ -228,7 +216,6 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"M": 1}, ["pathology-run"]),
         ({"M": 1}, ["norm-est", "--target", "field", "--J", "4"]),
         ({"M": 1}, ["norm-est", "--target", "partial-map", "--J", "4", "--y", "1.5"]),
-        ({"M": 1}, ["norm-est", "--target", "indicator", "--J", "4"]),
         ({"L": 0.9}, ["psi-check"]),
         ({"L": 0.9}, ["seq-build", "--J", "4"]),
         ({"L": 0.9}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,1.5\n"]),
@@ -263,16 +250,16 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "psi-table-short-of-run", "psi-table-short-of-psi-check", "psi-table-short-of-J",
         "seq-build-J-0", "norm-est-field-above-grid-cap", "norm-est-partial-map-above-grid-cap",
         "norm-est-field-not-planar", "field-eval-cell-not-a-float", "field-eval-one-cell-row",
+        "field-eval-whitespace-only-line",
         "res-scale-negative", "res-scale-zero", "x-probes-not-an-int", "diag-threshold-not-a-float",
         "lemma-n-max-0", "seq-build-above-block-cap", "field-eval-above-block-cap",
         "J-seq-above-block-cap", "J-mixed-above-block-cap",
         "p-equals-q-seq-build", "p-equals-q-field-eval", "p-equals-q-pathology-run",
         "p-equals-q-norm-est-field", "p-equals-q-norm-est-partial-map",
-        "indicator-2-to-Js-overflows", "indicator-J-1100", "indicator-2-to-minus-J-underflows",
         "lemma-n-max-above-cap", "partial-map-y-nan", "partial-map-y-inf",
         "field-eval-point-nan", "field-eval-point-inf", "field-eval-coefficient-overflows",
         "M-below-s-pathology-run", "M-below-s-norm-est-field", "M-below-s-norm-est-partial-map",
-        "M-below-s-norm-est-indicator", "L-above-bound-psi-check", "L-above-bound-seq-build",
+        "L-above-bound-psi-check", "L-above-bound-seq-build",
         "L-above-bound-field-eval", "L-above-bound-norm-est", "L-above-bound-lemma-le",
         "L-above-bound-report", "N-3-psi-check", "N-3-seq-build", "N-3-field-eval", "N-3-lemma-le",
         "N-3-pathology-run", "d-2-norm-est-partial-map", "q-below-p-psi-check", "M-not-integral",
@@ -430,13 +417,20 @@ def test_removed_global_flags_are_rejected(config_path):
             main(["--config", config_path, flag, "1", "psi-check"])
 
 
+def test_removed_indicator_target_is_rejected(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", config_path, "norm-est", "--target", "indicator", "--J", "4"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'indicator'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["--out", "DIR", "seq-build", "--J", "4"],
         ["seq-build", "--J", "4", "--csv", "DIR"],
         ["--out", "DIR", "field-eval", "--J", "4", "--points", "POINTS"],
-        ["--out", "DIR", "norm-est", "--target", "indicator", "--J", "2"],
+        ["--out", "DIR", "norm-est", "--target", "field", "--J", "2"],
         ["--out", "FILE", "lemma-le"],
         ["--out", "FILE", "pathology-run"],
         ["--out", "FILE", "report"],
@@ -597,6 +591,34 @@ def test_field_eval_names_the_file_line_of_a_bad_cell(config_path, tmp_path, cap
     assert captured.err == (f"configuration error: points file {tmp_path / 'pts.csv'}, line {line}: "
                             "could not convert string 'abc' to float64, column 2.\n")
     assert len(captured.out.splitlines()) == 1 + 2 * FIELD_EVAL_CHUNK
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+@pytest.mark.parametrize("bad", ["nan,1.5", "16.0,inf", "-inf,-inf"])
+def test_field_eval_names_the_file_line_of_a_non_finite_point(config_path, tmp_path, capsys, monkeypatch,
+                                                               header, bad):
+    """A cell that parses to NaN or an infinity, in the second chunk, is
+    reported with its line in the file, blank and # lines counted."""
+    monkeypatch.setattr(cli, "FIELD_EVAL_CHUNK", 3)
+    lines = ["12.0,1.5", "", "# c", "13.0,1.5", "14.0,1.5", "", "15.0,1.5", "# between", bad, "17.0,1.5"]
+    points = tmp_path / "pts.csv"
+    points.write_text("\n".join(["x1,x2"] * header + lines) + "\n")
+    assert main(["--config", config_path, "field-eval", "--J", "4", "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: points file {points}, line {9 + header}: a point is not finite\n"
+    assert len(captured.out.splitlines()) == 1 + 3
+
+
+def test_field_eval_names_no_line_for_a_non_finite_point_in_a_pipe(config_path, capsys):
+    """A points file that cannot seek is not read again for the line."""
+    read, write = os.pipe()
+    os.write(write, b"x1,x2\n12.0,1.5\nnan,1.5\n")
+    os.close(write)
+    try:
+        assert main(["--config", config_path, "field-eval", "--J", "4", "--points", f"/dev/fd/{read}"]) == 2
+    finally:
+        os.close(read)
+    assert capsys.readouterr().err == f"configuration error: points file /dev/fd/{read}: a point is not finite\n"
 
 
 def test_field_eval_streams_odd_lines_across_chunks(config_path, tmp_path, monkeypatch):

@@ -29,10 +29,13 @@ from besovlab.fieldnorms import (
 from besovlab.experiments import x_probe_points
 from besovlab.slowly_varying import constant
 from oracles import (
+    Box,
+    BoxDomain,
     all_steps_field_modulus,
     all_steps_pm_modulus,
     full_grid_diff_lp_pow,
     level_box,
+    seminorm,
     support_boxes,
 )
 
@@ -132,7 +135,7 @@ class TestAgainstGenericPath:
         fast_uniform = (math.fsum(x**params.q for x in fast_uniform_terms) * norms.LN2) ** (1.0 / params.q)
 
         domain = support_boxes(small_field, resolution=res)
-        generic = norms.seminorm(
+        generic = seminorm(
             lambda x: eval_f(small_field, x), constant(1.0), params.s, params.p,
             params.q, params.M, domain, j_max=4,
         )
@@ -143,14 +146,12 @@ class TestAgainstGenericPath:
         y = 1.51
         res = 2.0**-9
         g = partial_map(small_field, y)
-        from besovlab.norms import Box, BoxDomain
-
         boxes = tuple(
             Box((level_box(small_field, j).lo[0],), (level_box(small_field, j).hi[0],))
             for j in small_field.active_levels()
         )
         domain = BoxDomain(boxes, res)
-        generic = norms.seminorm(
+        generic = seminorm(
             g, constant(1.0), params.s, params.p, math.inf, params.M, domain, j_max=4
         )
         fast_terms = []

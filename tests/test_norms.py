@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from besovlab.norms import (
-    Box,
-    BoxDomain,
-    besov_norm,
-    default_h_set,
-    finite_diff,
-    lp_quasinorm,
-    modulus,
-    seminorm,
-)
+from besovlab.norms import default_h_set
 from besovlab.slowly_varying import constant, log_power
+from oracles import Box, BoxDomain, besov_norm, finite_diff, lp_quasinorm, modulus, seminorm
 
 
 def indicator(x):
