@@ -179,9 +179,9 @@ def cmd_norm_est(args) -> int:
         raise ConfigError(f"target partial-map needs a finite --y, got {args.y}")
     field = AtomicField(config.params, config.blocks(args.J), args.J)
     if args.target == "field":
-        est = fieldnorms.field_besov_norm(field, config.psi, args.J, config.res_scale)
+        est = fieldnorms.field_besov_norm(field, config.psi, args.J)
     else:  # partial-map; argparse admits no other target
-        est = fieldnorms.pm_seminorm(field, args.y, config.psi, args.J, config.res_scale)
+        est = fieldnorms.pm_seminorm(field, args.y, config.psi, args.J)
     wall_ms = (time.perf_counter() - start) * 1e3
     result = {
         "value": est.value,
@@ -197,7 +197,7 @@ def cmd_norm_est(args) -> int:
 def cmd_lemma_le(args) -> int:
     config = _load_experiment_config(args.config)
     report = experiments.run_lemma_le(config)
-    files = experiments.emit_report(report, Path(args.out or "out"), config.emit_svg)
+    files = experiments.emit_report(report, Path(args.out or "out"))
     for path in files:
         print(path)
     return 0
@@ -215,7 +215,7 @@ def cmd_pathology_run(args) -> int:
     out = Path(args.out or "out")
     files = []
     for report in reports:
-        files += experiments.emit_report(report, out, config.emit_svg)
+        files += experiments.emit_report(report, out)
     write_json(out / "verdicts.json", {report.name: report.verdicts for report in reports})
     files.append(out / "verdicts.json")
     for path in files:

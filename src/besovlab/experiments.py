@@ -5,11 +5,12 @@ memory), grid norm estimates stay shallow (J <= 10).  Each recorded row states
 which tier produced it.  Verdicts are pure functions of the recorded rows, so
 re-deriving them from the emitted CSVs reproduces verdicts.json; "divergent"
 at desk scale means strict monotone growth across the last sweep depths plus
-exceeding a configured threshold -- the report never claims infinity.
+exceeding DIAG_THRESHOLD -- the report never claims infinity.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -31,10 +32,10 @@ from .slowly_varying import (
 
 LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100_000, 200_000, 1_000_000)
 DIVERGENCE_PARTIAL_THRESHOLD = 10.0
+DIAG_THRESHOLD = 2.5
+# Settings with one value.  A config may name each, at that value only.
+FIXED_SETTINGS = {"grid.res_scale": 1.0, "diag_threshold": DIAG_THRESHOLD, "emit_svg": True}
 MAX_PROBES = 127
-# Coarsest grid: 64/res_scale midpoints (spacing res_scale/16 in u) across the
-# bump's support (-2, 2).  Coarser grids miss bumps: norm values fall to 0.0.
-MAX_RES_SCALE = 4.0
 # Largest lemma.n_max.  The suite streams the series in chunks of 2^16 terms,
 # so its memory does not grow with n_max: at this cap five m take about 0.35 s
 # and 32 MB of VmHWM in all, 2 MB above the resident size before the suite.
@@ -57,10 +58,7 @@ class ExperimentConfig:
     y_probes: int = 16
     lemma_m: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 3.0)
     lemma_n_max: int = 1_000_000
-    res_scale: float = 1.0
-    diag_threshold: float = 2.5
     control_psi: PsiDescriptor | None = None
-    emit_svg: bool = True
 
     def __post_init__(self):
         # the input gate: every violation in one ConfigError, then the depth checks
@@ -80,8 +78,6 @@ class ExperimentConfig:
             count = getattr(self, name)
             if not 1 <= count <= MAX_PROBES:
                 problems.append(f"{name} must lie in 1..{MAX_PROBES}, got {count}")
-        if not 0 < self.res_scale <= MAX_RES_SCALE:  # NaN fails too
-            problems.append(f"grid.res_scale must lie in (0, {MAX_RES_SCALE:g}], got {self.res_scale}")
         if not all(math.isfinite(m) for m in self.lemma_m):
             problems.append(f"lemma.m entries must be finite, got {self.lemma_m}")
         if not 1 <= self.lemma_n_max <= MAX_LEMMA_N:
@@ -92,12 +88,10 @@ class ExperimentConfig:
         self.check_depth(self.deepest)
 
     def check_grid_depth(self, J: int) -> None:
-        """Reject a grid-tier depth J above fieldnorms.grid_depth_cap, lowered
-        by log2(1/r) at res_scale r < 1: such a grid is that many levels finer."""
-        cap, finer = fieldnorms.grid_depth_cap(self.params.M), max(0.0, -math.log2(self.res_scale))
-        if J + finer > cap:
-            raise ConfigError(f"grid-tier depth {J} is above the grid-tier cap {cap} less {finer:g}, "
-                              f"for res_scale {self.res_scale}")
+        """Reject a grid-tier depth J above fieldnorms.grid_depth_cap."""
+        cap = fieldnorms.grid_depth_cap(self.params.M)
+        if J > cap:
+            raise ConfigError(f"grid-tier depth {J} is above the grid-tier cap {cap}")
 
     def check_depth(self, J: int) -> None:
         """Reject a depth J below 1, above sequences.MAX_SEQ_DEPTH, past a
@@ -135,27 +129,33 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
         j_cfg = cfg.get("J", {})
         if isinstance(j_cfg, (list, tuple)):
             j_cfg = {"norm": list(j_cfg)}
-        grid = cfg.get("grid", {})
         probes = cfg.get("probes", {})
         lemma = cfg.get("lemma", {})
         control = cfg.get("control_psi")
         kwargs = dict(
             params=params,
             psi=psi_from_dict(cfg["psi"]),
-            res_scale=float(grid.get("res_scale", 1.0)),
-            x_probes=as_int(probes.get("x", 64), "probes.x"),
-            y_probes=as_int(probes.get("y", 16), "probes.y"),
-            diag_threshold=float(cfg.get("diag_threshold", 2.5)),
             control_psi=psi_from_dict(control) if control else None,
-            emit_svg=bool(cfg.get("emit_svg", True)),
         )
         for key in ("norm", "seq", "mixed"):
             if key in j_cfg:
                 kwargs[f"J_{key}"] = tuple(as_int(j, f"J.{key}") for j in j_cfg[key])
+        for key in ("x", "y"):
+            if key in probes:
+                kwargs[f"{key}_probes"] = as_int(probes[key], f"probes.{key}")
         if "m" in lemma:
             kwargs["lemma_m"] = tuple(float(m) for m in lemma["m"])
         if "n_max" in lemma:
             kwargs["lemma_n_max"] = as_int(lemma["n_max"], "lemma.n_max")
+        for key, fixed in FIXED_SETTINGS.items():
+            *parents, leaf = key.split(".")
+            node = cfg
+            for parent in parents:
+                node = node.get(parent, {})
+            value = node.get(leaf, fixed)
+            # True == 1 in Python: a bool must not pass for 1.0, nor 1 for true
+            if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
+                raise ConfigError(f"{key} is fixed at {json.dumps(fixed)}, got {json.dumps(value)}")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(**kwargs)
@@ -309,13 +309,13 @@ def _min_diag_by_depth(rows: list[dict]) -> dict[int, float]:
     return out
 
 
-def _divergence_verdicts(rows: list[dict], diag_threshold: float) -> dict:
+def _divergence_verdicts(rows: list[dict]) -> dict:
     """The minimum diagnostic over probes per depth, and whether it grows
-    strictly across the last three depths past diag_threshold."""
+    strictly across the last three depths past DIAG_THRESHOLD."""
     min_diag = _min_diag_by_depth(rows)
     depths = sorted(min_diag)[-3:]
     increasing = all(min_diag[a] < min_diag[b] for a, b in zip(depths, depths[1:]))
-    divergent = increasing and depths and min_diag[depths[-1]] > diag_threshold
+    divergent = increasing and depths and min_diag[depths[-1]] > DIAG_THRESHOLD
     return {
         "diagnostic_divergent": bool(divergent),
         "min_diagnostic_by_depth": {str(J): min_diag[J] for J in sorted(min_diag)},
@@ -335,7 +335,7 @@ def _plateau_verdicts(rows: list[dict], kind: str) -> dict:
     }
 
 
-def sequence_verdicts(rows: list[dict], J_mixed, diag_threshold: float) -> dict:
+def sequence_verdicts(rows: list[dict], J_mixed) -> dict:
     J1, J2 = J_mixed[-2], J_mixed[-1]
     v1 = _value_at(rows, "mixed_norm", J1)
     v2 = _value_at(rows, "mixed_norm", J2)
@@ -343,7 +343,7 @@ def sequence_verdicts(rows: list[dict], J_mixed, diag_threshold: float) -> dict:
     return {
         "mixed_norm_cauchy": bool(mixed_rel < 0.05),
         "mixed_norm_relative_gap": mixed_rel,
-        **_divergence_verdicts(rows, diag_threshold),
+        **_divergence_verdicts(rows),
         **_plateau_verdicts(rows, "forced_bound"),
     }
 
@@ -361,7 +361,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     j_max = max(config.J_norm)  # common t-depth so the sweep compares like with like
     for J in config.J_norm:
         field = AtomicField(params, blocks, J)
-        est = fieldnorms.field_besov_norm(field, constant(1.0), j_max, config.res_scale)
+        est = fieldnorms.field_besov_norm(field, constant(1.0), j_max)
         rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
     y_probes = [float(x) for x in x_probe_points(config.y_probes)]
@@ -369,7 +369,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     for d, J in enumerate(config.J_norm):
         field = AtomicField(params, blocks, J)
         for y, profile in zip(y_probes, coverage):
-            est = fieldnorms.pm_seminorm(field, y, desc, j_max, config.res_scale)
+            est = fieldnorms.pm_seminorm(field, y, desc, j_max)
             rows.append(_row("pm_seminorm", "grid", J, y, est.value))
             rows.append(_row("pm_coverage", "exact", J, y, float(profile[d][1])))
     rows.extend(exact.diagnostics)
@@ -438,7 +438,7 @@ def _pm_growth_where_covered(pm: dict, cov: dict) -> dict:
     }
 
 
-def pathology_verdicts(rows: list[dict], diag_threshold: float) -> dict:
+def pathology_verdicts(rows: list[dict]) -> dict:
     norm_rows = sorted(_rows_of_kind(rows, "norm2d"), key=lambda r: int(r["J"]))
     verdicts: dict = {}
     if len(norm_rows) >= 2:
@@ -458,7 +458,7 @@ def pathology_verdicts(rows: list[dict], diag_threshold: float) -> dict:
     if pm and cov:
         verdicts.update(_pm_growth_where_covered(pm, cov))
     if _rows_of_kind(rows, "diagnostic"):
-        verdicts.update(_divergence_verdicts(rows, diag_threshold))
+        verdicts.update(_divergence_verdicts(rows))
     verdicts.update(_plateau_verdicts(rows, "control_bound"))
     return verdicts
 
@@ -467,20 +467,14 @@ def pathology_verdicts(rows: list[dict], diag_threshold: float) -> dict:
 # Emission
 
 
-def emit_report(report: Report, out_dir: str | Path, emit_svg: bool = True) -> list[Path]:
+def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
-    files = []
-    csv_path = out / f"{report.name}.csv"
+    csv_path, verdict_path, svg_path = (
+        out / f"{report.name}{suffix}" for suffix in (".csv", "_verdicts.json", "_trends.svg"))
     write_csv(csv_path, report.fieldnames, report.rows)
-    files.append(csv_path)
-    verdict_path = out / f"{report.name}_verdicts.json"
     write_json(verdict_path, report.verdicts)
-    files.append(verdict_path)
-    if emit_svg:
-        svg_path = out / f"{report.name}_trends.svg"
-        write_svg_lines(svg_path, _trend_series(report), title=report.name)
-        files.append(svg_path)
-    return files
+    write_svg_lines(svg_path, _trend_series(report), title=report.name)
+    return [csv_path, verdict_path, svg_path]
 
 
 def _trend_series(report: Report) -> dict[str, list[tuple[float, float]]]:
@@ -515,9 +509,9 @@ def _verdicts(name: str, rows: list[dict], config: ExperimentConfig) -> dict:
     if name == "lemma_le":
         verdicts = lemma_le_verdicts(rows)
     elif name == "sequence":
-        verdicts = sequence_verdicts(rows, config.J_mixed, config.diag_threshold)
+        verdicts = sequence_verdicts(rows, config.J_mixed)
     elif name == "pathology":
-        verdicts = pathology_verdicts(rows, config.diag_threshold)
+        verdicts = pathology_verdicts(rows)
     else:
         raise ValueError(f"unknown report name {name!r}")
     verdicts.update(config_verdicts(name, config))

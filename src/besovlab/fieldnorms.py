@@ -3,11 +3,11 @@
 Level j of the field is c_j X(u) w_j(x2) in its local coordinate
 u = 2^j x1 - C_M 2^j j (atoms).  Levels have disjoint supports even after
 inflating by the stencil reach M*t, so difference norms split exactly into
-per-level integrals.  In u every level's grid has spacing res_scale/16 and a
-step h is H = 2^j h: a partial map's level integral is |c_j w_j(y)|^p 2^-j
-T(p, M, H, res_scale/16), with T one table over the reference bump.  A 2-D
-level integral takes the same local x1 axis, the global x2 axis (which 2^j
-maps exactly onto the local one) and |c_j|^p once, outside the grid.  On an
+per-level integrals.  In u every level's grid has spacing 1/16 (16 cells per
+atom half-width) and a step h is H = 2^j h: a partial map's level integral is
+|c_j w_j(y)|^p 2^-j T(p, M, H, 1/16), with T one table over the reference
+bump.  A 2-D level integral takes the same local x1 axis, the global x2 axis
+(which 2^j maps exactly onto the local one) and |c_j|^p once, outside the grid.  On an
 x2 row whose stencil points all have weight exactly 1 or 0 (the bumps are a
 partition of unity) it is T over the points of weight 1, so only the rows
 near the on-window's edges read w_j, and only at their stencil points whose
@@ -55,9 +55,9 @@ def grid_depth_cap(M: int) -> int:
     return J
 
 
-def default_level_resolution(j: int, scale: float = 1.0) -> float:
-    """Grid spacing for level j: 16 cells per atom half-width (scale/16 in u)."""
-    return scale * 2.0 ** (-(j + 4))
+def default_level_resolution(j: int) -> float:
+    """Grid spacing for level j: 16 cells per atom half-width (1/16 in u)."""
+    return 2.0 ** (-(j + 4))
 
 
 def _level_fields(field: AtomicField) -> list[tuple[AtomicField, int]]:
@@ -185,68 +185,68 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
     return abs(field.coef(j)) ** p * math.ldexp(total, -j) * res
 
 
-def field_lp(field: AtomicField, res_scale: float = 1.0) -> float:
+def field_lp(field: AtomicField) -> float:
     p = field.params.p
     total = math.fsum(
-        level_lp_pow(lf, j, p, default_level_resolution(j, res_scale))
+        level_lp_pow(lf, j, p, default_level_resolution(j))
         for lf, j in _level_fields(field)
     )
     return total ** (1.0 / p)
 
 
-def _max_over_steps(levels, steps, diff_lp_pow, p: float, M: int, res_scale: float) -> float:
+def _max_over_steps(levels, steps, diff_lp_pow, p: float, M: int) -> float:
     """max over h in steps of (sum over (field, j, weight) in levels of
     weight * diff_lp_pow(field, j, p, M, h, level resolution))^(1/p)."""
     best = 0.0
     for h in steps:
         total = math.fsum(
-            wp * diff_lp_pow(lf, j, p, M, h, default_level_resolution(j, res_scale))
+            wp * diff_lp_pow(lf, j, p, M, h, default_level_resolution(j))
             for lf, j, wp in levels
         )
         best = max(best, total ** (1.0 / p))
     return best
 
 
-def _estimate(field: AtomicField, omega, desc, q, j_max, res_scale, h_samples):
+def _estimate(field: AtomicField, omega, desc, q, j_max, h_samples):
     """NormEstimate of the dyadic seminorm of modulus omega, on level grids."""
     s, M = field.params.s, field.params.M
     if not M > s:
         raise ValueError(f"M > s required, got M={M}, s={s}")
     value = _dyadic_seminorm(omega, desc, s, q, j_max)
-    finest = default_level_resolution(max(field.active_levels(), default=0), res_scale)
+    finest = default_level_resolution(max(field.active_levels(), default=0))
     return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=h_samples)
 
 
-def field_modulus(field: AtomicField, t: float, res_scale: float = 1.0) -> float:
+def field_modulus(field: AtomicField, t: float) -> float:
     """max over the 16 steps of default_h_set(2, t).  Each radius lists its 8
     directions by angle, so direction k + 4 mirrors k: the directions 0-3 of
     each radius stand for their pairs."""
     levels = [(lf, j, 1.0) for lf, j in _level_fields(field)]
     steps = [(float(h[0]), float(h[1])) for i, h in enumerate(default_h_set(2, t)) if i % 8 < 4]
-    return _max_over_steps(levels, steps, level_diff_lp_pow, field.params.p, field.params.M, res_scale)
+    return _max_over_steps(levels, steps, level_diff_lp_pow, field.params.p, field.params.M)
 
 
-def field_seminorm(field: AtomicField, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
+def field_seminorm(field: AtomicField, desc: PsiDescriptor, j_max: int) -> NormEstimate:
     """Level-decomposed 2-D generalized Besov seminorm, in field.params' s, p, q, M."""
-    omega = lambda t: field_modulus(field, t, res_scale)
-    return _estimate(field, omega, desc, field.params.q, j_max, res_scale, h_samples=16)
+    omega = lambda t: field_modulus(field, t)
+    return _estimate(field, omega, desc, field.params.q, j_max, h_samples=16)
 
 
-def field_besov_norm(field: AtomicField, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
-    semi = field_seminorm(field, desc, j_max, res_scale)
-    return replace(semi, value=semi.value + field_lp(field, res_scale))
+def field_besov_norm(field: AtomicField, desc: PsiDescriptor, j_max: int) -> NormEstimate:
+    semi = field_seminorm(field, desc, j_max)
+    return replace(semi, value=semi.value + field_lp(field))
 
 
-def pm_modulus(field: AtomicField, y: float, res_scale: float = 1.0):
+def pm_modulus(field: AtomicField, y: float):
     """t -> max over the 6 steps of default_h_set(1, t) of the partial map's
     difference norm at y; the steps t, 3t/4 and t/2 stand for their pairs."""
     p, M = field.params.p, field.params.M
     weights = partial_map(field, y).level_weights
     levels = [(field, j, abs(w) ** p) for j, w in weights.items() if w != 0.0]
-    return lambda t: _max_over_steps(levels, default_h_set(1, t)[::2], pm_level_diff_lp_pow, p, M, res_scale)
+    return lambda t: _max_over_steps(levels, default_h_set(1, t)[::2], pm_level_diff_lp_pow, p, M)
 
 
-def pm_seminorm(field: AtomicField, y: float, desc: PsiDescriptor, j_max: int, res_scale: float = 1.0) -> NormEstimate:
+def pm_seminorm(field: AtomicField, y: float, desc: PsiDescriptor, j_max: int) -> NormEstimate:
     """1-D generalized seminorm of the partial map at y, q = inf, in field.params' s, p, M."""
-    omega = pm_modulus(field, y, res_scale)
-    return _estimate(field, omega, desc, math.inf, j_max, res_scale, h_samples=6)
+    omega = pm_modulus(field, y)
+    return _estimate(field, omega, desc, math.inf, j_max, h_samples=6)

@@ -239,22 +239,22 @@ def full_grid_diff_lp_pow(field, j, p, M, h, res):
     return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
 
 
-def all_steps_field_modulus(field, t, res_scale=1.0):
+def all_steps_field_modulus(field, t):
     """field_modulus with every one of the 16 steps of default_h_set(2, t)
     computed.  Test oracle for the mirrored steps."""
     levels = [(lf, j, 1.0) for lf, j in fieldnorms._level_fields(field)]
     steps = [(float(h[0]), float(h[1])) for h in norms.default_h_set(2, t)]
     p, M = field.params.p, field.params.M
-    return fieldnorms._max_over_steps(levels, steps, fieldnorms.level_diff_lp_pow, p, M, res_scale)
+    return fieldnorms._max_over_steps(levels, steps, fieldnorms.level_diff_lp_pow, p, M)
 
 
-def all_steps_pm_modulus(field, y, t, res_scale=1.0):
+def all_steps_pm_modulus(field, y, t):
     """pm_modulus(field, y)(t) with every one of the 6 steps of
     default_h_set(1, t) computed.  Test oracle for the mirrored steps."""
     p, M = field.params.p, field.params.M
     levels = [(field, j, abs(w) ** p) for j, w in partial_map(field, y).level_weights.items() if w != 0.0]
     steps = norms.default_h_set(1, t)
-    return fieldnorms._max_over_steps(levels, steps, fieldnorms.pm_level_diff_lp_pow, p, M, res_scale)
+    return fieldnorms._max_over_steps(levels, steps, fieldnorms.pm_level_diff_lp_pow, p, M)
 
 
 def lemma_le_partial(u, m: float, n: int) -> float:

@@ -300,7 +300,7 @@ def flagship_run(tmp_path_factory):
     for label in ("one", "two"):
         out = tmp_path_factory.mktemp(f"flagship_{label}")
         report = experiments.run_pathology(config)
-        experiments.emit_report(report, out, emit_svg=False)
+        experiments.emit_report(report, out)
         outs.append(out)
         reports.append(report)
     elapsed = time.perf_counter() - start

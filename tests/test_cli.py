@@ -27,7 +27,6 @@ def config_path(tmp_path):
         "J": {"norm": [4, 6], "seq": [16, 32, 64], "mixed": [16, 32]},
         "probes": {"x": 8, "y": 2},
         "lemma": {"m": [0.5, 2.0], "n_max": 2000},
-        "emit_svg": False,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -244,6 +243,11 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"lemma": {"m": [0.5, math.nan], "n_max": 2000}}, ["lemma-le"]),
         ({"lemma": {"m": [math.inf], "n_max": 2000}}, ["lemma-le"]),
         ({"lemma": {"m": [-math.inf], "n_max": 2000}}, ["pathology-run"]),
+        ({"grid": {"res_scale": 2.0}}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"emit_svg": False}, ["pathology-run"]),
+        ({"emit_svg": "false"}, ["psi-check"]),
+        ({"diag_threshold": math.nan}, ["pathology-run"]),
+        ({"diag_threshold": 3.0}, ["psi-check"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -267,6 +271,8 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "psi-table-j-not-integral", "psi-c-power-overflows", "psi-c-power-underflows",
         "control-psi-underflows", "estimate-term-q-overflows", "res-scale-too-fine",
         "res-scale-too-coarse", "lemma-m-nan", "lemma-m-inf", "lemma-m-minus-inf-pathology-run",
+        "res-scale-not-1", "emit-svg-false", "emit-svg-string-false", "diag-threshold-nan",
+        "diag-threshold-not-2.5",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):

@@ -53,12 +53,13 @@ class TestConfig:
                 "J": {"norm": [6, 8], "seq": [64, 512], "mixed": [32, 64]},
                 "probes": {"x": 32, "y": 8},
                 "lemma": {"m": [1.0], "n_max": 100},
-                "grid": {"res_scale": 2.0},
+                "grid": {"res_scale": 1.0},
+                "diag_threshold": 2.5,
+                "emit_svg": True,
             }
         )
         assert cfg.J_norm == (6, 8)
         assert cfg.control_psi == log_power(1.0)
-        assert cfg.res_scale == 2.0
         assert cfg.x_probes == 32
 
     def test_rejects_unsorted_depths(self):
@@ -78,12 +79,10 @@ class TestConfig:
         for fragment in ("N must be 2", "M > s fails", "L < 1 - p/q fails", "x_probes must lie"):
             assert fragment in str(err.value)
 
-    def test_grid_depth_cap_follows_res_scale(self):
-        """A grid at res_scale 1/4 is as fine as one two levels deeper."""
-        assert small_config(J_norm=(4, 13), res_scale=0.25).J_norm == (4, 13)
+    def test_grid_depth_cap(self):
+        assert small_config(J_norm=(4, 15)).J_norm == (4, 15)
         with pytest.raises(ConfigError, match="grid-tier cap 15"):
-            small_config(J_norm=(4, 14), res_scale=0.25)
-        assert small_config(J_norm=(4, 15), res_scale=4.0).J_norm == (4, 15)
+            small_config(J_norm=(4, 16))
 
     def test_rejects_invalid_exponents(self):
         with pytest.raises(ConfigError):
@@ -204,7 +203,7 @@ class TestSequenceExperiment:
     def test_verdicts_recomputable(self):
         config = small_config()
         report = run_sequence_experiment(config)
-        again = sequence_verdicts(report.rows, config.J_mixed, config.diag_threshold)
+        again = sequence_verdicts(report.rows, config.J_mixed)
         for key, value in again.items():
             assert report.verdicts[key] == value
 
@@ -232,7 +231,7 @@ class TestPathology:
         # J_norm = (1, 2): levels 0 and 1 are off, so the first norm is 0
         rows = [{"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": v}
                 for J, v in ((1, 0.0), (2, 0.5))]
-        v = experiments.pathology_verdicts(rows, diag_threshold=2.5)
+        v = experiments.pathology_verdicts(rows)
         assert v["norm2d_saturates"] is False
         assert v["norm2d_relative_increase"] == math.inf
 
@@ -269,7 +268,7 @@ class TestPartialMapGrowthVerdict:
 
     def verdicts(self, seminorms=None, coverage=None):
         rows = pm_rows(seminorms or self.SEMINORMS, coverage or self.COVERAGE)
-        return experiments.pathology_verdicts(rows, diag_threshold=2.5)
+        return experiments.pathology_verdicts(rows)
 
     def test_growth_along_coverage_passes(self):
         v = self.verdicts()
@@ -319,7 +318,7 @@ class TestPartialMapGrowthVerdict:
         as_text = [{k: repr(v) if isinstance(v, float) else str(v) for k, v in r.items()}
                    for r in rows]
         recomputed = verdicts_from_csv_rows("pathology", as_text, small_config())
-        direct = experiments.pathology_verdicts(rows, diag_threshold=2.5)
+        direct = experiments.pathology_verdicts(rows)
         assert recomputed["pm_seminorm_grows_where_covered"] is expected
         for key in ("pm_seminorm_grows_where_covered", "pm_seminorm_covered_rises"):
             assert recomputed[key] == direct[key]
@@ -337,30 +336,31 @@ class TestSharedVerdicts:
     through the same helpers, so they must agree on the same rows."""
 
     @pytest.mark.parametrize("threshold", [0.0, 2.5, 1e9])
-    def test_divergence_keys_agree(self, threshold):
+    def test_divergence_keys_agree(self, threshold, monkeypatch):
+        monkeypatch.setattr(experiments, "DIAG_THRESHOLD", threshold)
         config = small_config()
         rows = run_sequence_experiment(config).rows
         diagnostics = [r for r in rows if r["kind"] == "diagnostic"]
-        seq = sequence_verdicts(rows, config.J_mixed, threshold)
-        path = experiments.pathology_verdicts(diagnostics, threshold)
+        seq = sequence_verdicts(rows, config.J_mixed)
+        path = experiments.pathology_verdicts(diagnostics)
         for key in ("diagnostic_divergent", "min_diagnostic_by_depth"):
             assert seq[key] == path[key]
         assert seq["diagnostic_divergent"] is (threshold == 0.0)
 
     def test_divergence_keys_without_diagnostic_rows(self):
         mixed = [r for r in run_sequence_experiment(small_config()).rows if r["kind"] == "mixed_norm"]
-        seq = sequence_verdicts(mixed, (16, 32), 2.5)
+        seq = sequence_verdicts(mixed, (16, 32))
         assert seq["diagnostic_divergent"] is False
         assert seq["min_diagnostic_by_depth"] == {}
-        path = experiments.pathology_verdicts([], 2.5)
+        path = experiments.pathology_verdicts([])
         assert "diagnostic_divergent" not in path and "min_diagnostic_by_depth" not in path
 
     @pytest.mark.parametrize("hi, plateau", [(2.1, True), (math.nextafter(2.1, 3.0), False)])
     def test_plateaus_flip_at_ratio_1_05(self, hi, plateau):
         assert 2.0 * 1.05 == 2.1
         mixed = [r for r in run_sequence_experiment(small_config()).rows if r["kind"] == "mixed_norm"]
-        seq = sequence_verdicts(mixed + bound_rows("forced_bound", 2.0, hi), (16, 32), 2.5)
-        path = experiments.pathology_verdicts(bound_rows("control_bound", 2.0, hi), 2.5)
+        seq = sequence_verdicts(mixed + bound_rows("forced_bound", 2.0, hi), (16, 32))
+        path = experiments.pathology_verdicts(bound_rows("control_bound", 2.0, hi))
         assert seq["forced_bound_plateau"] is plateau
         assert path["control_bound_plateau"] is plateau
         assert seq["forced_bound_values"] == path["control_bound_values"] == {"16": 2.0, "64": hi}
@@ -381,7 +381,7 @@ class TestEmission:
 
     def test_emitted_json_round_trip(self, tmp_path):
         report = run_lemma_le(small_config())
-        emit_report(report, tmp_path, emit_svg=False)
+        emit_report(report, tmp_path)
         emitted = json.loads((tmp_path / "lemma_le_verdicts.json").read_text())
         assert emitted == json.loads(json.dumps(report.verdicts))
 
