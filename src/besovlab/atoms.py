@@ -5,10 +5,13 @@ psi (a product of normalized 1-D bumps psi0); level-j atoms live near
 x_1 = C_M * j with C_M = 2(M+2), so distinct levels have disjoint supports in
 the first coordinate.
 
-Every level is built from one kernel: the reference factor
-X(u) = (1/2) psi0(u/2) in the level's local coordinate u = 2^j x_1 - C_M 2^j j,
-times the coefficient c_j = lambda_j 2^(-j(s - N/p)), formed in log space so
-that deep levels neither overflow nor underflow.
+The field lives in the plane (N = 2, d = 1).  Every level is built from one
+kernel: the reference factor X(u) = (1/2) psi0(u/2) in the level's local
+coordinate u = 2^j x_1 - C_M 2^j j, times the coefficient
+c_j = lambda_j 2^(-j(s - N/p)), formed in log space so that deep levels
+neither overflow nor underflow, times the level weight w_j(x_2).  eval_f is
+the one evaluator; the partial map f(., y) is eval_f at a fixed y, and
+level_weights gives its weights w_j(y).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import Params
+from .params import N, Params
 from .sequences import BlockLevel, BlockSequence
 
 # exp(-x) is exactly 0.0 in IEEE double past x ~ 745; clamping at 708 (the
@@ -71,12 +74,11 @@ def psi_nd(x):
     return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-def atom_offset(params: Params, j: int, k: int) -> tuple[int, ...]:
-    """Lattice offset m_{j,k}: first N-1 coordinates C_M 2^j j, last one k."""
+def atom_offset(params: Params, j: int, k: int) -> tuple[int, int]:
+    """Lattice offset m_{j,k} = (C_M 2^j j, k)."""
     if j < 0 or k < 0:
         raise ValueError("j and k must be nonnegative")
-    c = 2 * (params.M + 2)
-    return (c * (1 << j) * j,) * (params.N - 1) + (k,)
+    return (2 * (params.M + 2) * (1 << j) * j, k)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class AtomicField:
         if lvl.theta <= 0.0 or lvl.n == 0:
             return 0.0
         p = self.params
-        log2_c = (math.log2(lvl.theta) - j) / p.p - j * (p.s - p.N / p.p)
+        log2_c = (math.log2(lvl.theta) - j) / p.p - j * (p.s - N / p.p)
         return 2.0**log2_c
 
     def active_levels(self) -> list[int]:
@@ -117,29 +119,6 @@ class AtomicField:
             for j in range(self.J + 1)
             if self.blocks.levels[j].n > 0 and self.blocks.levels[j].theta > 0.0
         ]
-
-
-def _by_level(field: AtomicField, x1: np.ndarray, levels, level_value) -> np.ndarray:
-    """Values at the points with first coordinates x1 (1-D): level_value(j, idx)
-    at the points idx whose candidate level j is in levels, 0.0 elsewhere.
-
-    Level-j atoms satisfy |x1 - C_M j| <= 2^(1-j), and C_M >= 6 separates
-    levels: a point whose nearest C_M j lies past 0 or J is more than 2 from
-    both ends, and fmax/fmin move NaN to level 0, where the test fails.
-    """
-    out = np.zeros(x1.shape)
-    cand = np.rint(x1 / field.C_M)
-    cand = np.fmin(np.fmax(cand, 0, out=cand), field.J, out=cand).astype(int)
-    on = np.flatnonzero(np.abs(x1 - field.C_M * cand) <= np.ldexp(1.0, 1 - np.arange(field.J + 1))[cand])
-    cand = cand[on]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(cand, minlength=field.J + 1))])
-    on = on[np.argsort(cand, kind="stable")]  # grouped by level, in point order
-    del cand  # the level loop below holds only the groups
-    for j in levels:
-        idx = on[bounds[j]:bounds[j + 1]]
-        if idx.size:
-            out[idx] = level_value(j, idx)
-    return out
 
 
 def _cells(j: int, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,39 +187,47 @@ def _bump_factor(u) -> np.ndarray:
     return 0.5 * np.asarray(psi0(np.asarray(u, dtype=float) / 2.0))
 
 
-def _x1_factor(field: AtomicField, j: int, x) -> np.ndarray:
-    """X at the local coordinate u = 2^j (x - C_M j) of the values x of one of
-    the first N-1 coordinates.  u is exact wherever |u| < 2: x - C_M j is
-    exact there (Sterbenz) and scaling by 2^j is exact."""
+def _x1_factor(field: AtomicField, j: int, x1) -> np.ndarray:
+    """X at the local coordinate u = 2^j (x1 - C_M j).  u is exact wherever
+    |u| < 2: x1 - C_M j is exact there (Sterbenz) and scaling by 2^j is exact."""
     with np.errstate(over="ignore"):  # |u| = inf far from deep levels: X = 0
-        return _bump_factor(np.ldexp(np.asarray(x, dtype=float) - field.C_M * j, j))
+        return _bump_factor(np.ldexp(np.asarray(x1, dtype=float) - field.C_M * j, j))
 
 
 def level_x1_profile(field: AtomicField, j: int, x1) -> np.ndarray:
-    """c_j times X at x1, once per first N-1 coordinate (all equal to x1 here)."""
-    x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))
-    return field.coef(j) * _x1_factor(field, j, x1_arr) ** (field.params.N - 1)
+    """c_j X(u) at the first coordinates x1: level j of f(x1, y) over w_j(y)."""
+    return field.coef(j) * _x1_factor(field, j, np.atleast_1d(x1))
 
 
 def eval_f(field: AtomicField, x) -> np.ndarray:
-    """Pointwise value of f_J at points of shape (n, N) (or a single point).
+    """Pointwise value of f_J at points of shape (n, 2) (or a single point):
+    level_x1_profile(x1) * level_weight(x2) of the one level j that can reach
+    the point, 0.0 at a point no level reaches.
 
-    Prunes by the first coordinate (at most one candidate level) and the last
-    coordinate (at most four candidate atoms); equals the dense sum over all
-    (j,k) exactly, since skipped atoms vanish at the point.
+    Level-j atoms satisfy |x1 - C_M j| <= 2^(1-j), and C_M >= 6 separates
+    levels: a point whose nearest C_M j lies past 0 or J is more than 2 from
+    both ends, and fmax/fmin move NaN to level 0, where the test fails.  The
+    value equals the dense sum over all (j, k) exactly, since every skipped
+    atom vanishes at the point.
     """
     x_arr = np.asarray(x, dtype=float)
     single = x_arr.ndim == 1
     pts = np.atleast_2d(x_arr)
-    if pts.shape[1] != field.params.N:
-        raise ValueError(f"points must have {field.params.N} coordinates")
-
-    def level_value(j, idx):
-        sub = pts[idx]
-        factors = [_x1_factor(field, j, sub[:, i]) for i in range(field.params.N - 1)]
-        return field.coef(j) * np.prod(factors, axis=0) * level_weight(field, j, sub[:, -1])
-
-    out = _by_level(field, pts[:, 0], field.active_levels(), level_value)
+    if pts.shape[1] != N:
+        raise ValueError(f"points must have {N} coordinates")
+    x1 = pts[:, 0]
+    out = np.zeros(x1.shape)
+    cand = np.rint(x1 / field.C_M)
+    cand = np.fmin(np.fmax(cand, 0, out=cand), field.J, out=cand).astype(int)
+    on = np.flatnonzero(np.abs(x1 - field.C_M * cand) <= np.ldexp(1.0, 1 - np.arange(field.J + 1))[cand])
+    cand = cand[on]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cand, minlength=field.J + 1))])
+    on = on[np.argsort(cand, kind="stable")]  # grouped by level, in point order
+    del cand  # the level loop below holds only the groups
+    for j in field.active_levels():
+        idx = on[bounds[j]:bounds[j + 1]]
+        if idx.size:
+            out[idx] = level_x1_profile(field, j, x1[idx]) * level_weight(field, j, pts[idx, 1])
     return float(out[0]) if single else out
 
 
@@ -269,27 +256,10 @@ def _level_weight_at(field: AtomicField, j: int, y: float) -> float:
     return float(level_weight(field, j, np.array([y]))[0])
 
 
-def partial_map(field: AtomicField, y: float):
-    """One-variable function x1 -> f(x1, y).  Requires N = 2, d = 1.
-
-    Returns a closure with precomputed per-level weights at y; evaluable on
-    arrays of x1 values.
-    """
-    if field.params.N != 2 or field.params.d != 1:
-        raise ValueError("partial_map supports N = 2, d = 1 only")
-    weights = {
+def level_weights(field: AtomicField, y: float) -> dict[int, float]:
+    """{j: w_j(y)} over the active levels: the partial map f(., y) is the sum
+    over j of level_x1_profile(field, j, .) * w_j(y)."""
+    return {
         j: _level_weight_at(AtomicField(field.params, field.blocks, j), j, y)
         for j in field.active_levels()
     }
-
-    nonzero = [j for j, w in weights.items() if w != 0.0]
-
-    def g(x1):
-        x1_arr = np.atleast_1d(np.asarray(x1, dtype=float))
-        flat = x1_arr.reshape(-1)
-        out = _by_level(field, flat, nonzero, lambda j, idx: level_x1_profile(field, j, flat[idx]) * weights[j])
-        return float(out[0]) if np.asarray(x1).ndim == 0 else out.reshape(x1_arr.shape)
-
-    g.level_weights = weights
-    return g
-

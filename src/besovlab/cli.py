@@ -52,7 +52,7 @@ def cmd_psi_check(args) -> int:
     result = {  # kappa = inf (p = q) prints as null
         "classification": experiments.classify_condition(config.psi, kappa),
         "kappa": kappa,
-        "slow_variation_deviation_r0.5_j40": slow_variation_deviation(config.psi, 0.5, 40),
+        "slow_variation_deviation_r0.5_j40": slow_variation_deviation(config.psi, 40),
     }
     if math.isfinite(kappa):
         result["summability_partials"] = {
@@ -69,7 +69,7 @@ def cmd_seq_build(args) -> int:
     cap = (10**limit).bit_length() - 1  # the largest J with 2^J < 10^limit
     if limit and args.J > cap:
         raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, Python's {limit}-digit int-to-str limit")
-    blocks = config.blocks(args.J, rearranged=not args.no_rearrange)
+    blocks = config.blocks(args.J)
     rows = sequences.level_table(blocks, config.psi, config.params) if args.csv else None
     csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
     with output(args.out) as out, csv_out as table:
@@ -179,7 +179,7 @@ def cmd_norm_est(args) -> int:
         raise ConfigError(f"target partial-map needs a finite --y, got {args.y}")
     field = AtomicField(config.params, config.blocks(args.J), args.J)
     if args.target == "field":
-        est = fieldnorms.field_besov_norm(field, config.psi, args.J)
+        est = fieldnorms.field_besov_norm(field, args.J)
     else:  # partial-map; argparse admits no other target
         est = fieldnorms.pm_seminorm(field, args.y, config.psi, args.J)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq-build", help="build and emit the rearranged block sequence")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--no-rearrange", action="store_true")
     p.add_argument("--csv", help="also write the per-level CSV table here")
 
     p = sub.add_parser("seq-verify", help="re-read a block sequence and re-check invariants")

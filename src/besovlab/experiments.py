@@ -18,13 +18,12 @@ from pathlib import Path
 
 from . import fieldnorms, sequences
 from .atoms import AtomicField
-from .params import Params, as_int, params_from_dict, validate
+from .params import N, Params, as_int, params_from_dict, validate
 from .reporting import write_csv, write_json, write_svg_lines
 from .slowly_varying import (
     SATISFIED,
     PsiDescriptor,
     classify_condition,
-    constant,
     psi_from_dict,
     table_depth,
     weight_in_range,
@@ -34,7 +33,7 @@ LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100
 DIVERGENCE_PARTIAL_THRESHOLD = 10.0
 DIAG_THRESHOLD = 2.5
 # Settings with one value.  A config may name each, at that value only.
-FIXED_SETTINGS = {"grid.res_scale": 1.0, "diag_threshold": DIAG_THRESHOLD, "emit_svg": True}
+FIXED_SETTINGS = {"N": N, "d": 1, "grid.res_scale": 1.0, "diag_threshold": DIAG_THRESHOLD, "emit_svg": True}
 MAX_PROBES = 127
 # Largest lemma.n_max.  The suite streams the series in chunks of 2^16 terms,
 # so its memory does not grow with n_max: at this cap five m take about 0.35 s
@@ -107,13 +106,12 @@ class ExperimentConfig:
             if psi is not None and not weight_in_range(psi, self.params.kappa, J):
                 raise ConfigError(f"{name}: Psi(2^-j) or (J + 1) Psi(2^-j)^kappa leaves the positive doubles at a j <= {J}")
 
-    def blocks(self, J: int, rearranged: bool = True) -> sequences.BlockSequence:
-        """The block sequence at depth J, after check_depth; it needs p < q."""
+    def blocks(self, J: int) -> sequences.BlockSequence:
+        """The rearranged block sequence at depth J, after check_depth; it needs p < q."""
         self.check_depth(J)
         if not self.params.p < self.params.q:
             raise ConfigError(f"the construction needs p < q, got p={self.params.p}, q={self.params.q}")
-        blocks = sequences.build_lambda_blocks(self.psi, self.params, J)
-        return sequences.rearrange(blocks) if rearranged else blocks
+        return sequences.rearrange(sequences.build_lambda_blocks(self.psi, self.params, J))
 
     @property
     def deepest(self) -> int:
@@ -121,37 +119,50 @@ class ExperimentConfig:
         return max(self.J_norm + self.J_seq + self.J_mixed)
 
 
+def _typed(value, kind: type, key: str):
+    """value, which must be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be {'an object' if kind is dict else 'a list'}, got {json.dumps(value)}")
+    return value
+
+
+def _weight(value, key: str) -> PsiDescriptor:
+    """The weight of the object value, with psi_from_dict's complaint named by key."""
+    _typed(value, dict, key)
+    try:
+        return psi_from_dict(value)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def config_from_dict(cfg: dict) -> ExperimentConfig:
     """ExperimentConfig from a parsed JSON object; any malformed field raises
-    ConfigError."""
+    ConfigError.  J, probes, lemma, grid and psi are objects, control_psi an
+    object or null, and J.norm, J.seq, J.mixed and lemma.m lists."""
     try:
         params = params_from_dict(cfg)
-        j_cfg = cfg.get("J", {})
-        if isinstance(j_cfg, (list, tuple)):
-            j_cfg = {"norm": list(j_cfg)}
-        probes = cfg.get("probes", {})
-        lemma = cfg.get("lemma", {})
+        j_cfg, probes, lemma = (_typed(cfg.get(key, {}), dict, key) for key in ("J", "probes", "lemma"))
         control = cfg.get("control_psi")
         kwargs = dict(
             params=params,
-            psi=psi_from_dict(cfg["psi"]),
-            control_psi=psi_from_dict(control) if control else None,
+            psi=_weight(cfg.get("psi"), "psi"),
+            control_psi=None if control is None else _weight(control, "control_psi"),
         )
         for key in ("norm", "seq", "mixed"):
             if key in j_cfg:
-                kwargs[f"J_{key}"] = tuple(as_int(j, f"J.{key}") for j in j_cfg[key])
+                kwargs[f"J_{key}"] = tuple(as_int(j, f"J.{key}") for j in _typed(j_cfg[key], list, f"J.{key}"))
         for key in ("x", "y"):
             if key in probes:
                 kwargs[f"{key}_probes"] = as_int(probes[key], f"probes.{key}")
         if "m" in lemma:
-            kwargs["lemma_m"] = tuple(float(m) for m in lemma["m"])
+            kwargs["lemma_m"] = tuple(float(m) for m in _typed(lemma["m"], list, "lemma.m"))
         if "n_max" in lemma:
             kwargs["lemma_n_max"] = as_int(lemma["n_max"], "lemma.n_max")
         for key, fixed in FIXED_SETTINGS.items():
             *parents, leaf = key.split(".")
             node = cfg
             for parent in parents:
-                node = node.get(parent, {})
+                node = _typed(node.get(parent, {}), dict, parent)
             value = node.get(leaf, fixed)
             # True == 1 in Python: a bool must not pass for 1.0, nor 1 for true
             if value != fixed or isinstance(value, bool) != isinstance(fixed, bool):
@@ -361,7 +372,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     j_max = max(config.J_norm)  # common t-depth so the sweep compares like with like
     for J in config.J_norm:
         field = AtomicField(params, blocks, J)
-        est = fieldnorms.field_besov_norm(field, constant(1.0), j_max)
+        est = fieldnorms.field_besov_norm(field, j_max)
         rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
     y_probes = [float(x) for x in x_probe_points(config.y_probes)]

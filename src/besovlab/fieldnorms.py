@@ -1,5 +1,9 @@
 """Fast norm estimation for atomic fields, from one reference-bump kernel.
 
+The 2-D norm is the classical one (Psi = 1), the norm of B^s_{p,q}(R^2) that
+the construction keeps bounded; a partial map f(., y) is measured in the
+generalized B^(s,Psi)_{p,inf}(R) seminorm, with the configuration's Psi.
+
 Level j of the field is c_j X(u) w_j(x2) in its local coordinate
 u = 2^j x1 - C_M 2^j j (atoms).  Levels have disjoint supports even after
 inflating by the stencil reach M*t, so difference norms split exactly into
@@ -31,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atoms import AtomicField, _bump_factor, level_plateau, level_weight, partial_map
+from .atoms import AtomicField, _bump_factor, level_plateau, level_weight, level_weights
 from .norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
-from .slowly_varying import PsiDescriptor
+from .slowly_varying import PsiDescriptor, constant
 
 
 # The grid tier's depth cap keeps the value of the global-coordinate rounding
@@ -226,14 +230,15 @@ def field_modulus(field: AtomicField, t: float) -> float:
     return _max_over_steps(levels, steps, level_diff_lp_pow, field.params.p, field.params.M)
 
 
-def field_seminorm(field: AtomicField, desc: PsiDescriptor, j_max: int) -> NormEstimate:
-    """Level-decomposed 2-D generalized Besov seminorm, in field.params' s, p, q, M."""
+def field_seminorm(field: AtomicField, j_max: int) -> NormEstimate:
+    """Level-decomposed 2-D classical (Psi = 1) Besov seminorm, in
+    field.params' s, p, q, M: the norm of B^s_{p,q}(R^2) that f belongs to."""
     omega = lambda t: field_modulus(field, t)
-    return _estimate(field, omega, desc, field.params.q, j_max, h_samples=16)
+    return _estimate(field, omega, constant(1.0), field.params.q, j_max, h_samples=16)
 
 
-def field_besov_norm(field: AtomicField, desc: PsiDescriptor, j_max: int) -> NormEstimate:
-    semi = field_seminorm(field, desc, j_max)
+def field_besov_norm(field: AtomicField, j_max: int) -> NormEstimate:
+    semi = field_seminorm(field, j_max)
     return replace(semi, value=semi.value + field_lp(field))
 
 
@@ -241,8 +246,7 @@ def pm_modulus(field: AtomicField, y: float):
     """t -> max over the 6 steps of default_h_set(1, t) of the partial map's
     difference norm at y; the steps t, 3t/4 and t/2 stand for their pairs."""
     p, M = field.params.p, field.params.M
-    weights = partial_map(field, y).level_weights
-    levels = [(field, j, abs(w) ** p) for j, w in weights.items() if w != 0.0]
+    levels = [(field, j, abs(w) ** p) for j, w in level_weights(field, y).items() if w != 0.0]
     return lambda t: _max_over_steps(levels, default_h_set(1, t)[::2], pm_level_diff_lp_pow, p, M)
 
 

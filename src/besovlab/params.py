@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 INF = math.inf
+N = 2  # the plane: f lives on R^N, its partial maps on R^(N-1)
 
 
 def sigma_p(p: float, N: int) -> float:
@@ -36,14 +37,12 @@ def kappa(p: float, q: float) -> float:
 
 @dataclass(frozen=True)
 class Params:
-    """Immutable experiment configuration (N, d, p, q, s, M, L).
+    """Immutable experiment configuration (p, q, s, M, L) in the plane N = 2.
 
     kappa and sigma_p are always derived, never stored or read from input.
     L defaults to the midpoint of its admissible interval (0, 1 - p/q).
     """
 
-    N: int
-    d: int
     p: float
     q: float
     s: float
@@ -56,7 +55,7 @@ class Params:
 
     @property
     def sigma_p(self) -> float:
-        return sigma_p(self.p, self.N)
+        return sigma_p(self.p, N)
 
     @property
     def kappa(self) -> float:
@@ -64,22 +63,18 @@ class Params:
 
 
 def validate(params: Params) -> list[str]:
-    """Every violated hypothesis (empty when the config is usable): N = 2,
-    d = 1, 0 < p <= q with p finite, s > sigma_p, an integer M > s, and
+    """Every violated hypothesis (empty when the config is usable):
+    0 < p <= q with p finite, s > sigma_p, an integer M > s, and
     0 < L < 1 - p/q when p < q; p = q suits the commands that build no blocks."""
     v: list[str] = []
-    if params.N != 2:
-        v.append(f"N must be 2 (the planar shape N = 2, d = 1), got N={params.N}")
-    if params.d != 1:
-        v.append(f"d must satisfy d = 1 (the planar shape N = 2, d = 1), got d={params.d}")
     if not params.p > 0:
         v.append(f"p must be positive, got {params.p}")
     if math.isinf(params.p):
         v.append("p = inf rejected in experiment configurations")
     if not params.p <= params.q:
         v.append(f"p <= q fails: p={params.p}, q={params.q}")
-    if 0 < params.p < INF and not params.s > sigma_p(params.p, 2):
-        v.append(f"s > sigma_p fails: s={params.s}, sigma_p={sigma_p(params.p, 2)}")
+    if 0 < params.p < INF and not params.s > params.sigma_p:
+        v.append(f"s > sigma_p fails: s={params.s}, sigma_p={params.sigma_p}")
     if not isinstance(params.M, int) or params.M < 1:
         v.append(f"M must be an integer >= 1, got {params.M}")
     elif not params.M > params.s:
@@ -99,10 +94,8 @@ def as_int(value, name: str) -> int:
 
 
 def params_from_dict(cfg: dict) -> Params:
-    """Build Params from a JSON config object with keys {N, d, p, q, s, M, L}."""
+    """Build Params from a JSON config object with keys {p, q, s, M, L}."""
     return Params(
-        N=as_int(cfg["N"], "N"),
-        d=as_int(cfg["d"], "d"),
         p=float(cfg["p"]),
         q=float(cfg["q"]),
         s=float(cfg["s"]),

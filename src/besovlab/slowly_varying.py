@@ -183,35 +183,18 @@ def classify_condition(desc: PsiDescriptor, kappa: float) -> str:
     return VIOLATED
 
 
-def slow_variation_deviation(desc: PsiDescriptor, r: float, j_max: int) -> float:
-    """Max over j in {j_max//2, ..., j_max} of |Psi(r*2^-j)/Psi(2^-j) - 1|.
+def slow_variation_deviation(desc: PsiDescriptor, j_max: int) -> float:
+    """Max over j in {j_max//2, ..., j_max} of |Psi(2^-(j+1))/Psi(2^-j) - 1|.
 
     Small values certify approximate slow variation at depth j_max.  The ratio
-    is tested along t = 2^-j -> 0+, the fine-scale reading of the defining
-    limit.
+    Psi(t/2)/Psi(t) is tested along t = 2^-j -> 0+, the fine-scale reading of
+    the defining limit at r = 1/2.
     """
-    if not 0 < r <= 1:
-        raise ValueError(f"r must lie in (0,1], got {r}")
-    if r == 1:
-        return 0.0
     if desc.family == TABULATED:
-        i = round(-math.log2(r))
-        if 2.0 ** (-i) != r:
-            raise ValueError("tabulated family supports dyadic r only")
-        return max(
-            abs(_table_lookup(desc, j + i) / _table_lookup(desc, j) - 1.0)
-            for j in range(j_max // 2, j_max + 1)
-        )
-    shift = -math.log(r)
-    return max(
-        abs(
-            math.exp(
-                _log_psi_from_ell(desc, j * LN2 + shift) - _log_psi_from_ell(desc, j * LN2)
-            )
-            - 1.0
-        )
-        for j in range(j_max // 2, j_max + 1)
-    )
+        ratio = lambda j: _table_lookup(desc, j + 1) / _table_lookup(desc, j)
+    else:
+        ratio = lambda j: math.exp(_log_psi_from_ell(desc, j * LN2 + LN2) - _log_psi_from_ell(desc, j * LN2))
+    return max(abs(ratio(j) - 1.0) for j in range(j_max // 2, j_max + 1))
 
 
 def psi_from_dict(cfg: dict) -> PsiDescriptor:

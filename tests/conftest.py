@@ -9,7 +9,7 @@ from besovlab.atoms import AtomicField
 
 @pytest.fixture(scope="session")
 def flagship_params():
-    return Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
+    return Params(p=1.0, q=2.0, s=1.5, M=2, L=0.25)
 
 
 @pytest.fixture(scope="session")

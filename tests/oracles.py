@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from besovlab import atoms, fieldnorms, norms
-from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, partial_map, psi0
+from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, level_weights, psi0
 from besovlab.norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from besovlab.reporting import write_csv
 from besovlab.sequences import LEVEL_COLUMNS, BlockLevel, BlockSequence, level_table
@@ -189,12 +189,22 @@ def level_box(field: AtomicField, j: int) -> Box:
 def support_boxes(field: AtomicField, inflate: float = 0.0, resolution: float | None = None) -> BoxDomain:
     """Union of per-level support boxes, optionally inflated for difference
     stencils.  Boxes are pairwise disjoint in x1 for every inflation < C_M - 1."""
-    if field.params.N != 2:
-        raise ValueError("support_boxes supports N = 2 only")
     boxes = tuple(level_box(field, j).inflate(inflate) for j in field.active_levels())
     if resolution is None:
         resolution = 2.0 ** (-(field.J + 3))
     return BoxDomain(boxes, resolution)
+
+
+def partial_map(field: AtomicField, y: float):
+    """x1 -> f(x1, y) on 1-D arrays x1, through eval_f, with the weights
+    w_j(y) of atoms.level_weights as .level_weights."""
+
+    def g(x1):
+        x1 = np.asarray(x1, dtype=float)
+        return eval_f(field, np.column_stack([x1, np.full_like(x1, y)]))
+
+    g.level_weights = level_weights(field, y)
+    return g
 
 
 def per_delta_level_weight(field, j, xN):
@@ -252,7 +262,7 @@ def all_steps_pm_modulus(field, y, t):
     """pm_modulus(field, y)(t) with every one of the 6 steps of
     default_h_set(1, t) computed.  Test oracle for the mirrored steps."""
     p, M = field.params.p, field.params.M
-    levels = [(field, j, abs(w) ** p) for j, w in partial_map(field, y).level_weights.items() if w != 0.0]
+    levels = [(field, j, abs(w) ** p) for j, w in level_weights(field, y).items() if w != 0.0]
     steps = norms.default_h_set(1, t)
     return fieldnorms._max_over_steps(levels, steps, fieldnorms.pm_level_diff_lp_pow, p, M)
 

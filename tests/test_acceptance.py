@@ -29,7 +29,7 @@ from besovlab.sequences import (
 from besovlab.slowly_varying import SATISFIED, VIOLATED, classify_condition, constant, log_power
 from oracles import Box, BoxDomain, lemma_le_partials, materialize, modulus, seminorm, total_window_weight
 
-FLAGSHIP = Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
+FLAGSHIP = Params(p=1.0, q=2.0, s=1.5, M=2, L=0.25)
 PSI_ONE = constant(1.0)
 
 
@@ -199,7 +199,7 @@ def test_criterion_06_condition_classifier():
     kappas = {(1.0, 2.0): 2.0, (1.0, math.inf): 1.0, (0.5, 1.0): 1.0}
     all_ok = True
     for (p, q), kap in kappas.items():
-        assert Params(N=2, d=1, p=p, q=q, s=1.5, M=2, L=0.1).kappa == pytest.approx(kap)
+        assert Params(p=p, q=q, s=1.5, M=2, L=0.1).kappa == pytest.approx(kap)
         for bk in (0.5, 0.9, 1.0, 1.1, 2.0):
             got = classify_condition(log_power(bk / kap), kap)
             expected = SATISFIED if bk > 1.0 else VIOLATED

@@ -12,12 +12,11 @@ from besovlab.atoms import (
     eval_f_dense,
     level_plateau,
     level_weight,
-    partial_map,
+    level_weights,
     psi0,
     psi_nd,
 )
 from besovlab.cli import FIELD_EVAL_CHUNK
-from besovlab.params import Params
 from besovlab.slowly_varying import constant
 from oracles import Box, BoxDomain, bump_v, level_box, per_delta_level_weight, support_boxes
 
@@ -191,25 +190,9 @@ class TestField:
 
 
 class TestPartialMap:
-    def test_matches_full_evaluation(self, field_j6, rng):
-        y = 1.37
-        g = partial_map(field_j6, y)
-        x1 = rng.uniform(-1.0, 8.0 * 6 + 2.0, size=200)
-        pts = np.column_stack([x1, np.full_like(x1, y)])
-        assert np.allclose(g(x1), eval_f(field_j6, pts), rtol=1e-12, atol=0.0)
-
-    def test_requires_planar_setup(self, psi_one):
-        params = Params(N=3, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
-        blocks = sequences.rearrange(
-            sequences.build_lambda_blocks(psi_one, params, 4)
-        )
-        field = AtomicField(params, blocks, 4)
-        with pytest.raises(ValueError):
-            partial_map(field, 1.5)
-
     def test_exposes_level_weights(self, field_j6):
-        g = partial_map(field_j6, 1.5)
-        assert set(g.level_weights) == set(field_j6.active_levels())
+        weights = level_weights(field_j6, 1.5)
+        assert set(weights) == set(field_j6.active_levels())
 
     def test_level_weights_computed_once_per_level_and_y(self, flagship_params, psi_one, monkeypatch):
         # a fresh block sequence gives fresh cache keys
@@ -224,7 +207,7 @@ class TestPartialMap:
         y = 1.3
         for J in (6, 8, 8):
             field = AtomicField(flagship_params, blocks, J)
-            weights = partial_map(field, y).level_weights
+            weights = level_weights(field, y)
             for j, w in weights.items():
                 assert w == float(level_weight(field, j, np.array([y]))[0])
         # the weight of level j does not depend on the depth J >= j
@@ -303,8 +286,8 @@ def per_level_formula(field, x1, weight):
 
 
 class TestLevelDispatch:
-    """eval_f and the partial_map closure against the per-level formula,
-    compared bitwise, at each level's support edges and off every level."""
+    """eval_f against the per-level formula, compared bitwise, at each
+    level's support edges and off every level."""
 
     @pytest.fixture(scope="class")
     def field(self, flagship_params, psi_one):
@@ -346,18 +329,3 @@ class TestLevelDispatch:
         for size, stop in ((1, 100), (7, 2000), (1000, n), (FIELD_EVAL_CHUNK, n)):
             parts = [eval_f(field, pts[lo:min(lo + size, stop)]) for lo in range(0, stop, size)]
             assert np.concatenate(parts).tobytes() == whole[:stop].tobytes(), size
-
-    def test_partial_map_is_the_per_level_formula(self, field):
-        x1 = self.x1_points(field)
-        for y in (1.3, 1.5, 1.77):
-            g = partial_map(field, y)
-            slow = per_level_formula(field, x1, lambda j: g.level_weights[j])
-            assert np.array_equal(g(x1), slow)
-            assert np.array_equal(g(x1), eval_f(field, np.column_stack([x1, np.full_like(x1, y)])))
-            assert (slow > 0).any()
-            square = x1[:60].reshape(6, 10)
-            for arr in (np.array(x1[5]), x1[:0], square, np.asfortranarray(square), square.T):
-                slow = per_level_formula(field, arr, lambda j: g.level_weights[j])
-                fast = g(arr)
-                assert np.shape(fast) == (arr.shape if arr.ndim else ())
-                assert np.array_equal(fast, slow)

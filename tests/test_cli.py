@@ -126,6 +126,20 @@ def test_norm_est_partial_map_needs_y(config_path):
     assert main(["--config", config_path, "norm-est", "--target", "partial-map"]) == 2
 
 
+def test_norm_est_field_is_the_classical_norm2d(config_path, tmp_path, capsys):
+    """norm-est --target field is the Psi = 1 norm that pathology.csv records
+    as norm2d, whatever the config's psi: bitwise equal at the same depth."""
+    path = _with(config_path, tmp_path, psi={"family": "log-power", "b": 0.25})
+    out = tmp_path / "out"
+    assert main(["--config", path, "--out", str(out), "pathology-run"]) == 0
+    rows = csv.DictReader((out / "pathology.csv").read_text().splitlines())
+    norm2d = {int(r["J"]): float(r["value"]) for r in rows if r["kind"] == "norm2d"}
+    capsys.readouterr()
+    assert main(["--config", path, "norm-est", "--target", "field", "--J", "6"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == norm2d[6] == pytest.approx(5.480431860518486, rel=1e-12)
+
+
 def test_lemma_le_emits_files(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["--config", config_path, "--out", str(out), "lemma-le"]) == 0
@@ -248,6 +262,17 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"emit_svg": "false"}, ["psi-check"]),
         ({"diag_threshold": math.nan}, ["pathology-run"]),
         ({"diag_threshold": 3.0}, ["psi-check"]),
+        ({"grid": 5}, ["psi-check"]),
+        ({"probes": 5}, ["psi-check"]),
+        ({"lemma": 5}, ["lemma-le"]),
+        ({"J": 5}, ["psi-check"]),
+        ({"J": [4, 6]}, ["norm-est", "--target", "field", "--J", "4"]),
+        ({"psi": 5}, ["psi-check"]),
+        ({"psi": {"family": "other"}}, ["psi-check"]),
+        ({"lemma": {"m": 0.5, "n_max": 2000}}, ["lemma-le"]),
+        ({"J": {"norm": 6, "seq": [16, 32, 64], "mixed": [16, 32]}}, ["pathology-run"]),
+        ({"control_psi": 0}, ["psi-check"]),
+        ({"control_psi": {}}, ["pathology-run"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -272,10 +297,12 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "control-psi-underflows", "estimate-term-q-overflows", "res-scale-too-fine",
         "res-scale-too-coarse", "lemma-m-nan", "lemma-m-inf", "lemma-m-minus-inf-pathology-run",
         "res-scale-not-1", "emit-svg-false", "emit-svg-string-false", "diag-threshold-nan",
-        "diag-threshold-not-2.5",
+        "diag-threshold-not-2.5", "grid-not-an-object", "probes-not-an-object", "lemma-not-an-object",
+        "J-not-an-object", "J-bare-list", "psi-not-an-object", "psi-unknown-family", "lemma-m-not-a-list",
+        "J-norm-not-a-list", "control-psi-zero", "control-psi-empty",
     ],
 )
-def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
+def test_rejected_input_exits_2(config_path, tmp_path, capsys, request, changes, argv):
     """A rejected input exits 2 with a message and writes nothing to --out."""
     path = _with(config_path, tmp_path, **changes)
     argv = list(argv)
@@ -284,8 +311,22 @@ def test_rejected_input_exits_2(config_path, tmp_path, capsys, changes, argv):
         points.write_text(argv[argv.index("--points") + 1])
         argv[argv.index("--points") + 1] = str(points)
     assert main(["--config", path, "--out", str(tmp_path / "out"), *argv]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert f"configuration error: {MESSAGE_START.get(request.node.callspec.id, '')}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# rows of test_rejected_input_exits_2 whose message must begin with the key at fault
+MESSAGE_START = {
+    **{f"N-3-{command}": "N is fixed at 2, got 3\n"
+       for command in ("psi-check", "seq-build", "field-eval", "lemma-le", "pathology-run")},
+    "norm-est-field-not-planar": "N is fixed at 2, got 3\n", "d-2-norm-est-partial-map": "d is fixed at 1, got 2\n",
+    "grid-not-an-object": "grid must be an object", "probes-not-an-object": "probes must be an object",
+    "lemma-not-an-object": "lemma must be an object", "J-not-an-object": "J must be an object",
+    "J-bare-list": "J must be an object", "psi-not-an-object": "psi must be an object",
+    "psi-unknown-family": "psi: ", "lemma-m-not-a-list": "lemma.m must be a list",
+    "J-norm-not-a-list": "J.norm must be a list", "control-psi-zero": "control_psi must be an object",
+    "control-psi-empty": "control_psi: ",
+}
 
 
 def _strict_json(text: str):
@@ -319,9 +360,9 @@ def test_integral_floats_read_as_integers(config_path, tmp_path):
                "J": {"norm": [4.0, 6.0], "seq": [16.0, 32.0, 64.0], "mixed": [16.0, 32.0]},
                "lemma": {"m": [0.5], "n_max": 2000.0}}
     config = config_from_dict(load_config(_with(config_path, tmp_path, **changes)))
-    counts = (config.params.N, config.params.d, config.params.M, config.x_probes, config.y_probes,
+    counts = (config.params.M, config.x_probes, config.y_probes,
               config.lemma_n_max, *config.J_norm, *config.J_seq, *config.J_mixed)
-    assert counts == (2, 1, 2, 8, 2, 2000, 4, 6, 16, 32, 64, 16, 32)
+    assert counts == (2, 8, 2, 2000, 4, 6, 16, 32, 64, 16, 32)
     assert all(type(n) is int for n in counts)
 
 
@@ -496,16 +537,15 @@ FLAGSHIP = str(Path(__file__).resolve().parent.parent / "configs" / "flagship.js
 
 
 @pytest.mark.parametrize("J", [1, 2, 8, 64])
-@pytest.mark.parametrize("rearranged", [True, False], ids=["rearranged", "no-rearrange"])
 @pytest.mark.parametrize("flagship", [False, True], ids=["small", "flagship"])
-def test_seq_build_streams_the_encoder_bytes(config_path, tmp_path, capsys, J, rearranged, flagship):
+def test_seq_build_streams_the_encoder_bytes(config_path, tmp_path, capsys, J, flagship):
     """blocks.json, on stdout and through --out, is byte for byte the json
     encoder's document, and seq.csv is reporting.write_csv's."""
     path = FLAGSHIP if flagship else config_path
     config = config_from_dict(load_config(path))
-    blocks = config.blocks(J, rearranged=rearranged)
+    blocks = config.blocks(J)
     write_level_csv(tmp_path / "oracle.csv", blocks, config.psi, config.params)
-    argv = ["seq-build", "--J", str(J), *([] if rearranged else ["--no-rearrange"])]
+    argv = ["seq-build", "--J", str(J)]
     assert main(["--config", path, *argv]) == 0
     assert main(["--config", path, "--out", str(tmp_path / "blocks.json"),
                  *argv, "--csv", str(tmp_path / "seq.csv")]) == 0

@@ -29,7 +29,7 @@ from besovlab.slowly_varying import constant, log_power
 
 def small_config(**overrides):
     base = dict(
-        params=Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25),
+        params=Params(p=1.0, q=2.0, s=1.5, M=2, L=0.25),
         psi=constant(1.0),
         J_norm=(4, 6),
         J_seq=(16, 32, 64),
@@ -73,10 +73,10 @@ class TestConfig:
             small_config(J_mixed=(16, sequences.MAX_SEQ_DEPTH + 1))
 
     def test_gate_lists_every_violation(self):
-        params = Params(N=3, d=1, p=1.0, q=2.0, s=1.5, M=1, L=0.9)
+        params = Params(p=1.0, q=2.0, s=1.5, M=1, L=0.9)
         with pytest.raises(ConfigError) as err:
             small_config(params=params, x_probes=0)
-        for fragment in ("N must be 2", "M > s fails", "L < 1 - p/q fails", "x_probes must lie"):
+        for fragment in ("M > s fails", "L < 1 - p/q fails", "x_probes must lie"):
             assert fragment in str(err.value)
 
     def test_grid_depth_cap(self):
@@ -211,12 +211,13 @@ class TestSequenceExperiment:
 class TestPathology:
     def test_rejects_invalid_params(self):
         with pytest.raises(ConfigError):
-            run_pathology(small_config(params=Params(N=2, d=1, p=1.0, q=2.0, s=2.5, M=2, L=0.25)))
+            run_pathology(small_config(params=Params(p=1.0, q=2.0, s=2.5, M=2, L=0.25)))
 
     def test_rejects_unsupported_dimensions(self):
-        params = Params(N=3, d=2, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
-        with pytest.raises(ConfigError):
-            run_pathology(small_config(params=params))
+        base = {"p": 1, "q": 2, "s": 1.5, "M": 2, "L": 0.25, "psi": {"family": "constant"}}
+        for key, value in (("N", 3), ("d", 2)):
+            with pytest.raises(ConfigError, match=f"{key} is fixed at"):
+                config_from_dict({**base, key: value})
 
     def test_small_run_produces_all_kinds(self):
         report = run_pathology(small_config(control_psi=log_power(1.0)))

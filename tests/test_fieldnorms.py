@@ -10,7 +10,6 @@ from besovlab.atoms import (
     eval_f,
     level_plateau,
     level_weight,
-    partial_map,
     psi0,
 )
 from besovlab.fieldnorms import (
@@ -35,6 +34,7 @@ from oracles import (
     all_steps_pm_modulus,
     full_grid_diff_lp_pow,
     level_box,
+    partial_map,
     seminorm,
     support_boxes,
 )
@@ -180,8 +180,8 @@ class TestTopLevel:
         assert small < big
 
     def test_besov_norm_exceeds_seminorm(self, small_field):
-        semi = field_seminorm(small_field, constant(1.0), j_max=4)
-        full = field_besov_norm(small_field, constant(1.0), j_max=4)
+        semi = field_seminorm(small_field, j_max=4)
+        full = field_besov_norm(small_field, j_max=4)
         assert full.value > semi.value
 
     def test_pm_seminorm_requires_M_above_s(self, small_field):
@@ -350,7 +350,7 @@ class TestLevelReuse:
             raise AssertionError("a cache key hashed a BlockLevel")
 
         monkeypatch.setattr(sequences.BlockLevel, "__hash__", refuse)
-        norm = field_besov_norm(field, psi_one, j_max=3)
+        norm = field_besov_norm(field, j_max=3)
         semi = pm_seminorm(field, 1.51, psi_one, j_max=3)
         assert norm.value > 0.0 and semi.value > 0.0
 
@@ -361,7 +361,7 @@ class TestLevelReuse:
 
         def norm_and_misses(blocks, J):
             before = level_diff_lp_pow.cache_info().misses
-            est = field_besov_norm(AtomicField(p, blocks, J), psi_one, j_max=6)
+            est = field_besov_norm(AtomicField(p, blocks, J), j_max=6)
             return est.value, level_diff_lp_pow.cache_info().misses - before
 
         def fresh_blocks():

@@ -58,11 +58,11 @@ class TestKappa:
 
 class TestParams:
     def test_L_defaulted_to_midpoint(self):
-        params = Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2)
+        params = Params(p=1.0, q=2.0, s=1.5, M=2)
         assert params.L == pytest.approx(0.25)
 
     def test_explicit_L_kept(self):
-        params = Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.1)
+        params = Params(p=1.0, q=2.0, s=1.5, M=2, L=0.1)
         assert params.L == 0.1
 
     def test_derived_properties(self, flagship_params):
@@ -75,25 +75,22 @@ class TestParams:
     @pytest.mark.parametrize(
         "overrides,fragment",
         [
-            (dict(N=1), "N must be"),
-            (dict(d=2), "d must satisfy"),
             (dict(p=-1.0), "p must be positive"),
             (dict(s=3.0), "M > s fails"),
             (dict(M=1), "M > s fails"),
             (dict(L=0.9), "L < 1 - p/q"),
             (dict(p=0.5, s=1.5), "s > sigma_p"),
-            (dict(N=3), "N must be 2"),
             (dict(q=0.5), "p <= q fails"),
         ],
     )
     def test_violations_reported(self, overrides, fragment):
-        base = dict(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)
+        base = dict(p=1.0, q=2.0, s=1.5, M=2, L=0.25)
         base.update(overrides)
         messages = validate(Params(**base))
         assert any(fragment in m for m in messages), messages
 
     def test_p_inf_rejected(self):
-        messages = validate(Params(N=2, d=1, p=INF, q=INF, s=1.5, M=2, L=0.25))
+        messages = validate(Params(p=INF, q=INF, s=1.5, M=2, L=0.25))
         assert any("p = inf" in m for m in messages)
 
 

@@ -31,7 +31,7 @@ from besovlab.sequences import (
     write_blocks,
 )
 from besovlab.slowly_varying import constant, log_power, tabulated
-from oracles import blocks_from_json, blocks_to_json, fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight
+from oracles import blocks_from_json, blocks_to_json, fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight, write_level_csv
 
 # lemma.m of configs/flagship.json
 FLAGSHIP_LEMMA_M = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -148,7 +148,7 @@ class TestBuild:
         assert sequences._exact_floor_count(g, j) == expected
 
     def test_requires_p_below_q(self, psi_one):
-        params = Params(N=2, d=1, p=2.0, q=2.0, s=0.5, M=1, L=0.1)
+        params = Params(p=2.0, q=2.0, s=0.5, M=1, L=0.1)
         with pytest.raises(ValueError):
             build_lambda_blocks(psi_one, params, 4)
 
@@ -375,13 +375,13 @@ _TABLE_J = 300
 # branch q = inf.  The tabulated weight oscillates, and its exponents make
 # q/p non-integer.
 _TABLE_CASES = {
-    "constant": (constant(1.0), Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)),
-    "log-power": (log_power(0.25), Params(N=2, d=1, p=1.0, q=2.0, s=1.5, M=2, L=0.25)),
+    "constant": (constant(1.0), Params(p=1.0, q=2.0, s=1.5, M=2, L=0.25)),
+    "log-power": (log_power(0.25), Params(p=1.0, q=2.0, s=1.5, M=2, L=0.25)),
     "tabulated": (
         tabulated((j, (1.0 + 0.5 * math.sin(j)) / (1.0 + j) ** 0.2) for j in range(_TABLE_J + 1)),
-        Params(N=2, d=1, p=1.5, q=4.0, s=2.0, M=3, L=0.3),
+        Params(p=1.5, q=4.0, s=2.0, M=3, L=0.3),
     ),
-    "q=inf": (log_power(0.25), Params(N=2, d=1, p=1.0, q=math.inf, s=1.5, M=2, L=0.5)),
+    "q=inf": (log_power(0.25), Params(p=1.0, q=math.inf, s=1.5, M=2, L=0.5)),
 }
 
 
@@ -449,7 +449,7 @@ class TestExactWithoutFraction:
 
     # q/p near 1 keeps subnormal block averages subnormal in the sum
     SUM_PARAMS = (_TABLE_CASES["constant"][1], _TABLE_CASES["tabulated"][1],
-                  Params(N=2, d=1, p=1.0, q=1.0 + 2**-20, s=1.5, M=2, L=0.25))
+                  Params(p=1.0, q=1.0 + 2**-20, s=1.5, M=2, L=0.25))
 
     @settings(max_examples=40, deadline=None)
     @given(_sparse_levels(), st.sampled_from(SUM_PARAMS))
@@ -528,6 +528,19 @@ class TestSerialization:
     def test_json_round_trip(self, blocks_j8):
         again = read_blocks(io.StringIO(blocks_to_json(blocks_j8)))
         assert _fields(again) == _fields(blocks_j8)
+
+    @pytest.mark.parametrize("J", [1, 2, 8, 64])
+    def test_write_blocks_streams_the_encoder_bytes_unrearranged(self, flagship_params, psi_one, tmp_path, J):
+        """An unrearranged sequence ("rearranged": false, which seq-build no
+        longer writes but seq-verify still reads) gives the json encoder's
+        document and reporting.write_csv's table, byte for byte."""
+        blocks = build_lambda_blocks(psi_one, flagship_params, J)
+        assert not blocks.rearranged
+        out, table = io.StringIO(), io.StringIO(newline="")
+        write_blocks(blocks, out, level_table(blocks, psi_one, flagship_params), table)
+        assert out.getvalue() == blocks_to_json(blocks) + "\n"
+        write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
+        assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
     def test_read_blocks_matches_whole_text_oracle(self, blocks_j8, blocks_j64, flagship_params, psi_one, chunk):

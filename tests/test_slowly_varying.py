@@ -146,20 +146,20 @@ class TestWeightRange:
 
 class TestSlowVariation:
     def test_constant_is_exactly_slowly_varying(self):
-        assert slow_variation_deviation(constant(5.0), 0.5, 100) == 0.0
+        assert slow_variation_deviation(constant(5.0), 100) == 0.0
 
     def test_log_power_deviation_shrinks_with_depth(self):
         desc = log_power(1.0)
-        shallow = slow_variation_deviation(desc, 0.5, 10)
-        deep = slow_variation_deviation(desc, 0.5, 1000)
+        shallow = slow_variation_deviation(desc, 10)
+        deep = slow_variation_deviation(desc, 1000)
         assert deep < shallow
         # deviation decays like 1/j for the log family
         assert deep < 5e-3
 
     def test_power_function_is_not_slowly_varying(self):
-        # Psi(t) = t has ratio r instead of 1; emulate via a table
+        # Psi(t) = t has ratio 1/2 instead of 1; emulate via a table
         desc = tabulated([(j, 2.0**-j) for j in range(0, 22)])
-        assert slow_variation_deviation(desc, 0.5, 20) == pytest.approx(0.5)
+        assert slow_variation_deviation(desc, 20) == pytest.approx(0.5)
 
 
 def test_psi_from_dict_round_trips():
