@@ -22,6 +22,10 @@ import sys
 import warnings
 from pathlib import Path
 
+# Set before numpy loads OpenBLAS: a second BLAS thread speeds up none of our
+# small matmuls, yet spins a core at import and after each one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import experiments, fieldnorms, sequences

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import fieldnorms, sequences
 from .atoms import AtomicField
-from .params import N, Params, as_int, params_from_dict, validate
+from .params import N, Params, as_float, as_int, params_from_dict, validate
 from .reporting import write_csv, write_json, write_svg_lines
 from .slowly_varying import (
     SATISFIED,
@@ -155,7 +155,7 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
             if key in probes:
                 kwargs[f"{key}_probes"] = as_int(probes[key], f"probes.{key}")
         if "m" in lemma:
-            kwargs["lemma_m"] = tuple(float(m) for m in _typed(lemma["m"], list, "lemma.m"))
+            kwargs["lemma_m"] = tuple(as_float(m, "lemma.m") for m in _typed(lemma["m"], list, "lemma.m"))
         if "n_max" in lemma:
             kwargs["lemma_n_max"] = as_int(lemma["n_max"], "lemma.n_max")
         for key, fixed in FIXED_SETTINGS.items():

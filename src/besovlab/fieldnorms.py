@@ -172,7 +172,9 @@ def level_diff_lp_pow(field: AtomicField, j: int, p: float, M: int, h, res: floa
     x2 = _stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
     cols = x2 + np.arange(M + 1)[:, None] * h2  # cols[i, r] = x2_r + i h2
     cuts, _ = _plateau_cuts(field, j)
-    bounds = np.unique(np.concatenate([[0, x2.size], *(np.searchsorted(c, cuts) for c in cols)]))
+    # the distinct row indices, sorted: np.unique would give the same but loads numpy.ma
+    edges = np.sort(np.concatenate([[0, x2.size], *(np.searchsorted(c, cuts) for c in cols)]))
+    bounds = edges[np.diff(edges, prepend=-1) > 0]
     starts, lengths = bounds[:-1], np.diff(bounds)
     runs = _plateau_state(field, j, cols[:, starts])
     edge = (runs < 0).any(axis=0)

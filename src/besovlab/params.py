@@ -86,21 +86,35 @@ def validate(params: Params) -> list[str]:
     return v
 
 
+def _is_number(value) -> bool:
+    """A JSON number; True == 1 in Python, so a boolean is excluded by name."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def as_float(value, name: str) -> float:
+    """A real config field as a float: a string or boolean is rejected."""
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def as_int(value, name: str) -> int:
-    """A counting config field as an int: 2.0 reads as 2, 2.5 is rejected."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """A counting config field as an int: 2.0 reads as 2; 2.5, a string or a boolean is rejected."""
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     return int(value)
 
 
 def params_from_dict(cfg: dict) -> Params:
-    """Build Params from a JSON config object with keys {p, q, s, M, L}."""
+    """Build Params from a JSON config object with keys {p, q, s, M, L}.
+
+    Each is a JSON number; q may also be the string "inf"."""
     return Params(
-        p=float(cfg["p"]),
-        q=float(cfg["q"]),
-        s=float(cfg["s"]),
+        p=as_float(cfg["p"], "p"),
+        q=INF if cfg["q"] == "inf" else as_float(cfg["q"], "q"),  # strict JSON has no infinity
+        s=as_float(cfg["s"], "s"),
         M=as_int(cfg["M"], "M"),
-        L=float(cfg["L"]) if cfg.get("L") is not None else None,
+        L=as_float(cfg["L"], "L") if cfg.get("L") is not None else None,
     )
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import count
 
-from .params import as_int
+from .params import as_float, as_int
 
 LN2 = math.log(2.0)
 
@@ -201,11 +201,11 @@ def psi_from_dict(cfg: dict) -> PsiDescriptor:
     """Build a descriptor from the JSON sub-object `psi`."""
     family = cfg["family"]
     if family == CONSTANT:
-        return constant(float(cfg.get("c", 1.0)))
+        return constant(as_float(cfg.get("c", 1.0), "c"))
     if family == LOG_POWER:
-        return log_power(float(cfg["b"]))
+        return log_power(as_float(cfg["b"], "b"))
     if family == ITERATED_LOG_POWER:
-        return iterated_log_power(float(cfg["b"]), float(cfg.get("b2", 0.0)))
+        return iterated_log_power(as_float(cfg["b"], "b"), as_float(cfg.get("b2", 0.0), "b2"))
     if family == TABULATED:
-        return tabulated((as_int(j, "psi.table j"), v) for j, v in cfg["table"])
+        return tabulated((as_int(j, "table j"), as_float(v, "table value")) for j, v in cfg["table"])
     raise ValueError(f"unknown psi family {family!r}")

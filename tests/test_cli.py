@@ -176,6 +176,55 @@ def test_pathology_run_is_deterministic_across_processes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def _fresh_python(code: str, **env_changes) -> str:
+    """stdout of `python -c code` in a new process with src on PYTHONPATH;
+    an env_changes value of None removes that variable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for key, value in env_changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                          text=True, timeout=600)
+    return done.stdout
+
+
+def test_cli_runs_one_blas_thread():
+    """The CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, so the process
+    has no idle BLAS worker: one thread, the interpreter's own."""
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs /proc/self/task")
+    out = _fresh_python("import os, besovlab.cli; "
+                        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))",
+                        OPENBLAS_NUM_THREADS=None)
+    assert out.split() == ["1", "1"]
+
+
+def test_cli_keeps_a_user_set_blas_thread_count():
+    out = _fresh_python("import os, besovlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                        OPENBLAS_NUM_THREADS="2")
+    assert out.split() == ["2"]
+
+
+def test_library_modules_leave_the_environment_alone():
+    """Only the CLI entry sets the BLAS thread count; importing the library does not."""
+    modules = ("atoms", "experiments", "fieldnorms", "norms", "params", "reporting", "sequences",
+               "slowly_varying")
+    out = _fresh_python(f"import importlib, os; [importlib.import_module('besovlab.' + m) for m in {modules}]; "
+                        "print(os.environ.get('OPENBLAS_NUM_THREADS'))", OPENBLAS_NUM_THREADS=None)
+    assert out.split() == ["None"]
+
+
+def test_pathology_run_does_not_load_numpy_ma(config_path, tmp_path):
+    """The flagship path uses no masked arrays, so it pays no numpy.ma import
+    (numpy's np.unique would load it)."""
+    out = _fresh_python(f"import sys; from besovlab import cli; "
+                        f"code = cli.main(['--config', {config_path!r}, '--out', {str(tmp_path / 'out')!r}, "
+                        f"'pathology-run']); print(code, 'numpy.ma' in sys.modules)")
+    assert out.split()[-2:] == ["0", "False"]
+
+
 def _with(cfg_path, tmp_path, **changes):
     cfg = json.loads(Path(cfg_path).read_text())
     for key, value in changes.items():
@@ -273,6 +322,25 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"J": {"norm": 6, "seq": [16, 32, 64], "mixed": [16, 32]}}, ["pathology-run"]),
         ({"control_psi": 0}, ["psi-check"]),
         ({"control_psi": {}}, ["pathology-run"]),
+        ({"p": "1"}, ["psi-check"]),
+        ({"q": True}, ["psi-check"]),
+        ({"s": "1.5"}, ["field-eval", "--J", "4", "--points", "x1,x2\n24.0,1.5\n"]),
+        ({"M": "2"}, ["psi-check"]),
+        ({"M": True}, ["pathology-run"]),
+        ({"L": "0.25"}, ["seq-build", "--J", "4"]),
+        ({"probes": {"x": True, "y": 2}}, ["psi-check"]),
+        ({"probes": {"x": 8, "y": "16"}}, ["pathology-run"]),
+        ({"J": {"norm": ["4", 6], "seq": [16, 32, 64], "mixed": [16, 32]}}, ["pathology-run"]),
+        ({"J": {"norm": [4, 6], "seq": [16, True, 64], "mixed": [16, 32]}}, ["pathology-run"]),
+        ({"J": {"norm": [4, 6], "seq": [16, 32, 64], "mixed": [16, "32"]}}, ["pathology-run"]),
+        ({"lemma": {"m": ["0.5"], "n_max": 2000}}, ["lemma-le"]),
+        ({"lemma": {"m": [0.5], "n_max": "2000"}}, ["lemma-le"]),
+        ({"psi": {"family": "constant", "c": "1.0"}}, ["psi-check"]),
+        ({"psi": {"family": "log-power", "b": False}}, ["psi-check"]),
+        ({"psi": {"family": "iterated-log-power", "b": 0.5, "b2": "1"}}, ["psi-check"]),
+        ({"psi": {"family": "tabulated", "table": [[j, "1.0"] for j in range(513)]}}, ["psi-check"]),
+        ({"psi": {"family": "tabulated", "table": [[str(j), 1.0] for j in range(513)]}}, ["psi-check"]),
+        ({"control_psi": {"family": "log-power", "b": "0.75"}}, ["pathology-run"]),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -300,6 +368,10 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "diag-threshold-not-2.5", "grid-not-an-object", "probes-not-an-object", "lemma-not-an-object",
         "J-not-an-object", "J-bare-list", "psi-not-an-object", "psi-unknown-family", "lemma-m-not-a-list",
         "J-norm-not-a-list", "control-psi-zero", "control-psi-empty",
+        "p-string", "q-true", "s-string", "M-string", "M-true", "L-string", "x-probes-true",
+        "y-probes-string", "J-norm-string", "J-seq-true", "J-mixed-string", "lemma-m-string",
+        "lemma-n-max-string", "psi-c-string", "psi-b-false", "psi-b2-string", "psi-table-value-string",
+        "psi-table-j-string", "control-psi-b-string",
     ],
 )
 def test_rejected_input_exits_2(config_path, tmp_path, capsys, request, changes, argv):
@@ -326,6 +398,20 @@ MESSAGE_START = {
     "psi-unknown-family": "psi: ", "lemma-m-not-a-list": "lemma.m must be a list",
     "J-norm-not-a-list": "J.norm must be a list", "control-psi-zero": "control_psi must be an object",
     "control-psi-empty": "control_psi: ",
+    "x-probes-not-an-int": 'probes.x must be an integer, got "abc"',
+    "p-string": 'p must be a number, got "1"', "q-true": "q must be a number, got true",
+    "s-string": 's must be a number, got "1.5"', "M-string": 'M must be an integer, got "2"',
+    "M-true": "M must be an integer, got true", "L-string": 'L must be a number, got "0.25"',
+    "x-probes-true": "probes.x must be an integer, got true",
+    "y-probes-string": 'probes.y must be an integer, got "16"',
+    "J-norm-string": 'J.norm must be an integer, got "4"', "J-seq-true": "J.seq must be an integer, got true",
+    "J-mixed-string": 'J.mixed must be an integer, got "32"', "lemma-m-string": 'lemma.m must be a number, got "0.5"',
+    "lemma-n-max-string": 'lemma.n_max must be an integer, got "2000"',
+    "psi-c-string": 'psi: c must be a number, got "1.0"', "psi-b-false": "psi: b must be a number, got false",
+    "psi-b2-string": 'psi: b2 must be a number, got "1"',
+    "psi-table-value-string": 'psi: table value must be a number, got "1.0"',
+    "psi-table-j-string": 'psi: table j must be an integer, got "0"',
+    "control-psi-b-string": 'control_psi: b must be a number, got "0.75"',
 }
 
 
