@@ -34,9 +34,9 @@ def bump_u(t):
     """e^(-1/t^2) for t > 0, exactly 0 otherwise (and when it would underflow)."""
     t_arr = np.asarray(t, dtype=float)
     out = np.zeros_like(t_arr)
-    with np.errstate(divide="ignore", over="ignore"):
-        arg = np.where(t_arr > 0, 1.0 / np.where(t_arr > 0, t_arr, 1.0) ** 2, np.inf)
-    mask = arg <= _EXP_CLAMP
+    with np.errstate(divide="ignore", over="ignore"):  # t = 0 or tiny: arg = inf, masked off
+        arg = 1.0 / t_arr**2
+    mask = (arg <= _EXP_CLAMP) & (t_arr > 0)
     out[mask] = np.exp(-arg[mask])
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 

@@ -1,12 +1,16 @@
 """Dyadic block sequences: series test, block construction, rearrangement.
 
-A BlockSequence stores O(J) data per level (on-value, on-count, window start);
-the dense array of 2^(J+1) positions exists only as a small-J oracle.  The
+A BlockSequence stores O(1) machine words per level: the on-value, and the
+on-count and window start each as an odd mantissa and a shift; the dense
+array of 2^(J+1) positions exists only as a small-J oracle.  The
 rearrangement is the cyclic sliding-window placement: each level's on-run
 starts where the previous level's run ended, modulo 1.  The cursor is the
-exact integer window prefix A_j = W_j 2^j, W_j = sum_{i<=j} n_i 2^-i: the
-windows tile [0, W_J) end to end, so a probe's covering levels are found by
-bisect on the same prefix.
+exact window prefix W_j = sum_{i<=j} n_i 2^-i, a dyadic number kept as an
+integer over 2^K, K raised when a finer term arrives: n_j = floor(2^j g_j)
+of a double g_j has at most 53 significant bits, so K stays near 53 +
+log2(1/g_j), not j.  The windows tile [0, W_J) end to end, so a probe's
+covering levels are found by bisect on the same prefix.  Only the decimal
+I/O builds n_j and start_j as j-bit integers, one level at a time.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import json
 import math
 import re
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TextIO
 
 import numpy as np
@@ -26,18 +31,56 @@ import numpy as np
 from .params import Params
 from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 
-# Deepest BlockSequence a command or configuration may build.  Each start_j is
-# a j-bit integer, so a build costs O(J^2): build_lambda_blocks plus rearrange
-# take about 0.9 s and 177 MB of peak process memory at this depth.
+# Deepest BlockSequence a command or configuration may build.  A level is
+# O(1) words, so a build is O(J): build_lambda_blocks plus rearrange hold
+# about 9 MB of levels at this depth (tests/test_sequences.py's memory guard).
 MAX_SEQ_DEPTH = 2**15
 
 
-@dataclass(frozen=True)
-class BlockLevel:
-    j: int
-    theta: float  # on-value
-    n: int        # on-count, exact integer in [0, 2^j]
-    start: int    # window start cell in [0, 2^j)
+def _dyadic(v: int, shift: int = 0) -> tuple[int, int]:
+    """(m, e) with v << shift = m << e and m odd; (0, 0) for v = 0."""
+    if not v:
+        return 0, 0
+    e = (v & -v).bit_length() - 1
+    return v >> e, e + shift
+
+
+class BlockLevel(namedtuple("BlockLevel", "j theta n_m n_e start_m start_e")):
+    """Level j of a BlockSequence: on-value theta, on-count n in [0, 2^j] and
+    window start in [0, 2^j), n = n_m << n_e and start = start_m << start_e
+    with odd mantissas (0 as (0, 0)).  BlockLevel(j, theta, n, start) takes
+    the integers; .n and .start build them back, j bits long."""
+
+    __slots__ = ()
+
+    def __new__(cls, j: int, theta: float, n: int, start: int):
+        return cls._of(j, theta, _dyadic(n), _dyadic(start))
+
+    @classmethod
+    def _of(cls, j: int, theta: float, n: tuple[int, int], start: tuple[int, int]) -> BlockLevel:
+        """The level with n and start given as (mantissa, shift) pairs."""
+        return tuple.__new__(cls, (j, theta, *n, *start))
+
+    @property
+    def n(self) -> int:
+        return self.n_m << self.n_e
+
+    @property
+    def start(self) -> int:
+        return self.start_m << self.start_e
+
+
+def _level_index_problem(levels, J: int) -> str | None:
+    """Why the J + 1 levels do not carry j = 0..J in order; None if they do."""
+    if all(lvl.j == i for i, lvl in enumerate(levels)):
+        return None
+    seen = Counter(lvl.j for lvl in levels)
+    parts = [f"{what} j: {js}" for what, js in (
+        ("duplicate", sorted(j for j, c in seen.items() if c > 1)),
+        ("missing", [j for j in range(J + 1) if j not in seen]),
+        ("out-of-range", sorted(j for j in seen if not 0 <= j <= J)),
+    ) if js]
+    return f"levels must carry j = 0..{J} in order, once each ({'; '.join(parts) or 'out of order'})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +103,12 @@ class BlockSequence:
     def __post_init__(self):
         if len(self.levels) != self.J + 1:
             raise ValueError("levels must cover j = 0..J")
-        for lvl in self.levels:
-            if not 0 <= lvl.n <= 1 << lvl.j:
+        if (problem := _level_index_problem(self.levels, self.J)) is not None:
+            raise ValueError(problem)
+        for lvl in self.levels:  # bit lengths, never 1 << j
+            if lvl.n_m < 0 or lvl.n_m.bit_length() + lvl.n_e > lvl.j + (lvl.n_m == 1):
                 raise ValueError(f"n_{lvl.j} out of range: {lvl.n}")
-            if not 0 <= lvl.start < max(1 << lvl.j, 1):
+            if lvl.start_m < 0 or lvl.start_m.bit_length() + lvl.start_e > lvl.j:
                 raise ValueError(f"start_{lvl.j} out of range: {lvl.start}")
 
     def is_on(self, j: int, k: int) -> bool:
@@ -72,7 +117,7 @@ class BlockSequence:
         size = 1 << j
         if not size <= k < 2 * size:
             raise ValueError(f"k={k} not in T_{j}")
-        if lvl.n == 0:
+        if lvl.n_m == 0:
             return False
         return (k - size - lvl.start) % size < lvl.n
 
@@ -118,10 +163,17 @@ def gamma(desc: PsiDescriptor, kappa: float, j: int, m: float) -> float:
     return float(psi_dyadic(desc, j) ** kappa / S[-1] ** m)
 
 
-def _exact_floor_count(g: float, j: int) -> int:
-    # floor(2^j * g) with g a float, exact: g = num / den, den a power of 2
+def _floor_count(g: float, j: int) -> tuple[int, int]:
+    """floor(2^j g) clamped to [0, 2^j], exact, as a (mantissa, shift) pair.
+    g = num / 2^d with num odd, so the count is num << (j - d) for j >= d
+    and num >> (d - j), at most 53 bits, below."""
     num, den = g.as_integer_ratio()
-    return min(max((num << j) // den, 0), 1 << j)
+    if num <= 0:
+        return 0, 0
+    if num >= den:
+        return 1, j
+    d = den.bit_length() - 1
+    return (num, j - d) if j >= d else _dyadic(num >> (d - j))
 
 
 def build_lambda_blocks(desc: PsiDescriptor, params: Params, J: int) -> BlockSequence:
@@ -139,42 +191,49 @@ def build_lambda_blocks(desc: PsiDescriptor, params: Params, J: int) -> BlockSeq
         # powers in log space so deep levels neither overflow nor underflow
         theta = math.exp(params.L * math.log(S[j - 1]) - params.p * log_psi)
         g = math.exp(kap * log_psi - math.log(S[j - 1]))
-        levels.append(BlockLevel(j, theta, _exact_floor_count(g, j), 0))
+        levels.append(BlockLevel._of(j, theta, _floor_count(g, j), (0, 0)))
     return BlockSequence(J=J, levels=tuple(levels))
 
 
 def block_average(blocks: BlockSequence, j: int) -> float:
     """n_j * theta_j / 2^j, the exact average of the sequence over T_j.
-    n_j / 2^j is an int true division, correctly rounded in CPython."""
+    n_j / 2^j = n_m / 2^(j - n_e) is an int true division, correctly rounded
+    in CPython; for a count built from a double, 2^(j - n_e) <= 2^1074."""
     lvl = blocks.levels[j]
-    return lvl.n / (1 << j) * lvl.theta
+    return lvl.n_m / (1 << (j - lvl.n_e)) * lvl.theta
 
 
-def _window_prefix(blocks: BlockSequence) -> Iterator[int]:
-    """A_j = W_j 2^j for j = 0..J, exact: A_j = 2 A_{j-1} + n_j, A_{-1} = 0.
-    Level j's window ends at W_j, where level j+1's starts."""
-    A = 0
-    for lvl in blocks.levels:
-        A = (A << 1) + lvl.n
-        yield A
+def _window_prefix(levels: Iterable[BlockLevel]) -> Iterator[tuple[int, int]]:
+    """W_j = sum_{i<=j} n_i 2^-i for each level j, exact, as (W, K) with W_j =
+    W / 2^K.  The term n_j 2^-j is n_m / 2^(j - n_e); K is raised to that
+    exponent when it is larger.  Level j's window ends at W_j, where level
+    j+1's starts."""
+    W = K = 0
+    for lvl in levels:
+        if lvl.n_m:
+            d = lvl.j - lvl.n_e
+            if d > K:
+                W, K = W << (d - K), d
+            W += lvl.n_m << (K - d)
+        yield W, K
 
 
 def rearrange(blocks: BlockSequence) -> BlockSequence:
     """Sliding-window rearrangement; preserves each block's value multiset.
 
     Level j's window starts where level j-1's ended, modulo 1: start_j =
-    (2 A_{j-1}) mod 2^j, with A the window prefix, and the cursor is
-    W_J mod 1 = (A_J mod 2^J) / 2^J.  This is the cursor rule start_j =
-    floor(c_{j-1} 2^j), c_j = frac((start_j + n_j) / 2^j), whose floor is
-    exact because c_{j-1} has denominator 2^(j-1).
+    frac(W_{j-1}) 2^j, with W the window prefix, and the cursor is W_J mod 1.
+    This is the cursor rule start_j = floor(c_{j-1} 2^j), c_j =
+    frac((start_j + n_j) / 2^j), whose floor is exact because c_{j-1} has
+    denominator 2^(j-1): W_{j-1} = W / 2^K with K <= j - 1.
     """
-    levels, prev = [], 0
-    for lvl, A in zip(blocks.levels, _window_prefix(blocks)):
-        levels.append(BlockLevel(lvl.j, lvl.theta, lvl.n, (prev << 1) % (1 << lvl.j)))
-        prev = A
-    size = 1 << blocks.J
+    levels, W, K = [], 0, 0
+    for lvl, (next_W, next_K) in zip(blocks.levels, _window_prefix(blocks.levels)):
+        start = _dyadic(W & ((1 << K) - 1), lvl.j - K)
+        levels.append(BlockLevel._of(lvl.j, lvl.theta, (lvl.n_m, lvl.n_e), start))
+        W, K = next_W, next_K
     return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True,
-                         cursor=Fraction(prev % size, size))
+                         cursor=Fraction(W & ((1 << K) - 1), 1 << K))
 
 
 def _covering_levels(blocks: BlockSequence, x, J: int | None) -> Iterator[BlockLevel]:
@@ -191,7 +250,7 @@ def _covering_levels(blocks: BlockSequence, x, J: int | None) -> Iterator[BlockL
     num, den = xf.numerator, xf.denominator
     for j in range(min(J, blocks.J) + 1):
         lvl = blocks.levels[j]
-        if lvl.n == 0 or lvl.theta <= 0.0:
+        if lvl.n_m == 0 or lvl.theta <= 0.0:
             continue
         size = 1 << j
         k = (num << j) // den
@@ -273,38 +332,46 @@ def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: i
     return max((_diagnostic_term(lvl, desc, p) for lvl in _covering_levels(blocks, x, J)), default=0.0)
 
 
-def _prefix_lookup(blocks: BlockSequence, J: int):
-    """j -> A_j for j = 0..J of a rearranged sequence, keeping one small
-    integer per level.  Level j+1's window starts at W_j mod 1, so
-    start_{j+1} = 2 A_j mod 2^(j+1) and A_j = floor(W_j) 2^j + start_{j+1}/2:
+def _prefix_lookup(blocks: BlockSequence, J: int) -> tuple[int, Callable[[int], int]]:
+    """(K, j -> W_j 2^K) for j = 0..J of a rearranged sequence, with 2^K the
+    denominator of W_J, keeping one small integer per level.  Level j+1's
+    window starts at W_j mod 1, so W_j = floor(W_j) + start_{j+1} 2^-(j+1):
     one pass over the window prefix keeps only its laps floor(W_j)."""
     laps, levels = [], blocks.levels
-    for lvl, A in zip(levels[: J + 1], _window_prefix(blocks)):
-        laps.append(A >> lvl.j)
-    return lambda j: (laps[j] << j) + (levels[j + 1].start >> 1) if j < J else A
+    for W, K in islice(_window_prefix(levels), J + 1):
+        laps.append(W >> K)
+
+    def scaled(j: int) -> int:
+        if j == J:
+            return W
+        nxt = levels[j + 1]  # start_m odd, so its denominator 2^(j + 1 - start_e) divides 2^K
+        frac = nxt.start_m << (K + nxt.start_e - j - 1) if nxt.start_m else 0
+        return (laps[j] << K) + frac
+
+    return K, scaled
 
 
 def _bisect_covering_levels(blocks: BlockSequence, prefix, J: int, x) -> Iterator[BlockLevel]:
     """The levels j <= J of _covering_levels, found by bisect on the window
-    prefix j -> A_j of a rearranged sequence.
+    prefix (K, j -> W_j 2^K) of a rearranged sequence.
 
     The windows [W_{j-1}, W_j) tile [0, W_J) and are at most 1 long, so level
     j covers x = 1 + y iff W_{j-1} <= y + m < W_j for one integer m >= 0, and
     distinct m give increasing levels.  Both sides are compared as integers
-    scaled by den(x) 2^J, so every comparison is exact.
+    scaled by den(x) 2^K, so every comparison is exact.
     """
     xf = Fraction(x)
     if not 1 <= xf < 2:
         raise ValueError(f"x must lie in [1,2), got {x}")
+    K, scaled = prefix
     den = xf.denominator
-    scaled_w = lambda j: (prefix(j) * den) << (J - j)
-    target = (xf.numerator - den) << J  # (y + m) den 2^J, m = 0
+    target = (xf.numerator - den) << K  # (y + m) den 2^K, m = 0
     j = 0
-    while (j := bisect_right(range(J + 1), target, lo=j, key=scaled_w)) <= J:
+    while (j := bisect_right(range(J + 1), target, lo=j, key=lambda i: scaled(i) * den)) <= J:
         lvl = blocks.levels[j]
         if lvl.theta > 0.0:
             yield lvl
-        target += den << J
+        target += den << K
         j += 1
 
 
@@ -332,8 +399,8 @@ def write_blocks(blocks: BlockSequence, out: TextIO, rows: Iterable[dict] | None
     """blocks as indented JSON to out and, given the level_table rows, the
     LEVEL_COLUMNS CSV to table, in one streamed pass over the levels: the bytes
     of json.dumps(indent=2) and reporting.write_csv (tests/oracles.py).  Each
-    n_j and start_j, j-bit integers whose decimal conversion is quadratic in
-    j, is converted once."""
+    n_j and start_j is built as a j-bit integer, whose decimal conversion is
+    quadratic in j, and converted once, one level at a time."""
     cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
     out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
               f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
@@ -437,7 +504,7 @@ def verify_blocks(blocks: BlockSequence) -> list[str]:
     """Re-check structural invariants; returns violation messages."""
     problems = []
     for j in (0, 1):
-        if j <= blocks.J and blocks.levels[j].n != 0:
+        if j <= blocks.J and blocks.levels[j].n_m != 0:
             problems.append(f"level {j} must be identically zero")
     for lvl in blocks.levels:
         if lvl.theta < 0:
@@ -445,7 +512,7 @@ def verify_blocks(blocks: BlockSequence) -> list[str]:
     if blocks.rearranged:
         expected = rearrange(blocks)  # its starts and cursor follow from the n_j alone
         for lvl, exp in zip(blocks.levels, expected.levels):
-            if lvl.start != exp.start:
+            if (lvl.start_m, lvl.start_e) != (exp.start_m, exp.start_e):
                 problems.append(f"start_{lvl.j}={lvl.start} inconsistent with cursor rule ({exp.start})")
         if blocks.cursor != expected.cursor:
             problems.append(f"cursor {blocks.cursor} != recomputed {expected.cursor}")

@@ -4,6 +4,8 @@ against; the program never calls them."""
 import functools
 import json
 import math
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -13,8 +15,8 @@ from besovlab import atoms, fieldnorms, norms
 from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, level_weights, psi0
 from besovlab.norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from besovlab.reporting import write_csv
-from besovlab.sequences import LEVEL_COLUMNS, BlockLevel, BlockSequence, level_table
-from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup
+from besovlab.sequences import LEVEL_COLUMNS, BlockLevel, BlockSequence, _diagnostic_term, build_S, level_table
+from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup, psi_dyadic, psi_dyadic_log
 
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
 
@@ -308,7 +310,7 @@ def fraction_cursor_rearrange(blocks):
     for lvl in blocks.levels:
         size = 1 << lvl.j
         start = math.floor(c * size)
-        levels.append(replace(lvl, start=start))
+        levels.append(BlockLevel(lvl.j, lvl.theta, lvl.n, start))
         c = Fraction(start + lvl.n, size) % 1
     return BlockSequence(J=blocks.J, levels=tuple(levels), rearranged=True, cursor=c)
 
@@ -367,3 +369,94 @@ def field_eval_text(field: AtomicField, pts: np.ndarray) -> str:
     values = eval_f(field, pts) if pts.size else np.zeros(0)
     return "x1,x2,f\n" + "".join(
         f"{a!r},{b!r},{v!r}\n" for a, b, v in zip(pts[:, 0].tolist(), pts[:, 1].tolist(), values.tolist()))
+
+
+# The exact tier with n_j and start_j held as j-bit integers: O(J^2) memory
+# and big-integer work.  Oracles for sequences' (mantissa, shift) levels.
+
+JbitLevel = namedtuple("JbitLevel", "j theta n start")
+
+
+def exact_floor_count(g: float, j: int) -> int:
+    """floor(2^j g) clamped to [0, 2^j], exact: g = num / den, den a power of 2."""
+    num, den = g.as_integer_ratio()
+    return min(max((num << j) // den, 0), 1 << j)
+
+
+def jbit_blocks(desc: PsiDescriptor, params, J: int) -> list[JbitLevel]:
+    """build_lambda_blocks' levels, unrearranged, with j-bit counts."""
+    kap = params.kappa
+    S = build_S(desc, kap, J)
+    levels = [JbitLevel(0, 0.0, 0, 0), JbitLevel(1, 0.0, 0, 0)]
+    for j in range(2, J + 1):
+        log_psi = psi_dyadic_log(desc, j)
+        theta = math.exp(params.L * math.log(S[j - 1]) - params.p * log_psi)
+        g = math.exp(kap * log_psi - math.log(S[j - 1]))
+        levels.append(JbitLevel(j, theta, exact_floor_count(g, j), 0))
+    return levels
+
+
+def window_prefix(levels) -> list[int]:
+    """A_j = W_j 2^j for each level j, exact: A_j = 2 A_{j-1} + n_j, A_{-1} = 0."""
+    A, prefix = 0, []
+    for lvl in levels:
+        A = (A << 1) + lvl.n
+        prefix.append(A)
+    return prefix
+
+
+def jbit_rearrange(levels) -> tuple[list[JbitLevel], Fraction]:
+    """(levels, cursor) of rearrange: start_j = (2 A_{j-1}) mod 2^j and the
+    cursor (A_J mod 2^J) / 2^J, with A the window prefix."""
+    moved, prev = [], 0
+    for lvl, A in zip(levels, window_prefix(levels)):
+        moved.append(lvl._replace(start=(prev << 1) % (1 << lvl.j)))
+        prev = A
+    size = 1 << levels[-1].j
+    return moved, Fraction(prev % size, size)
+
+
+def jbit_level_table(levels, desc: PsiDescriptor, params) -> list[dict]:
+    """level_table's rows, each block average n_j / 2^j * theta_j an int true
+    division and each mixed-norm partial a math.fsum over the prefix."""
+    kappa, p, q = params.kappa, params.p, params.q
+    S = build_S(desc, kappa, len(levels) - 1)
+    rows, powers, best = [], [], 0.0
+    for lvl in levels:
+        j = lvl.j
+        average = lvl.n / (1 << j) * lvl.theta
+        if math.isinf(q):
+            best = max(best, average ** (1.0 / p))
+            partial = best
+        else:
+            powers.append(average ** (q / p))
+            partial = math.fsum(powers) ** (1.0 / q)
+        S_j = float(S[j - 1]) if j >= 1 else 0.0
+        rows.append({
+            "j": j, "S_j": S_j, "Gamma_j1": psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0,
+            "n_j": lvl.n, "theta_j": lvl.theta, "start_j": lvl.start,
+            "block_average": average, "mixed_norm_partial": partial,
+        })
+    return rows
+
+
+def jbit_covering_profile(levels, desc: PsiDescriptor, p: float, probes, depths) -> list[list[tuple[float, int]]]:
+    """covering_profile by bisect on the j-bit window prefix A_j, every
+    comparison scaled by den(x) 2^J."""
+    J = min(max(depths), len(levels) - 1)
+    prefix = window_prefix(levels[: J + 1])
+    profiles = []
+    for x in probes:
+        xf = Fraction(x)
+        den = xf.denominator
+        target, j, terms = (xf.numerator - den) << J, 0, []
+        while (j := bisect_right(range(J + 1), target, lo=j, key=lambda i: (prefix[i] * den) << (J - i))) <= J:
+            if levels[j].theta > 0.0:
+                terms.append((j, _diagnostic_term(levels[j], desc, p)))
+            target += den << J
+            j += 1
+        profiles.append([
+            (max((t for j, t in terms if j <= depth), default=0.0), sum(1 for j, _ in terms if j <= depth))
+            for depth in depths
+        ])
+    return profiles

@@ -166,14 +166,12 @@ class TestField:
 
     def test_linearity_in_theta(self, flagship_params, psi_one):
         # scaling every on-value by c^p scales the field by c (lambda = theta^(1/p))
-        from dataclasses import replace
-
         blocks = sequences.rearrange(
             sequences.build_lambda_blocks(psi_one, flagship_params, 5)
         )
         c = 3.0
         scaled_levels = tuple(
-            replace(lvl, theta=lvl.theta * c**flagship_params.p)
+            sequences.BlockLevel(lvl.j, lvl.theta * c**flagship_params.p, lvl.n, lvl.start)
             for lvl in blocks.levels
         )
         scaled = sequences.BlockSequence(

@@ -96,9 +96,16 @@ def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):
     assert main(["seq-verify", str(out)]) == 1
 
 
+def _levels_doc(J: int, js) -> bytes:
+    """A blocks.json at depth J whose levels carry the indices js."""
+    levels = [{"j": j, "theta": 0.0, "n": 0, "start": 0} for j in js]
+    return json.dumps({"J": J, "rearranged": True, "cursor": [0, 1], "levels": levels}).encode()
+
+
 def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
     """Truncated, malformed, non-JSON and non-UTF-8 files exit 2 with the
-    same message, whichever point the streamed reader reaches."""
+    same message, whichever point the streamed reader reaches.  So do files
+    whose levels do not carry j = 0..J once each; the message names the j."""
     out = tmp_path / "blocks.json"
     assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "12"]) == 0
     text = out.read_text()
@@ -108,6 +115,14 @@ def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
         bad.write_bytes(content)
         assert main(["seq-verify", str(bad)]) == 2, content[-20:]
         assert f"cannot read blocks from {bad}" in capsys.readouterr().err
+    for content, named in ((_levels_doc(2, [0, 0, 2]), ("duplicate j: [0]", "missing j: [1]")),
+                           (_levels_doc(3, [0, 1, 2, 7]), ("missing j: [3]", "out-of-range j: [7]")),
+                           (_levels_doc(2, [-1, 1, 2]), ("missing j: [0]", "out-of-range j: [-1]"))):
+        bad.write_bytes(content)
+        assert main(["seq-verify", str(bad)]) == 2, content
+        err = capsys.readouterr().err
+        assert f"cannot read blocks from {bad}" in err
+        assert all(part in err for part in named), err
 
 
 def test_field_eval(config_path, tmp_path, capsys):

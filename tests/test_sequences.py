@@ -1,7 +1,6 @@
 import io
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -30,8 +29,14 @@ from besovlab.sequences import (
     verify_blocks,
     write_blocks,
 )
-from besovlab.slowly_varying import constant, log_power, tabulated
-from oracles import blocks_from_json, blocks_to_json, fraction_cursor_rearrange, lemma_le_partial, lemma_le_partials, materialize, total_window_weight, write_level_csv
+from besovlab.experiments import config_from_dict, x_probe_points
+from besovlab.params import load_config
+from besovlab.slowly_varying import constant, iterated_log_power, log_power, tabulated
+from oracles import (
+    blocks_from_json, blocks_to_json, exact_floor_count, fraction_cursor_rearrange, jbit_blocks,
+    jbit_covering_profile, jbit_level_table, jbit_rearrange, lemma_le_partial, lemma_le_partials,
+    materialize, total_window_weight, window_prefix, write_level_csv,
+)
 
 # lemma.m of configs/flagship.json
 FLAGSHIP_LEMMA_M = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -145,7 +150,9 @@ class TestBuild:
            st.integers(0, 5000))
     def test_floor_count_by_shift_equals_fraction_form(self, g, j):
         expected = min(max(math.floor(Fraction(g) * (1 << j)), 0), 1 << j)
-        assert sequences._exact_floor_count(g, j) == expected
+        assert exact_floor_count(g, j) == expected
+        m, e = sequences._floor_count(g, j)
+        assert m << e == expected
 
     def test_requires_p_below_q(self, psi_one):
         params = Params(p=2.0, q=2.0, s=0.5, M=1, L=0.1)
@@ -237,6 +244,99 @@ class TestRearrange:
 
 
 # ---------------------------------------------------------------------------
+# (mantissa, shift) levels against the j-bit oracles
+
+
+def _assert_tier_equals_jbit_oracle(desc, params, J, probes, depths):
+    """Every n_j, start_j, the cursor, every level_table row and the
+    covering profile, bitwise against the j-bit exact tier."""
+    built = build_lambda_blocks(desc, params, J)
+    oracle_built = jbit_blocks(desc, params, J)
+    assert [(lvl.j, lvl.theta, lvl.n, lvl.start) for lvl in built.levels] == oracle_built
+    blocks = rearrange(built)
+    oracle, cursor = jbit_rearrange(oracle_built)
+    assert [(lvl.j, lvl.theta, lvl.n, lvl.start) for lvl in blocks.levels] == oracle
+    assert blocks.cursor == cursor
+    assert repr(list(level_table(blocks, desc, params))) == repr(jbit_level_table(oracle, desc, params))
+    assert covering_profile(blocks, desc, params.p, probes, depths) == jbit_covering_profile(
+        oracle, desc, params.p, probes, depths)
+    return blocks
+
+
+def _window_edges(levels, count):
+    """1 + (W_j mod 1) at `count` levels spread over j = 0..J, exact and as
+    doubles one ulp either side."""
+    prefix = window_prefix(levels)
+    probes = set()
+    for j in range(0, len(levels), max(1, len(levels) // count)):
+        edge = 1 + Fraction(prefix[j] % (1 << j), 1 << j)
+        probes.update((edge, math.nextafter(float(edge), 0.0), math.nextafter(float(edge), 2.0)))
+    return sorted(x for x in probes if 1 <= x < 2)
+
+
+@st.composite
+def _weights(draw):
+    """A weight of every family; the tabulated one has log2 Psi_j in
+    [-511, 0], so Gamma_j reaches down to about 2^-1022 / (J + 1)."""
+    kind = draw(st.sampled_from(["constant", "log-power", "iterated-log", "tabulated"]))
+    if kind == "constant":
+        return constant(draw(st.floats(0.25, 4.0)))
+    if kind == "log-power":
+        return log_power(draw(st.floats(0.0, 2.0)))
+    if kind == "iterated-log":
+        return iterated_log_power(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    exponents = draw(st.lists(st.floats(-511.0, 0.0), min_size=257, max_size=257))
+    return tabulated((j, 2.0**e) for j, e in enumerate(exponents))
+
+
+class TestAgainstJbitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(desc=_weights(), J=st.integers(1, 256), data=st.data())
+    def test_property_up_to_256(self, flagship_params, desc, J, data):
+        depths = data.draw(st.lists(st.integers(0, J), min_size=1, max_size=4))
+        extra = data.draw(st.lists(st.fractions(1, Fraction(2) - Fraction(1, 2**60), max_denominator=2**60),
+                                   max_size=8))
+        probes = _window_edges(jbit_blocks(desc, flagship_params, J), 32) + extra
+        _assert_tier_equals_jbit_oracle(desc, flagship_params, J, probes, depths)
+
+    @pytest.mark.parametrize("desc", [constant(1.0), log_power(0.25), log_power(0.75), iterated_log_power(0.5, 1.0)],
+                             ids=["constant", "log-power-0.25", "log-power-0.75", "iterated-log"])
+    def test_at_4096(self, flagship_params, desc):
+        J = 4096
+        probes = x_probe_points(64) + _window_edges(jbit_blocks(desc, flagship_params, J), 64)
+        _assert_tier_equals_jbit_oracle(desc, flagship_params, J, probes, [64, 512, J])
+
+    def test_tiny_tabulated_weight_raises_the_prefix_denominator_past_1000_bits(self, flagship_params):
+        """Gamma_j = 2^-1022 / S_j rounds to a double over 2^1072, so from
+        j = 1072 each term n_j 2^-j is that fine, and so is the prefix."""
+        J = 1200
+        desc = tabulated([(0, 1.0), (1, 1.0)] + [(j, 2.0**-511) for j in range(2, J + 1)])
+        probes = x_probe_points(16) + _window_edges(jbit_blocks(desc, flagship_params, J), 32)
+        blocks = _assert_tier_equals_jbit_oracle(desc, flagship_params, J, probes, [1000, 1100, J])
+        assert max(lvl.j - lvl.start_e for lvl in blocks.levels if lvl.start_m) > 1000
+
+
+def test_deep_tier_memory_is_linear():
+    """config.blocks(2^15), one level_table pass and covering_profile (64
+    probes, depths up to 2^15) peak under 16 MB of traced allocations: each
+    level holds O(1) words.  With j-bit n_j and start_j it was 147 MB."""
+    import tracemalloc
+    from pathlib import Path
+
+    config = config_from_dict(load_config(Path(__file__).resolve().parent.parent / "configs" / "flagship.json"))
+    tracemalloc.start()
+    try:
+        blocks = config.blocks(2**15)
+        for _ in level_table(blocks, config.psi, config.params):
+            pass
+        covering_profile(blocks, config.psi, config.params.p, x_probe_points(64), [64, 512, 4096, 2**15])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # coverage
 
 
@@ -297,7 +397,7 @@ def _edge_probes(blocks):
 def _theta_zero_level(blocks, j):
     """blocks with level j's on-value set to 0 and its on-cells kept."""
     levels = list(blocks.levels)
-    levels[j] = replace(levels[j], theta=0.0)
+    levels[j] = BlockLevel(j, 0.0, levels[j].n, levels[j].start)
     return rearrange(BlockSequence(J=blocks.J, levels=tuple(levels)))
 
 
@@ -520,7 +620,7 @@ def blocks_j64(flagship_params, psi_one):
     """64 levels, whose starts have up to 20 digits, with thetas in exponent
     notation such as 1.7782794100389228e-05."""
     blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, 64))
-    levels = tuple(replace(lvl, theta=lvl.theta * 1e-5) for lvl in blocks.levels)
+    levels = tuple(BlockLevel(lvl.j, lvl.theta * 1e-5, lvl.n, lvl.start) for lvl in blocks.levels)
     return BlockSequence(J=64, levels=levels, rearranged=True, cursor=blocks.cursor)
 
 
@@ -557,7 +657,7 @@ class TestSerialization:
     def test_read_blocks_at_every_chunk_boundary(self, blocks_j64):
         """A chunk that ends anywhere, also inside a top-level number such as
         J = 0.4e+1 after its ".", "e" or "e+", changes nothing."""
-        levels = tuple(replace(lvl, theta=theta) for lvl, theta in zip(blocks_j64.levels[:5],
+        levels = tuple(BlockLevel(lvl.j, theta, lvl.n, lvl.start) for lvl, theta in zip(blocks_j64.levels[:5],
                                                                         (0.0, 2.0, 1.25e-05, 3e+300, 0.5)))
         text = json.dumps(_doc(BlockSequence(J=4, levels=levels))).replace('"J": 4', '"J": 0.4e+1')
         expected = _fields(blocks_from_json(text))
@@ -612,10 +712,8 @@ class TestSerialization:
         assert verify_blocks(blocks_j8) == []
 
     def test_verify_flags_tampered_start(self, blocks_j8):
-        from dataclasses import replace
-
         levels = list(blocks_j8.levels)
-        levels[5] = replace(levels[5], start=(levels[5].start + 1) % (1 << 5))
+        levels[5] = BlockLevel(5, levels[5].theta, levels[5].n, (levels[5].start + 1) % (1 << 5))
         bad = BlockSequence(
             J=blocks_j8.J,
             levels=tuple(levels),
