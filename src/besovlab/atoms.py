@@ -107,18 +107,14 @@ class AtomicField:
         """c_j = lambda_j 2^(-j(s - N/p)), with lambda_j = (theta_j 2^-j)^(1/p)
         the common value of lambda_{j,k} on the on-cells of level j."""
         lvl = self.blocks.levels[j]
-        if lvl.theta <= 0.0 or lvl.n == 0:
+        if not lvl.active:
             return 0.0
         p = self.params
         log2_c = (math.log2(lvl.theta) - j) / p.p - j * (p.s - N / p.p)
         return 2.0**log2_c
 
     def active_levels(self) -> list[int]:
-        return [
-            j
-            for j in range(self.J + 1)
-            if self.blocks.levels[j].n > 0 and self.blocks.levels[j].theta > 0.0
-        ]
+        return [j for j in range(self.J + 1) if self.blocks.levels[j].active]
 
 
 def _cells(j: int, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +155,7 @@ def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
     lvl = field.blocks.levels[j]
     out = np.zeros_like(xN_arr)
-    if lvl.n == 0 or lvl.theta <= 0.0:
+    if not lvl.active:
         return out
     base, offset = _cells(j, xN_arr.reshape(-1))
     on = _on_cells(lvl, base + _DELTAS)
@@ -175,7 +171,7 @@ def level_plateau(field: AtomicField, j: int, xN) -> np.ndarray:
     partition of unity), 0 where none is (w_j = 0 exactly), -1 elsewhere."""
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
     lvl = field.blocks.levels[j]
-    if lvl.n == 0 or lvl.theta <= 0.0:
+    if not lvl.active:
         return np.zeros(xN_arr.shape, dtype=np.int8)
     base, _ = _cells(j, xN_arr.reshape(-1))
     count = _on_cells(lvl, base + _DELTAS).sum(axis=0).reshape(xN_arr.shape)

@@ -74,10 +74,10 @@ def cmd_seq_build(args) -> int:
     if limit and args.J > cap:
         raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, Python's {limit}-digit int-to-str limit")
     blocks = config.blocks(args.J)
-    rows = sequences.level_table(blocks, config.psi, config.params) if args.csv else None
     csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
-    with output(args.out) as out, csv_out as table:
-        sequences.write_blocks(blocks, out, rows, table)
+    with output(args.out) as out, csv_out as stream:
+        table = None if stream is None else (stream, sequences.level_table(blocks, config.psi, config.params))
+        sequences.write_blocks(blocks, out, table)
     return 0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from pathlib import Path
 
 from . import fieldnorms, sequences
@@ -172,9 +171,10 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def x_probe_points(count: int) -> list[Fraction]:
-    """Equispaced probes in [1,2), offset by 1/128 off dyadic cell boundaries."""
-    return [1 + Fraction(i, count) + Fraction(1, 128) for i in range(count)]
+def x_probe_points(count: int) -> list[float]:
+    """Equispaced probes in [1,2), offset by 1/128 off dyadic cell boundaries:
+    the doubles nearest 1 + i/count + 1/128, each one int true division."""
+    return [(128 * (count + i) + count) / (128 * count) for i in range(count)]
 
 
 @dataclass
@@ -251,7 +251,8 @@ class ExactTier:
     covering levels by bisect on one window prefix.  Blocks are
     built prefix-stable (running sums and cursor), so every value read at a
     depth J equals one from blocks built at J.  Only the two columns are
-    kept: the table's row dicts would raise the flagship's peak memory."""
+    kept: the table's other two columns would raise the flagship's peak
+    memory."""
 
     blocks: sequences.BlockSequence
     S: list[float]
@@ -264,17 +265,17 @@ def exact_tier(config: ExperimentConfig) -> ExactTier:
     params, desc, p = config.params, config.psi, config.params.p
     blocks = config.blocks(config.deepest)
     S, partials = [], []
-    for row in sequences.level_table(blocks, desc, params):
-        S.append(row["S_j"])
-        partials.append(row["mixed_norm_partial"])
+    for S_j, _, _, partial in sequences.level_table(blocks, desc, params):
+        S.append(S_j)
+        partials.append(partial)
     probes = x_probe_points(config.x_probes)
     profiles = sequences.covering_profile(blocks, desc, p, probes, config.J_seq)
     diagnostics, coverage = [], []
     for d, J in enumerate(config.J_seq):
         for x, profile in zip(probes, profiles):
             diagnostic, count = profile[d]
-            diagnostics.append(_row("diagnostic", "exact", J, float(x), diagnostic))
-            coverage.append(_row("coverage", "exact", J, float(x), float(count)))
+            diagnostics.append(_row("diagnostic", "exact", J, x, diagnostic))
+            coverage.append(_row("coverage", "exact", J, x, float(count)))
     return ExactTier(blocks=blocks, S=S, mixed_norm_partial=partials,
                      diagnostics=diagnostics, coverage=coverage)
 
@@ -375,7 +376,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
         est = fieldnorms.field_besov_norm(field, j_max)
         rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
-    y_probes = [float(x) for x in x_probe_points(config.y_probes)]
+    y_probes = x_probe_points(config.y_probes)
     coverage = sequences.covering_profile(blocks, desc, params.p, y_probes, config.J_norm)
     for d, J in enumerate(config.J_norm):
         field = AtomicField(params, blocks, J)

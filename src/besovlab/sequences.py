@@ -28,7 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .params import Params
+from .params import Params, as_float, as_int
 from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 
 # Deepest BlockSequence a command or configuration may build.  A level is
@@ -68,6 +68,11 @@ class BlockLevel(namedtuple("BlockLevel", "j theta n_m n_e start_m start_e")):
     @property
     def start(self) -> int:
         return self.start_m << self.start_e
+
+    @property
+    def active(self) -> bool:
+        """Whether level j carries any atom: a nonzero count and on-value."""
+        return self.n_m > 0 and self.theta > 0.0
 
 
 def _level_index_problem(levels, J: int) -> str | None:
@@ -250,7 +255,7 @@ def _covering_levels(blocks: BlockSequence, x, J: int | None) -> Iterator[BlockL
     num, den = xf.numerator, xf.denominator
     for j in range(min(J, blocks.J) + 1):
         lvl = blocks.levels[j]
-        if lvl.n_m == 0 or lvl.theta <= 0.0:
+        if not lvl.active:
             continue
         size = 1 << j
         k = (num << j) // den
@@ -280,25 +285,25 @@ LEVEL_COLUMNS = (
 )
 
 
-def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> Iterator[dict]:
-    """One row per level j = 0..blocks.J with the LEVEL_COLUMNS, in one pass.
+def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> Iterator[tuple[float, ...]]:
+    """(S_j, Gamma_j1, block_average, mixed_norm_partial) for each level j =
+    0..blocks.J, in one pass.
 
-    Each row equals the per-j oracles: S_j = build_S(j)[-1], Gamma_j1 =
+    Each equals its per-j oracle: S_j = build_S(j)[-1], Gamma_j1 =
     gamma(j, 1.0), block_average(j) and mixed_norm(blocks, p, q, j); S_j and
     Gamma_j1 are 0.0 at j = 0.  S comes from one build_S, whose cumulative
     sum is prefix-stable.  The mixed-norm partial keeps the exact running
     sum of block_average^(q/p) as one integer in units of 2^-1074, which
     every double is a whole multiple of, and rounds it once, as math.fsum
     over the prefix does; for q = inf it keeps the running max of
-    block_average^(1/p).  Rows are yielded one at a time, so a deep table
-    never sits in memory.
+    block_average^(1/p).  Values are yielded one level at a time, so a deep
+    table never sits in memory.
     """
     kappa, p, q = params.kappa, params.p, params.q
     S = build_S(desc, kappa, blocks.J)
     total, unit = 0, 1 << 1074
     best = 0.0
-    for lvl in blocks.levels:
-        j = lvl.j
+    for j in range(blocks.J + 1):
         average = block_average(blocks, j)
         if math.isinf(q):
             best = max(best, average ** (1.0 / p))
@@ -308,16 +313,7 @@ def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> I
             total += num << (1075 - den.bit_length())  # den = 2^(bit_length - 1)
             partial = (total / unit) ** (1.0 / q)
         S_j = float(S[j - 1]) if j >= 1 else 0.0
-        yield {
-            "j": j,
-            "S_j": S_j,
-            "Gamma_j1": psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0,
-            "n_j": lvl.n,
-            "theta_j": lvl.theta,
-            "start_j": lvl.start,
-            "block_average": average,
-            "mixed_norm_partial": partial,
-        }
+        yield S_j, psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0, average, partial
 
 
 def _diagnostic_term(lvl: BlockLevel, desc: PsiDescriptor, p: float) -> float:
@@ -369,7 +365,7 @@ def _bisect_covering_levels(blocks: BlockSequence, prefix, J: int, x) -> Iterato
     j = 0
     while (j := bisect_right(range(J + 1), target, lo=j, key=lambda i: scaled(i) * den)) <= J:
         lvl = blocks.levels[j]
-        if lvl.theta > 0.0:
+        if lvl.active:
             yield lvl
         target += den << K
         j += 1
@@ -394,27 +390,29 @@ def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, probe
     return profiles
 
 
-def write_blocks(blocks: BlockSequence, out: TextIO, rows: Iterable[dict] | None = None,
-                 table: TextIO | None = None) -> None:
-    """blocks as indented JSON to out and, given the level_table rows, the
-    LEVEL_COLUMNS CSV to table, in one streamed pass over the levels: the bytes
-    of json.dumps(indent=2) and reporting.write_csv (tests/oracles.py).  Each
-    n_j and start_j is built as a j-bit integer, whose decimal conversion is
-    quadratic in j, and converted once, one level at a time."""
+def write_blocks(blocks: BlockSequence, out: TextIO,
+                 table: tuple[TextIO, Iterable[tuple[float, ...]]] | None = None) -> None:
+    """blocks as indented JSON to out and, given table = (stream, the
+    level_table of blocks), the LEVEL_COLUMNS CSV to that stream, in one
+    streamed pass over the levels: the bytes of json.dumps(indent=2) and
+    reporting.write_csv (tests/oracles.py).  Each n_j and start_j is built
+    as a j-bit integer, whose decimal conversion is quadratic in j, and
+    converted once, one level at a time."""
     cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
     out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
               f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
-    if table is not None:
-        table.write(",".join(LEVEL_COLUMNS) + "\n")
+    csv, rows = table or (None, repeat(None))
+    if csv is not None:
+        csv.write(",".join(LEVEL_COLUMNS) + "\n")
     sep = ""
-    for lvl, row in zip(blocks.levels, repeat(None) if rows is None else rows):
+    for lvl, row in zip(blocks.levels, rows):
         n, start = str(lvl.n), str(lvl.start)
         out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
                   f'      "n": {n},\n      "start": {start}\n    }}')
         sep = ","
-        if row is not None:
-            table.write(f'{lvl.j},{row["S_j"]!r},{row["Gamma_j1"]!r},{n},{lvl.theta!r},{start},'
-                        f'{row["block_average"]!r},{row["mixed_norm_partial"]!r}\n')
+        if csv is not None:
+            S_j, gamma_j, average, partial = row
+            csv.write(f"{lvl.j},{S_j!r},{gamma_j!r},{n},{lvl.theta!r},{start},{average!r},{partial!r}\n")
     out.write("\n  ]\n}\n")
 
 
@@ -483,21 +481,40 @@ def read_blocks(stream: TextIO) -> BlockSequence:
             if peek() == "]":  # an empty array
                 sep = peek("]")
             while sep != "]":
-                d = value()
-                levels.append(BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"])))
+                levels.append(_level_from_json(value()))
                 sep = peek(",]")
         else:
             fields[key] = value()
         sep = peek(",}")
     if peek():
         raise ValueError("extra data after the document")
-    num, den = fields.get("cursor", [0, 1])
-    return BlockSequence(
-        J=int(fields["J"]),
-        levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
-        rearranged=bool(fields.get("rearranged", False)),
-        cursor=Fraction(int(num), int(den)),
-    )
+    return _blocks_from_json(fields, levels)
+
+
+def _level_from_json(d: dict) -> BlockLevel:
+    """The level of one blocks.json level object: j, n and start JSON
+    integers (4.0 reads as 4), theta a finite JSON number."""
+    j = as_int(d["j"], "j")
+    theta = as_float(d["theta"], f"theta_{j}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta_{j} must be finite, got {json.dumps(theta)}")
+    return BlockLevel(j, theta, as_int(d["n"], f"n_{j}"), as_int(d["start"], f"start_{j}"))
+
+
+def _blocks_from_json(fields: dict, levels: list[BlockLevel]) -> BlockSequence:
+    """The BlockSequence of blocks.json's top-level fields and its levels:
+    J a JSON integer, rearranged a JSON boolean (default false), cursor two
+    JSON integers with a positive denominator (default [0, 1])."""
+    rearranged, cursor = fields.get("rearranged", False), fields.get("cursor", [0, 1])
+    if not isinstance(rearranged, bool):
+        raise ValueError(f"rearranged must be true or false, got {json.dumps(rearranged)}")
+    if not isinstance(cursor, list) or len(cursor) != 2:
+        raise ValueError(f"cursor must be [numerator, denominator], got {json.dumps(cursor)}")
+    num, den = (as_int(c, "cursor") for c in cursor)
+    if den <= 0:
+        raise ValueError(f"cursor denominator must be positive, got {json.dumps(cursor)}")
+    return BlockSequence(J=as_int(fields["J"], "J"), levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
+                         rearranged=rearranged, cursor=Fraction(num, den))
 
 
 def verify_blocks(blocks: BlockSequence) -> list[str]:

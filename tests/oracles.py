@@ -15,7 +15,10 @@ from besovlab import atoms, fieldnorms, norms
 from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, level_weights, psi0
 from besovlab.norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from besovlab.reporting import write_csv
-from besovlab.sequences import LEVEL_COLUMNS, BlockLevel, BlockSequence, _diagnostic_term, build_S, level_table
+from besovlab.sequences import (
+    LEVEL_COLUMNS, BlockLevel, BlockSequence, _blocks_from_json, _diagnostic_term, _level_from_json, build_S,
+    level_table,
+)
 from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup, psi_dyadic, psi_dyadic_log
 
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
@@ -342,25 +345,18 @@ def blocks_to_json(blocks: BlockSequence) -> str:
 
 
 def blocks_from_json(text: str) -> BlockSequence:
-    """The BlockSequence of a whole blocks.json text, through json.loads.
-    Test oracle for sequences.read_blocks."""
+    """The BlockSequence of a whole blocks.json text, through json.loads and
+    read_blocks' checks of each value.  Test oracle for its streamed parse."""
     data = json.loads(text)
-    levels = tuple(
-        BlockLevel(j=int(d["j"]), theta=float(d["theta"]), n=int(d["n"]), start=int(d["start"]))
-        for d in sorted(data["levels"], key=lambda d: d["j"])
-    )
-    num, den = data.get("cursor", [0, 1])
-    return BlockSequence(
-        J=int(data["J"]),
-        levels=levels,
-        rearranged=bool(data.get("rearranged", False)),
-        cursor=Fraction(int(num), int(den)),
-    )
+    return _blocks_from_json(data, [_level_from_json(d) for d in data["levels"]])
 
 
 def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:
     """seq.csv through reporting.write_csv.  Byte oracle for sequences.write_blocks."""
-    write_csv(path, list(LEVEL_COLUMNS), level_table(blocks, desc, params))
+    derived = ("S_j", "Gamma_j1", "block_average", "mixed_norm_partial")
+    write_csv(path, list(LEVEL_COLUMNS), (
+        {"j": lvl.j, "n_j": lvl.n, "theta_j": lvl.theta, "start_j": lvl.start, **dict(zip(derived, row))}
+        for lvl, row in zip(blocks.levels, level_table(blocks, desc, params))))
 
 
 def field_eval_text(field: AtomicField, pts: np.ndarray) -> str:
@@ -416,9 +412,9 @@ def jbit_rearrange(levels) -> tuple[list[JbitLevel], Fraction]:
     return moved, Fraction(prev % size, size)
 
 
-def jbit_level_table(levels, desc: PsiDescriptor, params) -> list[dict]:
-    """level_table's rows, each block average n_j / 2^j * theta_j an int true
-    division and each mixed-norm partial a math.fsum over the prefix."""
+def jbit_level_table(levels, desc: PsiDescriptor, params) -> list[tuple[float, ...]]:
+    """level_table's values, each block average n_j / 2^j * theta_j an int
+    true division and each mixed-norm partial a math.fsum over the prefix."""
     kappa, p, q = params.kappa, params.p, params.q
     S = build_S(desc, kappa, len(levels) - 1)
     rows, powers, best = [], [], 0.0
@@ -432,11 +428,7 @@ def jbit_level_table(levels, desc: PsiDescriptor, params) -> list[dict]:
             powers.append(average ** (q / p))
             partial = math.fsum(powers) ** (1.0 / q)
         S_j = float(S[j - 1]) if j >= 1 else 0.0
-        rows.append({
-            "j": j, "S_j": S_j, "Gamma_j1": psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0,
-            "n_j": lvl.n, "theta_j": lvl.theta, "start_j": lvl.start,
-            "block_average": average, "mixed_norm_partial": partial,
-        })
+        rows.append((S_j, psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0, average, partial))
     return rows
 
 

@@ -94,6 +94,11 @@ def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):
     data["levels"][5]["start"] += 1
     out.write_text(json.dumps(data))
     assert main(["seq-verify", str(out)]) == 1
+    capsys.readouterr()
+    data["levels"][5]["start"] -= 1
+    out.write_bytes(_tampered(json.dumps(data), "theta", -0.5, 5))  # read, then flagged
+    assert main(["seq-verify", str(out)]) == 1
+    assert "violation: theta_5 negative" in capsys.readouterr().err
 
 
 def _levels_doc(J: int, js) -> bytes:
@@ -102,10 +107,20 @@ def _levels_doc(J: int, js) -> bytes:
     return json.dumps({"J": J, "rearranged": True, "cursor": [0, 1], "levels": levels}).encode()
 
 
+def _tampered(text: str, key: str, value, level: int | None = None) -> bytes:
+    """The blocks.json text with key, top-level or of one level, set to value;
+    the string "1e400" is written as that number."""
+    data = json.loads(text)
+    (data if level is None else data["levels"][level])[key] = value
+    return json.dumps(data).replace('"1e400"', "1e400").encode()
+
+
 def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
     """Truncated, malformed, non-JSON and non-UTF-8 files exit 2 with the
     same message, whichever point the streamed reader reaches.  So do files
-    whose levels do not carry j = 0..J once each; the message names the j."""
+    whose levels do not carry j = 0..J once each, and files with a value
+    of the wrong type, or a cursor or theta that is no number; the message
+    names the j, or the key."""
     out = tmp_path / "blocks.json"
     assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "12"]) == 0
     text = out.read_text()
@@ -123,6 +138,20 @@ def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"cannot read blocks from {bad}" in err
         assert all(part in err for part in named), err
+    for content, named in ((_tampered(text, "cursor", [1, 0]), "cursor denominator must be positive"),
+                           (_tampered(text, "theta", math.nan, 5), "theta_5 must be finite, got NaN"),
+                           (_tampered(text, "theta", math.inf, 5), "theta_5 must be finite, got Infinity"),
+                           (_tampered(text, "theta", "1e400", 5), "theta_5 must be finite, got Infinity"),
+                           (_tampered(text, "theta", "0.5", 5), 'theta_5 must be a number, got "0.5"'),
+                           (_tampered(text, "J", 6.7), "J must be an integer, got 6.7"),
+                           (_tampered(text, "n", 2.5, 5), "n_5 must be an integer, got 2.5"),
+                           (_tampered(text, "n", "3", 5), 'n_5 must be an integer, got "3"'),
+                           (_tampered(text, "n", True, 5), "n_5 must be an integer, got true"),
+                           (_tampered(text, "rearranged", "no"), 'rearranged must be true or false, got "no"')):
+        bad.write_bytes(content)
+        assert main(["seq-verify", str(bad)]) == 2, named
+        err = capsys.readouterr().err
+        assert f"cannot read blocks from {bad}" in err and named in err, err
 
 
 def test_field_eval(config_path, tmp_path, capsys):

@@ -99,6 +99,14 @@ class TestConfig:
             for j in range(7):
                 assert (x * (1 << j)) % 1 != 0
 
+    @pytest.mark.parametrize("count", [1, 10, 12, 64, 100, 127])
+    def test_probe_points_are_the_doubles_the_rows_report(self, count):
+        """The exact tier measures at each probe and reports it as a double:
+        one point, the double nearest 1 + i/count + 1/128."""
+        probes = x_probe_points(count)
+        assert all(type(x) is float for x in probes)
+        assert probes == [float(1 + Fraction(i, count) + Fraction(1, 128)) for i in range(count)]
+
 
 class TestLemmaLE:
     def test_verdict_split(self):
@@ -199,6 +207,19 @@ class TestSequenceExperiment:
             J = diagnostic["J"]
             assert diagnostic["value"] == sequences.sup_diagnostic(exact.blocks, psi, p, x, J)
             assert coverage["value"] == float(sequences.coverage_count(exact.blocks, x, J))
+
+    def test_exact_tier_builds_no_jbit_integer(self, monkeypatch):
+        """The flagship's exact tier reads each level's count and start as a
+        mantissa and a shift, never as the j-bit integers BlockLevel.n and
+        .start build."""
+        def jbit(lvl):
+            raise AssertionError(f"a j-bit integer built at level {lvl.j}")
+
+        config = config_from_dict(load_config(Path(__file__).resolve().parent.parent / "configs" / "flagship.json"))
+        monkeypatch.setattr(sequences.BlockLevel, "n", property(jbit))
+        monkeypatch.setattr(sequences.BlockLevel, "start", property(jbit))
+        exact = experiments.exact_tier(config)
+        assert len(exact.S) == len(exact.mixed_norm_partial) == config.deepest + 1
 
     def test_verdicts_recomputable(self):
         config = small_config()

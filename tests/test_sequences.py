@@ -19,7 +19,6 @@ from besovlab.sequences import (
     coverage_count,
     covering_profile,
     gamma,
-    LEVEL_COLUMNS,
     level_table,
     lemma_le_unit_partials,
     mixed_norm,
@@ -494,24 +493,18 @@ class TestLevelTable:
         blocks = rearrange(build_lambda_blocks(psi, params, _TABLE_J))
         return psi, params, blocks, list(level_table(blocks, psi, params))
 
-    def test_one_row_per_level_with_every_column(self, case):
-        _, _, blocks, table = case
-        assert [row["j"] for row in table] == list(range(blocks.J + 1))
-        assert all(tuple(row) == LEVEL_COLUMNS for row in table)
-
     def test_rows_equal_per_level_oracles(self, case):
         psi, params, blocks, table = case
         kappa = params.kappa
-        assert table[0]["S_j"] == 0.0 and table[0]["Gamma_j1"] == 0.0
+        assert len(table) == blocks.J + 1
+        assert table[0][:2] == (0.0, 0.0)
         for j in range(1, blocks.J + 1):
-            row = table[j]
-            assert row["S_j"] == float(build_S(psi, kappa, j)[-1])
-            assert row["Gamma_j1"] == gamma(psi, kappa, j, 1.0)
-        for j, row in enumerate(table):
-            lvl = blocks.levels[j]
-            assert (row["n_j"], row["theta_j"], row["start_j"]) == (lvl.n, lvl.theta, lvl.start)
-            assert row["block_average"] == block_average(blocks, j)
-            assert row["mixed_norm_partial"] == mixed_norm(blocks, params.p, params.q, j)
+            S_j, gamma_j, _, _ = table[j]
+            assert S_j == float(build_S(psi, kappa, j)[-1])
+            assert gamma_j == gamma(psi, kappa, j, 1.0)
+        for j, (_, _, average, partial) in enumerate(table):
+            assert average == block_average(blocks, j)
+            assert partial == mixed_norm(blocks, params.p, params.q, j)
 
     def test_prefix_stable(self, case):
         # a shallower build gives the same rows: experiments read every depth
@@ -556,10 +549,10 @@ class TestExactWithoutFraction:
     def test_running_sum_equals_fraction_sum(self, blocks, params):
         p, q = params.p, params.q
         total = Fraction(0)
-        for row, lvl in zip(level_table(blocks, constant(1.0), params), blocks.levels):
-            assert row["block_average"] == float(Fraction(lvl.n, 1 << lvl.j)) * lvl.theta
-            total += Fraction(row["block_average"] ** (q / p))
-            assert row["mixed_norm_partial"] == float(total) ** (1.0 / q)
+        for (_, _, average, partial), lvl in zip(level_table(blocks, constant(1.0), params), blocks.levels):
+            assert average == float(Fraction(lvl.n, 1 << lvl.j)) * lvl.theta
+            total += Fraction(average ** (q / p))
+            assert partial == float(total) ** (1.0 / q)
 
 
 class TestSupDiagnostic:
@@ -637,7 +630,7 @@ class TestSerialization:
         blocks = build_lambda_blocks(psi_one, flagship_params, J)
         assert not blocks.rearranged
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, level_table(blocks, psi_one, flagship_params), table)
+        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
