@@ -481,7 +481,7 @@ def read_blocks(stream: TextIO) -> BlockSequence:
             if peek() == "]":  # an empty array
                 sep = peek("]")
             while sep != "]":
-                levels.append(_level_from_json(value()))
+                levels.append(_level_from_json(value(), len(levels)))
                 sep = peek(",]")
         else:
             fields[key] = value()
@@ -491,10 +491,18 @@ def read_blocks(stream: TextIO) -> BlockSequence:
     return _blocks_from_json(fields, levels)
 
 
-def _level_from_json(d: dict) -> BlockLevel:
-    """The level of one blocks.json level object: j, n and start JSON
-    integers (4.0 reads as 4), theta a finite JSON number."""
+def _level_from_json(d, index: int) -> BlockLevel:
+    """The level of the blocks.json level object at position index of the
+    levels array: j, n and start JSON integers (4.0 reads as 4), theta a
+    finite JSON number."""
+    if not isinstance(d, dict):
+        raise ValueError(f"level {index} must be an object, got {json.dumps(d)}")
+    if "j" not in d:
+        raise ValueError(f'level {index} has no "j"')
     j = as_int(d["j"], "j")
+    for key in ("theta", "n", "start"):
+        if key not in d:
+            raise ValueError(f'level j={j} has no "{key}"')
     theta = as_float(d["theta"], f"theta_{j}")
     if not math.isfinite(theta):
         raise ValueError(f"theta_{j} must be finite, got {json.dumps(theta)}")
@@ -504,7 +512,8 @@ def _level_from_json(d: dict) -> BlockLevel:
 def _blocks_from_json(fields: dict, levels: list[BlockLevel]) -> BlockSequence:
     """The BlockSequence of blocks.json's top-level fields and its levels:
     J a JSON integer, rearranged a JSON boolean (default false), cursor two
-    JSON integers with a positive denominator (default [0, 1])."""
+    JSON integers with a positive denominator, a fraction in [0, 1) (default
+    [0, 1])."""
     rearranged, cursor = fields.get("rearranged", False), fields.get("cursor", [0, 1])
     if not isinstance(rearranged, bool):
         raise ValueError(f"rearranged must be true or false, got {json.dumps(rearranged)}")
@@ -513,6 +522,8 @@ def _blocks_from_json(fields: dict, levels: list[BlockLevel]) -> BlockSequence:
     num, den = (as_int(c, "cursor") for c in cursor)
     if den <= 0:
         raise ValueError(f"cursor denominator must be positive, got {json.dumps(cursor)}")
+    if not 0 <= num < den:
+        raise ValueError(f"cursor must lie in [0, 1), got {json.dumps(cursor)}")
     return BlockSequence(J=as_int(fields["J"], "J"), levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
                          rearranged=rearranged, cursor=Fraction(num, den))
 
@@ -533,4 +544,6 @@ def verify_blocks(blocks: BlockSequence) -> list[str]:
                 problems.append(f"start_{lvl.j}={lvl.start} inconsistent with cursor rule ({exp.start})")
         if blocks.cursor != expected.cursor:
             problems.append(f"cursor {blocks.cursor} != recomputed {expected.cursor}")
+    elif blocks.cursor != 0:
+        problems.append(f"cursor {blocks.cursor} of an unrearranged sequence must be 0")
     return problems

@@ -254,8 +254,53 @@ def full_grid_diff_lp_pow(field, j, p, M, h, res):
     return abs(field.coef(j)) ** p * float(np.sum(np.abs(acc) ** p)) * res * res
 
 
+def plateau_state(field, j, x2):
+    """level_plateau at x2, read off level j's cached cuts (searchsorted,
+    side="right").  Test oracle for the cuts."""
+    cuts, states = fieldnorms._plateau_cuts(field, j)
+    return states[np.searchsorted(cuts, x2, side="right")]
+
+
+def per_step_diff_lp_pow(field, j, p, M, h, res):
+    """level_diff_lp_pow one step at a time, on the built x2 axis: its
+    stencil columns are cut with np.searchsorted, the run states read with
+    plateau_state, and each step makes its own level_weight call.  Test
+    oracle for the one-pass level integrals, which must equal it bitwise."""
+    H, h2 = math.ldexp(h[0], j), h[1]
+    half = 2.0 ** (1 - j)
+    if abs(H) >= 4.0 or abs(h2) >= 1.0 + 2 * half:
+        return fieldnorms._disjoint_factor(M, p) * per_step_diff_lp_pow(field, j, p, 0, (0.0, 0.0), res)
+    du = math.ldexp(res, j)
+    x2 = fieldnorms._stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
+    cols = x2 + np.arange(M + 1)[:, None] * h2  # cols[i, r] = x2_r + i h2
+    cuts, _ = fieldnorms._plateau_cuts(field, j)
+    edges = np.sort(np.concatenate([[0, x2.size], *(np.searchsorted(c, cuts) for c in cols)]))
+    bounds = edges[np.diff(edges, prepend=-1) > 0]
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    runs = plateau_state(field, j, cols[:, starts])
+    edge = (runs < 0).any(axis=0)
+    masks = ((runs == 1) << np.arange(M + 1)[:, None]).sum(axis=0)
+    total = math.fsum(
+        int(n) * fieldnorms._bump_diff_lp_pow(p, M, H, du, int(mask))
+        for mask, n in zip(masks[~edge], lengths[~edge]) if mask
+    )
+    state = np.repeat(runs[:, edge], lengths[edge], axis=1)  # of each edge-row stencil point
+    w = state.astype(float)
+    unknown = state < 0
+    w[unknown] = level_weight(field, j, cols[:, np.repeat(edge, lengths)][unknown])
+    total += float(np.sum(np.abs(w.T @ fieldnorms._stencil_rows(M, H, du)) ** p)) * du
+    return abs(field.coef(j)) ** p * math.ldexp(total, -j) * res
+
+
+def per_row_stencil_rows(M, H, du):
+    """fieldnorms._stencil_rows one psi0 call per stencil point.  Test oracle
+    for its one call on all of them."""
+    u = fieldnorms._stencil_axis(-2.0, 2.0, M, H, du)
+    return np.array([coef * _bump_factor(u + i * H) for i, coef in enumerate(_stencil_coeffs(M))])
+
+
 def all_steps_field_modulus(field, t):
-    """field_modulus with every one of the 16 steps of default_h_set(2, t)
+    """field_moduli at t with every one of the 16 steps of default_h_set(2, t)
     computed.  Test oracle for the mirrored steps."""
     levels = [(lf, j, 1.0) for lf, j in fieldnorms._level_fields(field)]
     steps = [(float(h[0]), float(h[1])) for h in norms.default_h_set(2, t)]
@@ -348,7 +393,7 @@ def blocks_from_json(text: str) -> BlockSequence:
     """The BlockSequence of a whole blocks.json text, through json.loads and
     read_blocks' checks of each value.  Test oracle for its streamed parse."""
     data = json.loads(text)
-    return _blocks_from_json(data, [_level_from_json(d) for d in data["levels"]])
+    return _blocks_from_json(data, [_level_from_json(d, i) for i, d in enumerate(data["levels"])])
 
 
 def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:

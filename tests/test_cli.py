@@ -99,6 +99,13 @@ def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):
     out.write_bytes(_tampered(json.dumps(data), "theta", -0.5, 5))  # read, then flagged
     assert main(["seq-verify", str(out)]) == 1
     assert "violation: theta_5 negative" in capsys.readouterr().err
+    data.update(rearranged=False, cursor=[0, 1])  # an unrearranged sequence has cursor 0
+    out.write_text(json.dumps(data))
+    assert main(["seq-verify", str(out)]) == 0
+    capsys.readouterr()
+    out.write_bytes(_tampered(json.dumps(data), "cursor", [1, 3]))
+    assert main(["seq-verify", str(out)]) == 1
+    assert "violation: cursor 1/3 of an unrearranged sequence must be 0" in capsys.readouterr().err
 
 
 def _levels_doc(J: int, js) -> bytes:
@@ -115,12 +122,20 @@ def _tampered(text: str, key: str, value, level: int | None = None) -> bytes:
     return json.dumps(data).replace('"1e400"', "1e400").encode()
 
 
+def _level_edited(text: str, index: int, edit) -> bytes:
+    """The blocks.json text with the level at position index replaced by edit(level)."""
+    data = json.loads(text)
+    data["levels"][index] = edit(data["levels"][index])
+    return json.dumps(data).encode()
+
+
 def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
     """Truncated, malformed, non-JSON and non-UTF-8 files exit 2 with the
     same message, whichever point the streamed reader reaches.  So do files
-    whose levels do not carry j = 0..J once each, and files with a value
-    of the wrong type, or a cursor or theta that is no number; the message
-    names the j, or the key."""
+    whose levels do not carry j = 0..J once each, files with a value of the
+    wrong type, a level that is no object or lacks a key, a cursor outside
+    [0, 1), or a cursor or theta that is no number; the message names the
+    level, the j, or the key."""
     out = tmp_path / "blocks.json"
     assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "12"]) == 0
     text = out.read_text()
@@ -147,7 +162,16 @@ def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
                            (_tampered(text, "n", 2.5, 5), "n_5 must be an integer, got 2.5"),
                            (_tampered(text, "n", "3", 5), 'n_5 must be an integer, got "3"'),
                            (_tampered(text, "n", True, 5), "n_5 must be an integer, got true"),
-                           (_tampered(text, "rearranged", "no"), 'rearranged must be true or false, got "no"')):
+                           (_tampered(text, "rearranged", "no"), 'rearranged must be true or false, got "no"'),
+                           (_tampered(text, "cursor", [5, 3]), "cursor must lie in [0, 1), got [5, 3]"),
+                           (_tampered(text, "cursor", [-1, 3]), "cursor must lie in [0, 1), got [-1, 3]"),
+                           (_tampered(_tampered(text, "rearranged", False).decode(), "cursor", [5, 3]),
+                            "cursor must lie in [0, 1), got [5, 3]"),
+                           (_level_edited(text, 3, lambda level: 1), "level 3 must be an object, got 1"),
+                           (_level_edited(text, 5, lambda level: {k: v for k, v in level.items() if k != "start"}),
+                            'level j=5 has no "start"'),
+                           (_level_edited(text, 4, lambda level: {k: v for k, v in level.items() if k != "j"}),
+                            'level 4 has no "j"')):
         bad.write_bytes(content)
         assert main(["seq-verify", str(bad)]) == 2, named
         err = capsys.readouterr().err

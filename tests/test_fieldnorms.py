@@ -16,7 +16,7 @@ from besovlab.fieldnorms import (
     default_level_resolution,
     field_besov_norm,
     field_lp,
-    field_modulus,
+    field_moduli,
     field_seminorm,
     grid_depth_cap,
     level_diff_lp_pow,
@@ -26,7 +26,7 @@ from besovlab.fieldnorms import (
     pm_seminorm,
 )
 from besovlab.experiments import x_probe_points
-from besovlab.slowly_varying import constant
+from besovlab.slowly_varying import constant, log_power
 from oracles import (
     Box,
     BoxDomain,
@@ -35,6 +35,9 @@ from oracles import (
     full_grid_diff_lp_pow,
     level_box,
     partial_map,
+    per_row_stencil_rows,
+    per_step_diff_lp_pow,
+    plateau_state,
     seminorm,
     support_boxes,
 )
@@ -175,8 +178,7 @@ class TestTopLevel:
 
     def test_modulus_vanishes_with_t_like_smooth_function(self, small_field):
         # the field is C^inf, so omega_2(t) -> 0 as t -> 0
-        big = field_modulus(small_field, 2.0**-1)
-        small = field_modulus(small_field, 2.0**-8)
+        big, small = field_moduli(small_field, (2.0**-1, 2.0**-8))
         assert small < big
 
     def test_besov_norm_exceeds_seminorm(self, small_field):
@@ -220,9 +222,9 @@ def test_cut_states_equal_level_plateau(field_j10, window_field):
         edges = np.ldexp(np.arange((1 << j) - 8, (2 << j) + 9, dtype=float), -j)
         x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), far])
         expected = level_plateau(field, j, x)
-        assert np.array_equal(fieldnorms._plateau_state(field, j, x), expected)
-        rows = x[: 3 * edges.size].reshape(3, -1)  # 2-D, as level_diff_lp_pow passes its columns
-        assert np.array_equal(fieldnorms._plateau_state(field, j, rows), level_plateau(field, j, rows))
+        assert np.array_equal(plateau_state(field, j, x), expected)
+        rows = x[: 3 * edges.size].reshape(3, -1)  # 2-D, as the per-step oracle passes its columns
+        assert np.array_equal(plateau_state(field, j, rows), level_plateau(field, j, rows))
         seen.update(expected.tolist())
     assert seen == {-1, 0, 1}
 
@@ -245,6 +247,106 @@ def test_plateau_reduction_matches_full_grid(window_field, window):
                     assert fast == pytest.approx(full_grid_diff_lp_pow(field, j, p, M, h, res),
                                                  rel=1e-11, abs=0.0), (h, M, p)
     assert signs == {-1.0, 1.0}
+
+
+def test_row_counts_equal_searchsorted(field_j10, window_field):
+    """The rows counted in cell units equal np.searchsorted on the built
+    stencil columns: at the plateau cuts, at cuts on a grid point and one ulp
+    either side of it, and far outside, for positive, negative and zero h2,
+    every step in one call."""
+    h2s = [0.0, -0.0, 2.0**-3, -(2.0**-3), 0.7071067811865476 * 2.0**-5, -0.35355339059327373,
+           2.0**-11, 1.0, -1.0, 1e-300]
+    cases = [(field_j10, j) for j in (2, 5, 10)] + [(window_field(*PLATEAU_WINDOWS["wrapped"]), 4)]
+    for field, j in cases:
+        res, half = default_level_resolution(j), 2.0 ** (1 - j)
+        for M in (1, 2, 3):
+            cols = []
+            for h2 in h2s:
+                x2 = fieldnorms._stencil_axis(1.0 - half, 2.0 + half, M, h2, res)
+                cols.append(x2 + np.arange(M + 1)[:, None] * h2)
+            on_grid = np.concatenate([c[:, :: max(1, c.shape[1] // 5)].ravel() for c in cols])
+            cuts = np.sort(np.concatenate([
+                fieldnorms._plateau_cuts(field, j)[0], on_grid, np.nextafter(on_grid, -np.inf),
+                np.nextafter(on_grid, np.inf), [-1e300, -2.0, 0.0, 3.5, 1e300]]))
+            lo, n = zip(*(fieldnorms._axis_cells(1.0 - half, 2.0 + half, M, h2, res) for h2 in h2s))
+            counts = fieldnorms._row_counts(np.array(lo), np.array(h2s), np.array(n), res, M, cuts)
+            for s, c in enumerate(cols):
+                for i in range(M + 1):
+                    assert np.array_equal(counts[s, i], np.searchsorted(c[i], cuts)), (j, M, h2s[s], i)
+
+
+def _steps_of(ts):
+    return [(float(h[0]), float(h[1])) for t in ts for h in norms.default_h_set(2, t)]
+
+
+@pytest.mark.parametrize("psi", [constant(1.0), log_power(0.25)], ids=["constant", "log-power"])
+def test_level_pass_equals_per_step_oracle(flagship_params, psi):
+    """Every step integral of the one-pass level integrals equals the
+    per-step oracle bitwise: each level of the field at J = 10, t = 2^-k for
+    k = 0..10, the 16 steps of default_h_set(2, t) and the 8 of each t's
+    row of level_steps_lp_pow."""
+    blocks = sequences.rearrange(sequences.build_lambda_blocks(psi, flagship_params, 10))
+    field = AtomicField(flagship_params, blocks, 10)
+    p, M = flagship_params.p, flagship_params.M
+    ts = tuple(2.0**-k for k in range(11))
+    for lf, j in fieldnorms._level_fields(field):
+        res = default_level_resolution(j)
+        steps = _steps_of(ts)
+        expected = [per_step_diff_lp_pow(lf, j, p, M, h, res) for h in steps]
+        assert fieldnorms._step_integrals(lf, j, p, M, steps, res) == expected, j
+        table = fieldnorms.level_steps_lp_pow(lf, j, p, M, ts, res)
+        assert [v for row in table for v in row] == [v for k, v in enumerate(expected) if k % 8 < 4], j
+
+
+def test_level_pass_equals_per_step_oracle_on_random_fields(window_field, rng):
+    """The same on random one-level fields, p, M and steps: default_h_set's
+    steps down to t = 2^-(j+2) and steps drawn in [-1.5, 1.5]^2."""
+    for _ in range(12):
+        j = int(rng.integers(2, 7))
+        field = window_field(j, int(rng.integers(0, 1 << j)), int(rng.integers(1, (1 << j) + 1)),
+                             float(rng.uniform(0.1, 3.0)))
+        p, M = float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])), int(rng.integers(1, 4))
+        res = default_level_resolution(j)
+        steps = _steps_of([2.0**-k for k in range(j + 3)]) + [tuple(h) for h in rng.uniform(-1.5, 1.5, (24, 2)).tolist()]
+        expected = [per_step_diff_lp_pow(field, j, p, M, h, res) for h in steps]
+        assert fieldnorms._step_integrals(field, j, p, M, steps, res) == expected, (j, p, M)
+
+
+def test_stencil_rows_equal_per_row_oracle():
+    """One psi0 call on every stencil point gives the rows bitwise."""
+    for M in (0, 1, 2, 3):
+        for H in (0.0, -0.0, 2.0**-13, 0.5, -0.75, 3.0, -3.9, 0.7071067811865476 * 2.0**-3):
+            fast = fieldnorms._stencil_rows(M, H, 1 / 16)
+            assert fast.tobytes() == per_row_stencil_rows(M, H, 1 / 16).tobytes(), (M, H)
+
+
+def test_one_pass_per_active_level(flagship_params, psi_one, monkeypatch):
+    """field_besov_norm makes one pass per active level, with one
+    level_weight call, and one single-step integral for the level's L^p
+    norm; a shallower depth on the same blocks reuses every pass."""
+    calls, weights = [], []
+    step_integrals, weight = fieldnorms._step_integrals, fieldnorms.level_weight
+
+    def counted_steps(field, j, p, M, steps, res):
+        calls.append((j, len(steps)))
+        return step_integrals(field, j, p, M, steps, res)
+
+    def counted_weight(field, j, x):
+        weights.append(j)
+        return weight(field, j, x)
+
+    monkeypatch.setattr(fieldnorms, "_step_integrals", counted_steps)
+    monkeypatch.setattr(fieldnorms, "level_weight", counted_weight)
+    blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 8))
+    field = AtomicField(flagship_params, blocks, 8)
+    field_besov_norm(field, j_max=8)
+    active = field.active_levels()
+    assert sorted(j for j, n in calls if n > 1) == active
+    assert sorted(j for j, n in calls if n == 1) == active
+    assert sorted(weights) == sorted(active * 2)
+    calls.clear()
+    field_besov_norm(AtomicField(flagship_params, blocks, 6), j_max=8)
+    assert calls == []
 
 
 def test_level_weight_is_its_plateau_state(field_j10, window_field, rng):
@@ -283,13 +385,13 @@ def test_mirrored_steps_give_the_same_integral(field_j10, flagship_params):
 
 @pytest.mark.parametrize("J", [6, 8, 10])
 def test_moduli_match_all_steps_oracle(field_j10, J):
-    """field_modulus and pm_modulus, which compute one step of each +-h pair,
+    """field_moduli and pm_modulus, which compute one step of each +-h pair,
     equal the moduli over every step at the flagship's depths, t-levels and
     16 y-probes."""
     field = AtomicField(field_j10.params, field_j10.blocks, J)
     ts = [2.0**-k for k in range(11)]
-    for t in ts:
-        assert field_modulus(field, t) == pytest.approx(all_steps_field_modulus(field, t), rel=1e-10, abs=0.0)
+    for t, modulus in zip(ts, field_moduli(field, ts)):
+        assert modulus == pytest.approx(all_steps_field_modulus(field, t), rel=1e-10, abs=0.0)
     for y in map(float, x_probe_points(16)):
         omega = pm_modulus(field, y)
         for t in ts:
