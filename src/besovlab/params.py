@@ -32,7 +32,9 @@ def kappa(p: float, q: float) -> float:
         return INF
     if math.isinf(q):
         return p
-    return 1.0 / (1.0 / p - 1.0 / q)
+    gap = 1.0 / p - 1.0 / q
+    # q a few ulps above p: the reciprocals round equal, while q - p is exact (Sterbenz)
+    return 1.0 / gap if gap else p * q / (q - p)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,13 @@ class TestKappa:
         with pytest.raises(ValueError):
             kappa(2.0, 1.0)
 
+    def test_reciprocals_that_round_equal(self):
+        # 1/p == 1/q in doubles although p < q: kappa = pq / (q - p), finite
+        p = 1.75
+        q = p + 2.220446049250313e-16
+        assert 1.0 / p == 1.0 / q
+        assert kappa(p, q) == pytest.approx(p * q / (q - p), rel=1e-15)
+
     @given(
         st.floats(min_value=0.1, max_value=10.0),
         st.floats(min_value=0.0, max_value=10.0),
