@@ -68,11 +68,13 @@ def cmd_psi_check(args) -> int:
 
 def cmd_seq_build(args) -> int:
     config = _load_experiment_config(args.config)
-    # blocks.json and seq.csv write each start_j < 2^J in decimal, seq-verify reads it back
+    # write_blocks spells each start_j < 2^J in decimal without int-to-str, but
+    # seq-verify reads blocks.json back with int(), which Python caps in digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     cap = (10**limit).bit_length() - 1  # the largest J with 2^J < 10^limit
     if limit and args.J > cap:
-        raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, Python's {limit}-digit int-to-str limit")
+        raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, where seq-verify's int() of each "
+                          f"start_j would pass Python's {limit}-digit limit")
     blocks = config.blocks(args.J)
     csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
     with output(args.out) as out, csv_out as stream:
@@ -97,20 +99,35 @@ def cmd_seq_verify(args) -> int:
 # points per chunk of field-eval: each chunk is read, checked, evaluated and
 # written before the next is read, so memory does not grow with the file
 FIELD_EVAL_CHUNK = 1 << 12
+# rows per write of field-eval: strings of about 30 kB, where one string of
+# a whole chunk's 230 kB raised the process's peak memory
+_ROWS_PER_WRITE = 1 << 9
+
+# the bytes of a number, which _is_plain deletes from a chunk: each plain line
+# leaves its comma and its newline
+_NUMBER_BYTES = b"0123456789+-.eE"
 
 
-def _rows(fh):
-    """(numbers, rows): the lines of an open points CSV after its header, if it
-    has one, and a counter whose next value less one is the last line's number."""
-    numbers = itertools.count(1)  # each line's number, paired with it at C speed
-    lines = map(operator.itemgetter(1), zip(numbers, fh))
+def _lines(fh):
+    """(read, lines): the lines of an open text file, and a function giving
+    how many of them have been read so far."""
+    numbers, reads = itertools.count(1), itertools.count(1)
+    lines = map(operator.itemgetter(0), zip(fh, numbers))  # fh first: no number is drawn at its end
 
+    def read() -> int:  # a call draws one number too, which reads counts out
+        return next(numbers) - next(reads)
+
+    return read, lines
+
+
+def _rows(lines):
+    """The lines of a points CSV after its header, if it has one."""
     def first_row():  # the first line is a header when its first two cells read x1, x2
         first = next(lines, "")
         if [c.strip() for c in first.split(",")[:2]] != ["x1", "x2"]:
             yield first
 
-    return numbers, itertools.chain(first_row(), lines)
+    return itertools.chain(first_row(), lines)
 
 
 def _load_points(rows, max_rows: int) -> np.ndarray:
@@ -126,17 +143,49 @@ def _line_of_point(fh, chunk: int, row: int) -> str:
     if not fh.seekable():
         return ""
     fh.seek(0)
-    numbers, rows = _rows(fh)
+    read, lines = _lines(fh)
+    rows = _rows(lines)
     for size in [FIELD_EVAL_CHUNK] * chunk + [row + 1]:  # chunk by chunk, as _point_chunks read them
         _load_points(rows, size)
-    return f", line {next(numbers) - 1}"
+    return f", line {read()}"
+
+
+def _is_plain(text: str) -> bool:
+    """Whether every line of text is number characters, one comma, number
+    characters and a newline: lines that _line_cells would return unchanged,
+    with no comment or blank line to skip."""
+    if not text.isascii():
+        return False
+    rest = text.encode().translate(None, _NUMBER_BYTES)
+    return rest == b",\n" * rest.count(b"\n")
+
+
+def _line_cells(line: str) -> str | None:
+    """"x1,x2": the first two cells of a data line without its newline,
+    stripped, as loadtxt reads them; None for a line loadtxt skips, empty
+    once its # comment is cut."""
+    body = line.split("#", 1)[0]
+    if not body:
+        return None
+    x1, x2 = body.split(",", 2)[:2]
+    return f"{x1.strip()},{x2.strip()}"
+
+
+def _echo(text: str) -> list[str]:
+    """The "x1,x2" cells of each data line of text, as _line_cells spells them."""
+    if _is_plain(text):  # a plain chunk is checked and split at C speed
+        return text.splitlines()
+    return [cells for cells in map(_line_cells, text.split("\n")) if cells is not None]
 
 
 def _point_chunks(fh, path: str):
-    """The points of an open points CSV as (n, 2) arrays of its first two
-    columns, n <= FIELD_EVAL_CHUNK.  Every cell must be a finite number; a bad
-    cell is reported with its line in the file."""
-    numbers, rows = _rows(fh)
+    """(points, cells) of an open points CSV, chunk by chunk: an (n, 2)
+    array of its first two columns, n <= FIELD_EVAL_CHUNK, and the n "x1,x2"
+    cells as the file spells them (_line_cells).  Every cell must be a finite
+    number; a bad cell is reported with its line in the file."""
+    read, lines = _lines(fh)
+    lines, echo = itertools.tee(lines)  # echo holds the lines loadtxt has read and the writer has not
+    rows, echoed = _rows(lines), 0
     for chunk in itertools.count():
         try:
             pts = _load_points(rows, FIELD_EVAL_CHUNK)
@@ -144,19 +193,24 @@ def _point_chunks(fh, path: str):
             raise ConfigError(f"points file {path}: {exc}") from exc
         except ValueError as exc:  # loadtxt stops at the bad line, and counts its rows within the chunk
             message = re.sub(r" at row [0-9]+", "", str(exc))
-            raise ConfigError(f"points file {path}, line {next(numbers) - 1}: {message}") from exc
+            raise ConfigError(f"points file {path}, line {read()}: {message}") from exc
         if not len(pts):
             return
         if not np.isfinite(pts).all():
             line = _line_of_point(fh, chunk, int(np.argmin(np.isfinite(pts).all(axis=1))))
             raise ConfigError(f"points file {path}{line}: a point is not finite")
-        yield pts
+        seen = read()
+        chunk_lines = itertools.islice(echo, seen - echoed)  # exactly the lines loadtxt read
+        cells, echoed = _echo("".join(_rows(chunk_lines) if chunk == 0 else chunk_lines)), seen
+        if len(cells) != len(pts):
+            raise RuntimeError(f"points file {path}: the lines read hold {len(cells)} rows, not {len(pts)}")
+        yield pts, cells
 
 
 def cmd_field_eval(args) -> int:
     config = _load_experiment_config(args.config)
     try:
-        points = open(args.points)
+        points = open(args.points, encoding="utf-8-sig")  # a spreadsheet's "CSV UTF-8" begins with a BOM
     except OSError as exc:
         raise ConfigError(f"points file {args.points}: {exc}") from exc
     with points:
@@ -166,10 +220,13 @@ def cmd_field_eval(args) -> int:
         field = AtomicField(config.params, config.blocks(args.J), args.J)
         with output(args.out) as out:
             out.write("x1,x2,f\n")
-            for chunk in _point_chunks(points, args.points):
+            for chunk, cells in _point_chunks(points, args.points):
                 # eval_f is pointwise, so each value is bitwise that of one call on every point
-                cells = np.column_stack([chunk, eval_f(field, chunk)]).ravel().tolist()
-                out.write("%r,%r,%r\n" * len(chunk) % tuple(cells))
+                row_cells = [None] * (2 * len(cells))
+                row_cells[::2], row_cells[1::2] = cells, eval_f(field, chunk).tolist()
+                for i in range(0, len(row_cells), 2 * _ROWS_PER_WRITE):
+                    piece = tuple(row_cells[i:i + 2 * _ROWS_PER_WRITE])
+                    out.write("%s,%r\n" * (len(piece) // 2) % piece)
     return 0
 
 

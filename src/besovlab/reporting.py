@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import decimal
 import json
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 
@@ -52,6 +53,23 @@ def format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def decimal_spelling() -> Callable[[int, int], str]:
+    """A function (m, e) -> str(m << e), in time linear in e for a short m,
+    where str() of an e-bit int is quadratic in e.  It spells m << e as
+    Decimal(m << (e mod 64)) * 2^(e - e mod 64), with the powers 2^(64 k)
+    kept as Decimals, each built from the one before.  The arithmetic is
+    exact: integer operands, and no rounding at the context's precision."""
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    powers = [decimal.Decimal(1)]  # powers[k] = 2^(64 k)
+
+    def spell(m: int, e: int) -> str:
+        while len(powers) <= e >> 6:
+            powers.append(exact.multiply(powers[-1], 1 << 64))
+        return str(exact.multiply(m << (e & 63), powers[e >> 6]))
+
+    return spell
 
 
 def write_csv(path: str | Path, fieldnames: list[str], rows: Iterable[dict]) -> None:

@@ -10,7 +10,8 @@ integer over 2^K, K raised when a finer term arrives: n_j = floor(2^j g_j)
 of a double g_j has at most 53 significant bits, so K stays near 53 +
 log2(1/g_j), not j.  The windows tile [0, W_J) end to end, so a probe's
 covering levels are found by bisect on the same prefix.  Only the decimal
-I/O builds n_j and start_j as j-bit integers, one level at a time.
+I/O spells n_j and start_j in full, one level at a time: the writer in time
+linear in j, the reader (json's int() of each decimal) in time quadratic in j.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import TextIO
 import numpy as np
 
 from .params import Params, as_float, as_int
+from .reporting import decimal_spelling
 from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 
 # Deepest BlockSequence a command or configuration may build.  A level is
@@ -395,9 +397,10 @@ def write_blocks(blocks: BlockSequence, out: TextIO,
     """blocks as indented JSON to out and, given table = (stream, the
     level_table of blocks), the LEVEL_COLUMNS CSV to that stream, in one
     streamed pass over the levels: the bytes of json.dumps(indent=2) and
-    reporting.write_csv (tests/oracles.py).  Each n_j and start_j is built
-    as a j-bit integer, whose decimal conversion is quadratic in j, and
-    converted once, one level at a time."""
+    reporting.write_csv (tests/oracles.py).  Each n_j and start_j is
+    spelled once, by reporting.decimal_spelling, in time linear in j: the
+    build's mantissas are short (at most 66 bits up to J = 14,284)."""
+    text = decimal_spelling()
     cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
     out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
               f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
@@ -406,7 +409,7 @@ def write_blocks(blocks: BlockSequence, out: TextIO,
         csv.write(",".join(LEVEL_COLUMNS) + "\n")
     sep = ""
     for lvl, row in zip(blocks.levels, rows):
-        n, start = str(lvl.n), str(lvl.start)
+        n, start = text(lvl.n_m, lvl.n_e), text(lvl.start_m, lvl.start_e)
         out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
                   f'      "n": {n},\n      "start": {start}\n    }}')
         sep = ","

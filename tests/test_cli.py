@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besovlab import cli, sequences
 from besovlab.atoms import AtomicField, eval_f
@@ -849,6 +850,101 @@ def test_field_eval_streams_odd_lines_across_chunks(config_path, tmp_path, monke
     expected = field_eval_text(AtomicField(config.params, config.blocks(J), J), pts)
     assert result.read_bytes() == expected.encode()
     assert sizes == [chunk] * 4 + [3]
+
+
+def test_field_eval_echoes_repr_cells_around_odd_lines(config_path, tmp_path, monkeypatch):
+    """repr-spelled points with spaces and tabs around their cells, # comments
+    after them, a third column, CRLF endings and blank and comment lines, on
+    and around every chunk boundary, and a last line without a newline: the
+    oracle's bytes, each point's cells written back as repr spells them,
+    two rows per write."""
+    chunk, J = 5, 6
+    monkeypatch.setattr(cli, "FIELD_EVAL_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 2)
+    pts = _chunked_points(J, n=4 * chunk + 2)
+    lines = ["x1, x2 ,f"]
+    for i, (a, b) in enumerate(pts.tolist()):
+        lines.append([f"{a!r},{b!r}", f" {a!r}\t,  {b!r} ", f"{a!r},{b!r} # note, 3", f"{a!r},{b!r},-1e9"][i % 4])
+        if i % chunk in (0, chunk - 1):
+            lines += ["", "#"]
+    points = tmp_path / "pts.csv"
+    points.write_bytes("\r\n".join(lines).encode())
+    result = tmp_path / "f.csv"
+    assert main(["--config", config_path, "--out", str(result),
+                 "field-eval", "--J", str(J), "--points", str(points)]) == 0
+    config = config_from_dict(load_config(config_path))
+    assert result.read_bytes() == field_eval_text(AtomicField(config.params, config.blocks(J), J), pts).encode()
+
+
+def test_field_eval_writes_other_spellings_as_the_file_spells_them(config_path, tmp_path, monkeypatch):
+    """A cell not in repr spelling is written back stripped but as spelled,
+    and float() of it is bitwise the coordinate the field was evaluated at."""
+    monkeypatch.setattr(cli, "FIELD_EVAL_CHUNK", 3)
+    evaluated = []
+
+    def recorded_eval_f(field, pts):
+        evaluated.append(pts.copy())
+        return eval_f(field, pts)
+
+    monkeypatch.setattr(cli, "eval_f", recorded_eval_f)
+    cells = [("24", "1.5"), ("2.4e1", " 2.50 "), ("+.5", "-0"), ("5.", "1e0"), ("24.0000", "+1.75E+0"),
+             ("-0.0", "0"), ("16", "1.25")]
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in cells))
+    result = tmp_path / "f.csv"
+    assert main(["--config", config_path, "--out", str(result),
+                 "field-eval", "--J", "6", "--points", str(points)]) == 0
+    rows = [line.split(",") for line in result.read_text().splitlines()[1:]]
+    assert [(x1, x2) for x1, x2, _ in rows] == [(a.strip(), b.strip()) for a, b in cells]
+    pts = np.concatenate(evaluated)
+    assert pts.tobytes() == np.array([[float(a), float(b)] for a, b in cells]).tobytes()
+    config = config_from_dict(load_config(config_path))
+    values = eval_f(AtomicField(config.params, config.blocks(6), 6), pts)
+    assert [f for _, _, f in rows] == [repr(v) for v in values.tolist()]
+    assert values[0] > 0.0
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("1,2\n", True), ("0.5,-1.25e-3\n+.5,5.\n", True), ("1,2", False), ("1,2\n\n", False),
+    ("1,2\n# c\n", False), ("1,2 \n", False), (" 1,2\n", False), ("1,2,3\n", False), ("1\n2,,\n", False),
+    ("1,2\r\n", False), (" 1,2\n", False), ("", True),
+])
+def test_plain_chunks(text, plain):
+    """A plain chunk: number characters, one comma and a newline on each line."""
+    assert cli._is_plain(text) is plain
+
+
+_number_text = st.text("0123456789+-.eE", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.builds("{},{}\n".format, _number_text, _number_text),
+    st.text("0123456789+-.eE,# \t x", max_size=8).map(lambda line: line + "\n"),
+), max_size=8))
+def test_a_plain_chunk_has_the_per_line_cells(lines):
+    """Wherever the plain-chunk test passes, splitting the chunk at its line
+    ends gives the cells the per-line normaliser gives."""
+    text = "".join(lines)
+    if cli._is_plain(text):
+        assert cli._echo(text) == [cells for cells in map(cli._line_cells, text.split("\n")) if cells is not None]
+
+
+@pytest.mark.parametrize("text, out, err", [
+    ("x1,x2\n24.0,1.5\n", ["24.0,1.5"], ""),
+    ("24.0,1.5\n1,2\n", ["24.0,1.5", "1,2"], ""),
+    ("x1,x2\n24.0,1.5\ninf,1.5\n", [], "line 3: a point is not finite"),
+], ids=["before-header", "before-data", "non-finite-on-line-3"])
+def test_field_eval_reads_past_a_utf8_bom(config_path, tmp_path, capsys, text, out, err):
+    """A spreadsheet's "CSV UTF-8" export begins with a byte order mark: it is
+    not part of the first cell, and lines are counted as without it."""
+    points = tmp_path / "pts.csv"
+    points.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code = main(["--config", config_path, "field-eval", "--J", "6", "--points", str(points)])
+    captured = capsys.readouterr()
+    assert code == (2 if err else 0)
+    assert [line.rsplit(",", 1)[0] for line in captured.out.splitlines()[1:]] == out
+    assert captured.err == (f"configuration error: points file {points}, {err}\n" if err else "")
 
 
 def test_field_eval_onto_its_points_file_exits_2(config_path, tmp_path, capsys):

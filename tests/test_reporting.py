@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besovlab.reporting import (
+    decimal_spelling,
     format_cell,
     output,
     read_csv,
@@ -12,6 +14,16 @@ from besovlab.reporting import (
     write_json,
     write_svg_lines,
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**200) | st.sampled_from([0, 1, 2**64 - 1, 2**64 + 1]),
+                          st.integers(0, 3000) | st.sampled_from([0, 63, 64, 65, 127, 128, 129])), max_size=12))
+def test_decimal_spelling_is_str_of_the_int(pairs):
+    """Any mantissa and shift, in any order, so the cached powers are reused
+    and grown between calls."""
+    spell = decimal_spelling()
+    assert [spell(m, e) for m, e in pairs] == [str(m << e) for m, e in pairs]
 
 
 def test_format_cell_round_trips_floats():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -629,6 +630,39 @@ class TestSerialization:
         document and reporting.write_csv's table, byte for byte."""
         blocks = build_lambda_blocks(psi_one, flagship_params, J)
         assert not blocks.rearranged
+        out, table = io.StringIO(), io.StringIO(newline="")
+        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
+        assert out.getvalue() == blocks_to_json(blocks) + "\n"
+        write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
+        assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("J", [1, 64, 4096, 8192])
+    def test_write_blocks_decimals_are_the_encoder_bytes(self, flagship_params, psi_one, tmp_path, J):
+        """seq-build's rearranged sequence, whose n_j and start_j run to
+        2,466 digits at J = 8192, spelled as str() of each int spells it."""
+        blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, J))
+        out, table = io.StringIO(), io.StringIO(newline="")
+        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
+        assert out.getvalue() == blocks_to_json(blocks) + "\n"
+        write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
+        assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_write_blocks_decimals_of_hand_built_levels(self, flagship_params, psi_one, tmp_path):
+        """Zero counts and starts, n_j = 2^j, shifts around multiples of 64
+        and far below j - 64, and mantissas of up to j bits."""
+        J, rand = 300, random.Random(64)
+
+        def value(j: int, i: int) -> int:  # odd mantissa << shift, below 2^j
+            shift = min(max([0, 1, 63, 64, 65, 127, 128, j - 65, j - 64, j - 1][i % 10], 0), j - 1)
+            return (rand.getrandbits(rand.randint(1, j - shift)) | 1) << shift
+
+        levels = [BlockLevel(0, 0.0, 0, 0)]
+        for j in range(1, J + 1):
+            n = 0 if j % 7 == 0 else 1 << j if j % 7 == 1 else value(j, j)
+            levels.append(BlockLevel(j, 0.5 if n else 0.0, n, 0 if j % 5 == 0 else value(j, j + 3)))
+        blocks = BlockSequence(J=J, levels=tuple(levels), rearranged=True, cursor=Fraction(3, 8))
+        assert any(lvl.n_m.bit_length() > 64 and lvl.n_e >= 64 for lvl in blocks.levels)
+        assert any(lvl.start_m and lvl.start_e < lvl.j - 64 for lvl in blocks.levels)
         out, table = io.StringIO(), io.StringIO(newline="")
         write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
