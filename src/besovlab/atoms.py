@@ -9,21 +9,24 @@ The field lives in the plane (N = 2, d = 1).  Every level is built from one
 kernel: the reference factor X(u) = (1/2) psi0(u/2) in the level's local
 coordinate u = 2^j x_1 - C_M 2^j j, times the coefficient
 c_j = lambda_j 2^(-j(s - N/p)), formed in log space so that deep levels
-neither overflow nor underflow, times the level weight w_j(x_2).  eval_f is
-the one evaluator; the partial map f(., y) is eval_f at a fixed y, and
-level_weights gives its weights w_j(y).
+neither overflow nor underflow, times the level weight w_j(x_2).
+level_x1_profile and level_weight take j as an int or as an array, a level
+per point, read off per-level arrays the field builds once.  eval_f, the one
+evaluator, makes one call of each on all its points; the partial map f(., y)
+is eval_f at a fixed y, and level_weights gives its weights w_j(y) from one
+level_weight call on every active level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .params import N, Params
-from .sequences import BlockLevel, BlockSequence
+from .sequences import BlockSequence
 
 # exp(-x) is exactly 0.0 in IEEE double past x ~ 745; clamping at 708 (the
 # overflow threshold of exp) keeps supports exact and avoids subnormals
@@ -33,11 +36,10 @@ _EXP_CLAMP = 708.0
 def bump_u(t):
     """e^(-1/t^2) for t > 0, exactly 0 otherwise (and when it would underflow)."""
     t_arr = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):  # t = 0 or tiny: arg = -inf, masked off
+        arg = -1.0 / t_arr**2
     out = np.zeros_like(t_arr)
-    with np.errstate(divide="ignore", over="ignore"):  # t = 0 or tiny: arg = inf, masked off
-        arg = 1.0 / t_arr**2
-    mask = (arg <= _EXP_CLAMP) & (t_arr > 0)
-    out[mask] = np.exp(-arg[mask])
+    np.exp(arg, out=out, where=(arg >= -_EXP_CLAMP) & (t_arr > 0))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -116,52 +118,63 @@ class AtomicField:
     def active_levels(self) -> list[int]:
         return [j for j in range(self.J + 1) if self.blocks.levels[j].active]
 
+    @cached_property
+    def _level_table(self) -> tuple[np.ndarray, dict]:
+        """(coef, windows) of levels 0..J, indexed by j: windows[dtype] is the
+        (start, n) for cells of that dtype, int64 through level 60 and Python
+        integers at every level; n is 0 on an inactive level."""
+        levels = self.blocks.levels[:self.J + 1]
+        window = np.array([(lvl.start, lvl.n if lvl.active else 0) for lvl in levels], dtype=object).T
+        windows = {np.dtype(object): tuple(window), np.dtype(np.int64): tuple(window[:, :61].astype(np.int64))}
+        return np.array([self.coef(j) for j in range(self.J + 1)]), windows
 
-def _cells(j: int, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell floor(2^j xN) and offset 2^j xN - cell of each point, exactly.
+
+def _cells(j, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell floor(2^j xN) and offset 2^j xN - cell of each point at level j
+    (an int, or an integer array like xN), exactly.
 
     Every cell's bump lies in (-1, 4); a point outside is moved to -4, which
     keeps the integer cast finite and lies in no cell of T_j.  Past level 60
     the cells need Python integers; 2^60 xN is already an integer (offset 0)
     for every xN >= 2^-7, and smaller xN lie in no cell of T_j.
     """
-    scaled = np.ldexp(np.where(np.abs(xN) < 4.0, xN, -4.0), min(j, 60))
+    scaled = np.ldexp(np.where(np.abs(xN) < 4.0, xN, -4.0), np.minimum(j, 60))
     base = np.floor(scaled)
     offset = scaled - base
     base = base.astype(np.int64)
-    if j > 60:
-        base = base.astype(object) << (j - 60)
+    past = np.maximum(np.subtract(j, 60), 0)
+    if past.any():
+        base = base.astype(object) << past
     return base, offset
 
 
-def _on_cells(lvl: BlockLevel, k: np.ndarray) -> np.ndarray:
-    """Whether each cell k is in T_j and in level lvl's on-window.  The window
-    offset (k - 2^j - start) mod 2^j is (k - start) & (2^j - 1); _cells keeps
-    |k| <= 2^62 + 2, so k - start cannot wrap in int64."""
-    size = 1 << lvl.j
-    return (k >= size) & (k < 2 * size) & (((k - lvl.start) & (size - 1)) < lvl.n)
+def _on_cells(field: AtomicField, j, k: np.ndarray) -> np.ndarray:
+    """Whether each cell k is in T_j and in level j's on-window, j an int or an
+    integer array like k.  The window offset (k - 2^j - start) mod 2^j is
+    (k - start) & (2^j - 1); _cells keeps |k| <= 2^62 + 2, so no int64 wraps."""
+    start, n = field._level_table[1][k.dtype]
+    size = np.ones_like(k, shape=np.shape(j)) << j
+    return (k >= size) & (k < 2 * size) & (((k - start[j]) & (size - 1)) < n[j])
 
 
-_DELTAS = np.arange(-1, 3)[:, None]  # cells floor(2^j xN) - 1 .. + 2
+def level_weight(field: AtomicField, j, xN) -> np.ndarray:
+    """Sum over on-cells k of (1/2) psi0((2^j xN - k)/2) at last coordinate xN
+    and level j, an int or an integer array that broadcasts against xN.
 
-
-def level_weight(field: AtomicField, j: int, xN) -> np.ndarray:
-    """Sum over on-cells k of (1/2) psi0((2^j xN - k)/2) at last coordinate xN.
-
-    One psi0 call on the on-entries of the 4 x n cell stencil; the rows are
-    added in cell order, and an off-cell's 0.0 leaves a sum of terms >= 0
-    bitwise unchanged.  The result keeps the input's shape and memory layout.
+    One psi0 call per stencil row, on its on-cells, added in cell order: an
+    off-cell's 0.0 would leave the sum of terms >= 0 bitwise unchanged.  The
+    result has the broadcast shape, and for an int j the input's memory layout.
     """
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
-    lvl = field.blocks.levels[j]
-    out = np.zeros_like(xN_arr)
-    if not lvl.active:
-        return out
-    base, offset = _cells(j, xN_arr.reshape(-1))
-    on = _on_cells(lvl, base + _DELTAS)
-    rows = np.zeros(on.shape)
-    rows[on] = 0.5 * psi0((offset - _DELTAS)[on] / 2.0)
-    out[...] = (rows[0] + rows[1] + rows[2] + rows[3]).reshape(xN_arr.shape)
+    out = np.zeros_like(xN_arr, shape=np.broadcast_shapes(xN_arr.shape, np.shape(j)))
+    if np.ndim(j):
+        j = np.broadcast_to(j, out.shape).reshape(-1)
+    base, offset = _cells(j, np.broadcast_to(xN_arr, out.shape).reshape(-1))
+    w = np.zeros(offset.shape)
+    for d in range(-1, 3):  # cells floor(2^j xN) - 1 .. + 2
+        on = _on_cells(field, j, base + d)
+        w[on] += 0.5 * psi0((offset[on] - d) / 2.0)
+    out[...] = w.reshape(out.shape)
     return out
 
 
@@ -170,11 +183,8 @@ def level_plateau(field: AtomicField, j: int, xN) -> np.ndarray:
     all four cells floor(2^j xN) - 1 .. + 2 are on-cells (the bumps are a
     partition of unity), 0 where none is (w_j = 0 exactly), -1 elsewhere."""
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
-    lvl = field.blocks.levels[j]
-    if not lvl.active:
-        return np.zeros(xN_arr.shape, dtype=np.int8)
-    base, _ = _cells(j, xN_arr.reshape(-1))
-    count = _on_cells(lvl, base + _DELTAS).sum(axis=0).reshape(xN_arr.shape)
+    cells = _cells(j, xN_arr.reshape(-1))[0] + np.arange(-1, 3)[:, None]  # floor(2^j xN) - 1 .. + 2
+    count = _on_cells(field, j, cells).sum(axis=0).reshape(xN_arr.shape)
     return np.where(count == 4, 1, np.where(count == 0, 0, -1)).astype(np.int8)
 
 
@@ -183,22 +193,22 @@ def _bump_factor(u) -> np.ndarray:
     return 0.5 * np.asarray(psi0(np.asarray(u, dtype=float) / 2.0))
 
 
-def _x1_factor(field: AtomicField, j: int, x1) -> np.ndarray:
+def _x1_factor(field: AtomicField, j, x1) -> np.ndarray:
     """X at the local coordinate u = 2^j (x1 - C_M j).  u is exact wherever
     |u| < 2: x1 - C_M j is exact there (Sterbenz) and scaling by 2^j is exact."""
     with np.errstate(over="ignore"):  # |u| = inf far from deep levels: X = 0
         return _bump_factor(np.ldexp(np.asarray(x1, dtype=float) - field.C_M * j, j))
 
 
-def level_x1_profile(field: AtomicField, j: int, x1) -> np.ndarray:
-    """c_j X(u) at the first coordinates x1: level j of f(x1, y) over w_j(y)."""
-    return field.coef(j) * _x1_factor(field, j, np.atleast_1d(x1))
+def level_x1_profile(field: AtomicField, j, x1) -> np.ndarray:
+    """c_j X(u) at first coordinates x1 and levels j: level j of f(x1, y) over w_j(y)."""
+    return field._level_table[0][j] * _x1_factor(field, j, np.atleast_1d(x1))
 
 
 def eval_f(field: AtomicField, x) -> np.ndarray:
     """Pointwise value of f_J at points of shape (n, 2) (or a single point):
-    level_x1_profile(x1) * level_weight(x2) of the one level j that can reach
-    the point, 0.0 at a point no level reaches.
+    level_x1_profile(x1) * level_weight(x2) at the one level j that can reach
+    each point, one call each on all of them, and 0.0 where no level reaches.
 
     Level-j atoms satisfy |x1 - C_M j| <= 2^(1-j), and C_M >= 6 separates
     levels: a point whose nearest C_M j lies past 0 or J is more than 2 from
@@ -213,17 +223,11 @@ def eval_f(field: AtomicField, x) -> np.ndarray:
         raise ValueError(f"points must have {N} coordinates")
     x1 = pts[:, 0]
     out = np.zeros(x1.shape)
-    cand = np.rint(x1 / field.C_M)
-    cand = np.fmin(np.fmax(cand, 0, out=cand), field.J, out=cand).astype(int)
-    on = np.flatnonzero(np.abs(x1 - field.C_M * cand) <= np.ldexp(1.0, 1 - np.arange(field.J + 1))[cand])
-    cand = cand[on]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(cand, minlength=field.J + 1))])
-    on = on[np.argsort(cand, kind="stable")]  # grouped by level, in point order
-    del cand  # the level loop below holds only the groups
-    for j in field.active_levels():
-        idx = on[bounds[j]:bounds[j + 1]]
-        if idx.size:
-            out[idx] = level_x1_profile(field, j, x1[idx]) * level_weight(field, j, pts[idx, 1])
+    j = np.rint(x1 / field.C_M)
+    j = np.fmin(np.fmax(j, 0, out=j), field.J, out=j).astype(int)
+    on = np.flatnonzero(np.abs(x1 - field.C_M * j) <= np.ldexp(1.0, 1 - j))
+    j = j[on]
+    out[on] = level_x1_profile(field, j, x1[on]) * level_weight(field, j, pts[on, 1])
     return float(out[0]) if single else out
 
 
@@ -245,17 +249,8 @@ def eval_f_dense(field: AtomicField, x) -> np.ndarray:
     return float(out[0]) if single else out
 
 
-@lru_cache(maxsize=4096)
-def _level_weight_at(field: AtomicField, j: int, y: float) -> float:
-    """level_weight at the single point y.  It reads only level j, so it is
-    keyed on the field cut at depth j and shared by every depth J >= j."""
-    return float(level_weight(field, j, np.array([y]))[0])
-
-
 def level_weights(field: AtomicField, y: float) -> dict[int, float]:
-    """{j: w_j(y)} over the active levels: the partial map f(., y) is the sum
-    over j of level_x1_profile(field, j, .) * w_j(y)."""
-    return {
-        j: _level_weight_at(AtomicField(field.params, field.blocks, j), j, y)
-        for j in field.active_levels()
-    }
+    """{j: w_j(y)} over the active levels, from one level_weight call: the
+    partial map f(., y) is the sum over j of level_x1_profile(field, j, .) * w_j(y)."""
+    levels = np.array(field.active_levels(), dtype=int)
+    return dict(zip(levels.tolist(), level_weight(field, levels, np.full(levels.shape, y)).tolist()))

@@ -139,10 +139,14 @@ def level_lp_pow(field: AtomicField, j: int, p: float, res: float) -> float:
 def _plateau_cuts(field: AtomicField, j: int) -> tuple[np.ndarray, np.ndarray]:
     """(cuts, states): the x2 where level j's level_plateau changes from cell
     to cell, and states[i] the level_plateau of a point with i cuts <= x2
-    (states[0] = 0).  A point's plateau state is that of its cell, 0 outside
-    the cells 2^j - 3 .. 2^(j+1) + 2; the cuts are cell edges, so counting
-    them (searchsorted, side="right") reads the state exactly."""
-    cell_x = np.ldexp(np.arange((1 << j) - 3, (2 << j) + 3, dtype=float), -j)
+    (states[0] = 0).  A point's state is that of its cell c, read off the
+    cells c - 1 .. c + 2, so it changes only at the cells e - 2 .. e + 1 of an
+    edge e of T_j or of the on-window: level_plateau reads e - 3 .. e + 1.
+    The cuts are cell edges, so counting them (searchsorted, side="right")
+    reads the state exactly."""
+    lvl, size = field.blocks.levels[j], 1 << j
+    edges = (size, 2 * size, size + lvl.start, size + (lvl.start + lvl.n) % size)
+    cell_x = np.ldexp(np.array(sorted({e + d for e in edges for d in range(-3, 2)}), dtype=float), -j)
     state = level_plateau(field, j, cell_x)
     change = np.flatnonzero(state[1:] != state[:-1]) + 1
     cuts, states = cell_x[change], np.concatenate([state[:1], state[change]])

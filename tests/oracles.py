@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from besovlab import atoms, fieldnorms, norms
-from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_weight, level_weights, psi0
+from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_plateau, level_weight, level_weights, psi0
 from besovlab.norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from besovlab.reporting import write_csv
 from besovlab.sequences import (
@@ -259,6 +259,15 @@ def plateau_state(field, j, x2):
     side="right").  Test oracle for the cuts."""
     cuts, states = fieldnorms._plateau_cuts(field, j)
     return states[np.searchsorted(cuts, x2, side="right")]
+
+
+def full_scan_plateau_cuts(field, j):
+    """fieldnorms._plateau_cuts from level_plateau on every cell 2^j - 3 ..
+    2^(j+1) + 2 of level j.  Test oracle for the cuts read near the edges."""
+    cell_x = np.ldexp(np.arange((1 << j) - 3, (2 << j) + 3, dtype=float), -j)
+    state = level_plateau(field, j, cell_x)
+    change = np.flatnonzero(state[1:] != state[:-1]) + 1
+    return cell_x[change], np.concatenate([state[:1], state[change]])
 
 
 def per_step_diff_lp_pow(field, j, p, M, h, res):

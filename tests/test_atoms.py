@@ -192,24 +192,26 @@ class TestPartialMap:
         weights = level_weights(field_j6, 1.5)
         assert set(weights) == set(field_j6.active_levels())
 
-    def test_level_weights_computed_once_per_level_and_y(self, flagship_params, psi_one, monkeypatch):
-        # a fresh block sequence gives fresh cache keys
-        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 8))
-        computed = []
+    @pytest.mark.parametrize("J", [6, 8, 10])
+    def test_level_weights_make_one_level_weight_call(self, flagship_params, psi_one, monkeypatch, J):
+        """level_weights takes every active level's weight from one
+        level_weight call, bitwise the weight taken level by level."""
+        field = AtomicField(flagship_params, sequences.rearrange(
+            sequences.build_lambda_blocks(psi_one, flagship_params, J)), J)
+        calls = []
 
         def counting(field, j, xN):
-            computed.append(j)
+            calls.append(j)
             return level_weight(field, j, xN)
 
         monkeypatch.setattr(atoms, "level_weight", counting)
-        y = 1.3
-        for J in (6, 8, 8):
-            field = AtomicField(flagship_params, blocks, J)
+        for y in (1.3, 1.5, 1.0 + 2.0**-J, 1.999):
+            calls.clear()
             weights = level_weights(field, y)
-            for j, w in weights.items():
-                assert w == float(level_weight(field, j, np.array([y]))[0])
-        # the weight of level j does not depend on the depth J >= j
-        assert computed == list(range(2, 9))
+            assert len(calls) == 1
+            assert list(weights) == field.active_levels()
+            assert all(isinstance(w, float) for w in weights.values())
+            assert weights == {j: float(level_weight(field, j, np.array([y]))[0]) for j in weights}
 
 
 def cell_edges(j):
@@ -261,6 +263,32 @@ class TestFusedLevelWeight:
             ])
             assert self.assert_equals_oracle(field, j, x).any()
 
+    def test_deep_and_shallow_levels_in_one_call(self, flagship_params, psi_one, rng):
+        """Points on levels 58-70 and on levels <= 10 in one eval_f call and
+        one level_weights call, int64 and Python-int cells together: each
+        value equals the per-level formula and level_weight taken level by
+        level, bitwise."""
+        J = 70
+        blocks = sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, J))
+        field = AtomicField(flagship_params, blocks, J)
+        j = np.concatenate([np.arange(58, J + 1).repeat(40), rng.integers(2, 11, 400)])
+        x1 = field.C_M * j + rng.uniform(-2.0, 2.0, j.size) * 2.0 ** -j
+        x2 = []
+        for level in j.tolist():
+            lvl = blocks.levels[level]
+            edges = np.ldexp(float((1 << level) + lvl.start) + np.array([0.0, float(lvl.n)]), -level)
+            x2.append(rng.choice(np.concatenate([edges, np.nextafter(edges, 3.0), [rng.uniform(0.5, 2.5)]])))
+        x2 = np.array(x2)
+        fast = eval_f(field, np.column_stack([x1, x2]))
+        assert np.array_equal(fast, per_level_formula(field, x1, lambda level: level_weight(field, level, x2)))
+        assert (fast[j >= 58] > 0).any() and (fast[j <= 10] > 0).any()
+        for deep in (58, 61, 64, 70):  # y mid-window of a deep level, where its weight is 1
+            lvl = blocks.levels[deep]
+            y = math.ldexp(float((1 << deep) + lvl.start + lvl.n // 2), -deep)
+            weights = level_weights(field, y)
+            assert weights == {level: float(level_weight(field, level, np.array([y]))[0]) for level in weights}
+            assert max(weights) == J and weights[deep] > 0.0
+
     def test_shapes_and_layouts(self, field_j6):
         j = 5
         x = np.linspace(0.9, 2.1, 24)
@@ -271,6 +299,8 @@ class TestFusedLevelWeight:
                    np.asfortranarray(x.reshape(4, 6)), f_ordered, cols):
             self.assert_equals_oracle(field_j6, j, xN)
         assert level_weight(field_j6, j, 1.55).shape == (1,)
+        levels = np.array([[2], [5], [6]])  # broadcast against x: every level at every point
+        assert np.array_equal(level_weight(field_j6, levels, x), [level_weight(field_j6, int(v), x) for v in levels.ravel()])
 
 
 def per_level_formula(field, x1, weight):

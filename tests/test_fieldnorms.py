@@ -33,6 +33,7 @@ from oracles import (
     all_steps_field_modulus,
     all_steps_pm_modulus,
     full_grid_diff_lp_pow,
+    full_scan_plateau_cuts,
     level_box,
     partial_map,
     per_row_stencil_rows,
@@ -226,6 +227,35 @@ def test_cut_states_equal_level_plateau(field_j10, window_field):
         rows = x[: 3 * edges.size].reshape(3, -1)  # 2-D, as the per-step oracle passes its columns
         assert np.array_equal(plateau_state(field, j, rows), level_plateau(field, j, rows))
         seen.update(expected.tolist())
+    assert seen == {-1, 0, 1}
+
+
+def test_plateau_cuts_equal_full_scan(flagship_params, psi_one, window_field, monkeypatch):
+    """The cuts and states read near the edges of T_j and of the on-window
+    equal the scan over every cell, bitwise: each level 0-12 of a J = 12
+    field, the hand-made windows and level 20; level_plateau sees at most
+    20 cells per level."""
+    plateau, sizes = fieldnorms.level_plateau, []
+
+    def counted(field, j, x):
+        sizes.append(np.size(x))
+        return plateau(field, j, x)
+
+    monkeypatch.setattr(fieldnorms, "level_plateau", counted)
+    field12, field20 = (AtomicField(flagship_params, sequences.rearrange(
+        sequences.build_lambda_blocks(psi_one, flagship_params, J)), J) for J in (12, 20))
+    cases = [(field12, j) for j in range(13)] + [(field20, 20)]
+    for window in ("wrapped", "full", "one-cell", "level-2-wrapped"):
+        j, start, n = PLATEAU_WINDOWS[window]
+        cases.append((window_field(j, start, n), j))
+    seen = set()
+    for field, j in cases:
+        sizes.clear()
+        cuts, states = fieldnorms._plateau_cuts(field, j)
+        assert sizes and max(sizes) <= 20, (j, sizes)
+        expected_cuts, expected_states = full_scan_plateau_cuts(field, j)
+        assert np.array_equal(cuts, expected_cuts) and np.array_equal(states, expected_states), j
+        seen.update(states.tolist())
     assert seen == {-1, 0, 1}
 
 
