@@ -20,6 +20,7 @@ level_weight call on every active level.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,14 +120,25 @@ class AtomicField:
         return [j for j in range(self.J + 1) if self.blocks.levels[j].active]
 
     @cached_property
-    def _level_table(self) -> tuple[np.ndarray, dict]:
-        """(coef, windows) of levels 0..J, indexed by j: windows[dtype] is the
-        (start, n) for cells of that dtype, int64 through level 60 and Python
-        integers at every level; n is 0 on an inactive level."""
+    def _coefs(self) -> np.ndarray:
+        """coef of levels 0..J, indexed by j, and inf where coef overflows a
+        double: level_x1_profile raises its OverflowError only at a level it reads."""
+        coefs = np.full(self.J + 1, math.inf)
+        for j in range(self.J + 1):
+            with suppress(OverflowError):
+                coefs[j] = self.coef(j)
+        return coefs
+
+    @cached_property
+    def _windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start, n) of levels 0..J as Python integers, indexed by j; n is 0 on an inactive level."""
         levels = self.blocks.levels[:self.J + 1]
-        window = np.array([(lvl.start, lvl.n if lvl.active else 0) for lvl in levels], dtype=object).T
-        windows = {np.dtype(object): tuple(window), np.dtype(np.int64): tuple(window[:, :61].astype(np.int64))}
-        return np.array([self.coef(j) for j in range(self.J + 1)]), windows
+        return tuple(np.array([(lvl.start, lvl.n if lvl.active else 0) for lvl in levels], dtype=object).T)
+
+    @cached_property
+    def _windows_int64(self) -> tuple[np.ndarray, np.ndarray]:
+        """_windows of levels 0..60, where the cells are int64, as int64."""
+        return tuple(w[:61].astype(np.int64) for w in self._windows)
 
 
 def _cells(j, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +164,7 @@ def _on_cells(field: AtomicField, j, k: np.ndarray) -> np.ndarray:
     """Whether each cell k is in T_j and in level j's on-window, j an int or an
     integer array like k.  The window offset (k - 2^j - start) mod 2^j is
     (k - start) & (2^j - 1); _cells keeps |k| <= 2^62 + 2, so no int64 wraps."""
-    start, n = field._level_table[1][k.dtype]
+    start, n = field._windows if k.dtype == object else field._windows_int64
     size = np.ones_like(k, shape=np.shape(j)) << j
     return (k >= size) & (k < 2 * size) & (((k - start[j]) & (size - 1)) < n[j])
 
@@ -202,7 +214,10 @@ def _x1_factor(field: AtomicField, j, x1) -> np.ndarray:
 
 def level_x1_profile(field: AtomicField, j, x1) -> np.ndarray:
     """c_j X(u) at first coordinates x1 and levels j: level j of f(x1, y) over w_j(y)."""
-    return field._level_table[0][j] * _x1_factor(field, j, np.atleast_1d(x1))
+    coef = field._coefs[j]
+    if np.isinf(coef).any():  # coef raises its OverflowError at the first such level
+        field.coef(int(np.ravel(j)[np.flatnonzero(np.isinf(coef))[0]]))
+    return coef * _x1_factor(field, j, np.atleast_1d(x1))
 
 
 def eval_f(field: AtomicField, x) -> np.ndarray:

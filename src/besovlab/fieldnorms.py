@@ -143,7 +143,10 @@ def _plateau_cuts(field: AtomicField, j: int) -> tuple[np.ndarray, np.ndarray]:
     cells c - 1 .. c + 2, so it changes only at the cells e - 2 .. e + 1 of an
     edge e of T_j or of the on-window: level_plateau reads e - 3 .. e + 1.
     The cuts are cell edges, so counting them (searchsorted, side="right")
-    reads the state exactly."""
+    reads the state exactly while every cell index up to 2^(j+1) + 1 is a
+    double, through level 51; deeper levels raise."""
+    if j > 51:
+        raise ValueError(f"plateau cuts are exact through level 51, got j = {j}")
     lvl, size = field.blocks.levels[j], 1 << j
     edges = (size, 2 * size, size + lvl.start, size + (lvl.start + lvl.n) % size)
     cell_x = np.ldexp(np.array(sorted({e + d for e in edges for d in range(-3, 2)}), dtype=float), -j)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovlab import cli, sequences
-from besovlab.atoms import AtomicField, eval_f
+from besovlab.atoms import AtomicField, eval_f, level_weight, level_weights
 from besovlab.cli import FIELD_EVAL_CHUNK, main
 from besovlab.atoms import psi0
 from besovlab.experiments import MAX_LEMMA_N, ExperimentConfig, config_from_dict
@@ -761,6 +761,37 @@ def test_field_eval_failing_in_the_last_chunk_writes_nothing(config_path, tmp_pa
     assert _field_eval_failing_in_the_third_chunk(config_path, tmp_path, changes, J, last, result) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not result.exists()
+
+
+def test_field_eval_coefficient_overflowing_in_the_last_chunk_prints_the_earlier_chunks(config_path, tmp_path,
+                                                                                        capsys):
+    """A c_j that overflows only at the level the last chunk reaches fails no
+    earlier chunk: without --out their rows are already on stdout."""
+    assert _field_eval_failing_in_the_third_chunk(config_path, tmp_path, {"s": 0.5}, 2100, "16800.0,1.5", None) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: a computed value is out of double range "
+                            "(Numerical result out of range)\n")
+    assert len(captured.out.splitlines()) == 1 + 2 * FIELD_EVAL_CHUNK
+
+
+def test_field_eval_deep_field_with_overflowing_coefficients_on_shallow_points(config_path, tmp_path):
+    """At J = 2100 and s = 0.5, c_j overflows a double on the deep levels, but
+    points on levels <= 10 or on none read no deep level: field-eval exits 0
+    with the bytes of the same blocks cut at depth 10, and level_weights
+    reads every level."""
+    path = _with(config_path, tmp_path, s=0.5)
+    pts = _chunked_points(10)
+    points = tmp_path / "pts.csv"
+    points.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in pts.tolist()))
+    result = tmp_path / "f.csv"
+    assert main(["--config", path, "--out", str(result), "field-eval", "--J", "2100", "--points", str(points)]) == 0
+    config = config_from_dict(load_config(path))
+    expected = field_eval_text(AtomicField(config.params, config.blocks(2100), 10), pts)
+    assert result.read_bytes() == expected.encode()
+    assert sum(float(line.rsplit(",", 1)[1]) > 0 for line in expected.splitlines()[1:]) > len(pts) // 10
+    field = AtomicField(config.params, config.blocks(2100), 2100)  # the weights read no c_j
+    weights = level_weights(field, 1.5)
+    assert max(weights) == 2100 and weights == {j: float(level_weight(field, j, np.array([1.5]))[0]) for j in weights}
 
 
 def _field_eval_failing_in_the_third_chunk(config_path, tmp_path, changes, J, last, out) -> int:

@@ -259,6 +259,20 @@ def test_plateau_cuts_equal_full_scan(flagship_params, psi_one, window_field, mo
     assert seen == {-1, 0, 1}
 
 
+def test_plateau_cuts_raise_past_level_51(flagship_params, psi_one):
+    """Through level 51 every cut is an exact cell edge e + d, d in -3..1, of
+    an edge e of T_j or of the on-window; past it a cell index up to 2^(j+1) + 1
+    is no double, and the cuts raise."""
+    field = AtomicField(flagship_params, sequences.rearrange(sequences.build_lambda_blocks(psi_one, flagship_params, 52)), 52)
+    for j in (50, 51):
+        lvl, size = field.blocks.levels[j], 1 << j
+        edges = (size, 2 * size, size + lvl.start, size + (lvl.start + lvl.n) % size)
+        cells = [int(c) for c in np.ldexp(fieldnorms._plateau_cuts(field, j)[0], j)]
+        assert cells and set(cells) <= {e + d for e in edges for d in range(-3, 2)}, j
+    with pytest.raises(ValueError, match="exact through level 51"):
+        fieldnorms._plateau_cuts(field, 52)
+
+
 @pytest.mark.parametrize("window", sorted(PLATEAU_WINDOWS))
 def test_plateau_reduction_matches_full_grid(window_field, window):
     """Every step of default_h_set(2, 2^-k), k = 0..j, on windows that wrap,
