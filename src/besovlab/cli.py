@@ -68,13 +68,6 @@ def cmd_psi_check(args) -> int:
 
 def cmd_seq_build(args) -> int:
     config = _load_experiment_config(args.config)
-    # write_blocks spells each start_j < 2^J in decimal without int-to-str, but
-    # seq-verify reads blocks.json back with int(), which Python caps in digits
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    cap = (10**limit).bit_length() - 1  # the largest J with 2^J < 10^limit
-    if limit and args.J > cap:
-        raise ConfigError(f"--J {args.J}: seq-build stops at J = {cap}, where seq-verify's int() of each "
-                          f"start_j would pass Python's {limit}-digit limit")
     blocks = config.blocks(args.J)
     csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
     with output(args.out) as out, csv_out as stream:

@@ -102,6 +102,8 @@ def as_float(value, name: str) -> float:
 
 def as_int(value, name: str) -> int:
     """A counting config field as an int: 2.0 reads as 2; 2.5, a string or a boolean is rejected."""
+    if type(value) is int:  # the common case, read once per key of each blocks.json level
+        return value
     if not _is_number(value) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
     return int(value)

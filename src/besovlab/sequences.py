@@ -9,16 +9,15 @@ exact window prefix W_j = sum_{i<=j} n_i 2^-i, a dyadic number kept as an
 integer over 2^K, K raised when a finer term arrives: n_j = floor(2^j g_j)
 of a double g_j has at most 53 significant bits, so K stays near 53 +
 log2(1/g_j), not j.  The windows tile [0, W_J) end to end, so a probe's
-covering levels are found by bisect on the same prefix.  Only the decimal
-I/O spells n_j and start_j in full, one level at a time: the writer in time
-linear in j, the reader (json's int() of each decimal) in time quadratic in j.
+covering levels are found by bisect on the same prefix.  blocks.json holds
+the pairs too; only seq.csv spells n_j and start_j in decimal, in time
+linear in j.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
@@ -77,6 +76,11 @@ class BlockLevel(namedtuple("BlockLevel", "j theta n_m n_e start_m start_e")):
         return self.n_m > 0 and self.theta > 0.0
 
 
+def _size(m: int, e: int) -> str:
+    """m << e described without building it: negative, or its bit length."""
+    return "negative" if m < 0 else f"{m.bit_length() + e} bits"
+
+
 def _level_index_problem(levels, J: int) -> str | None:
     """Why the J + 1 levels do not carry j = 0..J in order; None if they do."""
     if all(lvl.j == i for i, lvl in enumerate(levels)):
@@ -112,11 +116,11 @@ class BlockSequence:
             raise ValueError("levels must cover j = 0..J")
         if (problem := _level_index_problem(self.levels, self.J)) is not None:
             raise ValueError(problem)
-        for lvl in self.levels:  # bit lengths, never 1 << j
+        for lvl in self.levels:  # bit lengths, never 1 << j, nor m << e in a message
             if lvl.n_m < 0 or lvl.n_m.bit_length() + lvl.n_e > lvl.j + (lvl.n_m == 1):
-                raise ValueError(f"n_{lvl.j} out of range: {lvl.n}")
+                raise ValueError(f"n_{lvl.j} out of range [0, 2^{lvl.j}]: {_size(lvl.n_m, lvl.n_e)}")
             if lvl.start_m < 0 or lvl.start_m.bit_length() + lvl.start_e > lvl.j:
-                raise ValueError(f"start_{lvl.j} out of range: {lvl.start}")
+                raise ValueError(f"start_{lvl.j} out of range [0, 2^{lvl.j}): {_size(lvl.start_m, lvl.start_e)}")
 
     def is_on(self, j: int, k: int) -> bool:
         """Whether position k of block T_j carries the on-value."""
@@ -397,9 +401,9 @@ def write_blocks(blocks: BlockSequence, out: TextIO,
     """blocks as indented JSON to out and, given table = (stream, the
     level_table of blocks), the LEVEL_COLUMNS CSV to that stream, in one
     streamed pass over the levels: the bytes of json.dumps(indent=2) and
-    reporting.write_csv (tests/oracles.py).  Each n_j and start_j is
-    spelled once, by reporting.decimal_spelling, in time linear in j: the
-    build's mantissas are short (at most 66 bits up to J = 14,284)."""
+    reporting.write_csv (tests/oracles.py).  blocks.json holds each n_j and
+    start_j as its (mantissa, shift) pair; the CSV spells them in decimal,
+    by reporting.decimal_spelling, in time linear in j."""
     text = decimal_spelling()
     cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
     out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
@@ -409,115 +413,72 @@ def write_blocks(blocks: BlockSequence, out: TextIO,
         csv.write(",".join(LEVEL_COLUMNS) + "\n")
     sep = ""
     for lvl, row in zip(blocks.levels, rows):
-        n, start = text(lvl.n_m, lvl.n_e), text(lvl.start_m, lvl.start_e)
         out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
-                  f'      "n": {n},\n      "start": {start}\n    }}')
+                  f'      "n_m": {lvl.n_m},\n      "n_e": {lvl.n_e},\n'
+                  f'      "start_m": {lvl.start_m},\n      "start_e": {lvl.start_e}\n    }}')
         sep = ","
         if csv is not None:
             S_j, gamma_j, average, partial = row
+            n, start = text(lvl.n_m, lvl.n_e), text(lvl.start_m, lvl.start_e)
             csv.write(f"{lvl.j},{S_j!r},{gamma_j!r},{n},{lvl.theta!r},{start},{average!r},{partial!r}\n")
     out.write("\n  ]\n}\n")
 
 
-_JSON_CHUNK = 1 << 16  # characters read_blocks reads at a time
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_PAIR_KEYS = ("n_m", "n_e", "start_m", "start_e")  # a level's n and start in blocks.json
 
 
 def read_blocks(stream: TextIO) -> BlockSequence:
-    """The BlockSequence of a blocks.json document, read from a text stream
-    one level object at a time: the top-level keys in any order, any JSON
-    whitespace.  Equals json.load of the whole document (tests/oracles.py);
-    a malformed or truncated one raises ValueError, KeyError or TypeError.
+    """The BlockSequence of a blocks.json document: the top-level keys in any
+    order, any JSON whitespace.  Each level object becomes its BlockLevel as
+    the decoder closes it, so the document never holds its level dicts.
+    Equals json.load and then the same checks (tests/oracles.py); a
+    malformed or truncated document raises ValueError, KeyError or TypeError."""
+    def level(d: dict):
+        """d's BlockLevel.  The document, and any object that fails the checks
+        of a level, stay dicts: _blocks_from_json reads the document and
+        checks each level again, to reject one with its index."""
+        if "levels" in d:
+            return d
+        try:
+            return _level_from_json(d, 0)
+        except ValueError:
+            return d
 
-    The buffer holds the unread rest of one chunk and at most one value.  A
-    read is at least as long as the unread text, so a long value is decoded
-    a logarithmic number of times.
-    """
-    decoder, buf, pos = json.JSONDecoder(), "", 0
-
-    def more() -> bool:
-        """Append the next chunk to the unread text; False at end of stream."""
-        nonlocal buf, pos
-        chunk = stream.read(max(_JSON_CHUNK, len(buf) - pos))
-        if chunk:
-            buf, pos = buf[pos:] + chunk, 0
-        return bool(chunk)
-
-    def peek(expect: str = "") -> str:
-        """The next character after whitespace, "" at the end.  Given expect,
-        it must be one of those characters, and it is consumed."""
-        nonlocal pos
-        while (pos := _JSON_SPACE.match(buf, pos).end()) == len(buf) and more():
-            pass
-        c = buf[pos:pos + 1]
-        if expect:
-            if not c or c not in expect:
-                raise ValueError(f"expected one of {expect!r}, found {c or 'end of file'!r}")
-            pos += 1
-        return c
-
-    def value():
-        """Decode the next value.  One that ends within 2 characters of the
-        buffer's end may go on in the next chunk (a number cut after ".",
-        "e" or "e-" decodes as its prefix), so it is decoded again with more."""
-        nonlocal pos
-        peek()
-        while True:
-            try:
-                decoded, end = decoder.raw_decode(buf, pos)
-            except json.JSONDecodeError:
-                if not more():
-                    raise
-                continue
-            if end + 2 < len(buf) or not more():
-                pos = end
-                return decoded
-
-    fields, levels, sep = {}, [], peek("{")
-    while sep != "}":
-        key = value()
-        if not isinstance(key, str):
-            raise ValueError(f"object key {key!r} is not a string")
-        peek(":")
-        if key == "levels":
-            levels, sep = [], peek("[")
-            if peek() == "]":  # an empty array
-                sep = peek("]")
-            while sep != "]":
-                levels.append(_level_from_json(value(), len(levels)))
-                sep = peek(",]")
-        else:
-            fields[key] = value()
-        sep = peek(",}")
-    if peek():
-        raise ValueError("extra data after the document")
-    return _blocks_from_json(fields, levels)
+    return _blocks_from_json(json.load(stream, object_hook=level))
 
 
 def _level_from_json(d, index: int) -> BlockLevel:
     """The level of the blocks.json level object at position index of the
-    levels array: j, n and start JSON integers (4.0 reads as 4), theta a
-    finite JSON number."""
+    levels array: j, the pairs (n_m, n_e) and (start_m, start_e) JSON
+    integers (4.0 reads as 4), each shift >= 0, theta a finite JSON number.
+    A pair need not be canonical: (4, 0) reads as (1, 2)."""
     if not isinstance(d, dict):
         raise ValueError(f"level {index} must be an object, got {json.dumps(d)}")
     if "j" not in d:
         raise ValueError(f'level {index} has no "j"')
     j = as_int(d["j"], "j")
-    for key in ("theta", "n", "start"):
+    for key in ("theta", *_PAIR_KEYS):
         if key not in d:
             raise ValueError(f'level j={j} has no "{key}"')
     theta = as_float(d["theta"], f"theta_{j}")
     if not math.isfinite(theta):
         raise ValueError(f"theta_{j} must be finite, got {json.dumps(theta)}")
-    return BlockLevel(j, theta, as_int(d["n"], f"n_{j}"), as_int(d["start"], f"start_{j}"))
+    n_m, n_e, start_m, start_e = (as_int(d[key], f"{key} of level j={j}") for key in _PAIR_KEYS)
+    for key, e in (("n_e", n_e), ("start_e", start_e)):
+        if e < 0:
+            raise ValueError(f"{key} of level j={j} must be >= 0, got {e}")
+    return BlockLevel._of(j, theta, _dyadic(n_m, n_e), _dyadic(start_m, start_e))
 
 
-def _blocks_from_json(fields: dict, levels: list[BlockLevel]) -> BlockSequence:
-    """The BlockSequence of blocks.json's top-level fields and its levels:
-    J a JSON integer, rearranged a JSON boolean (default false), cursor two
-    JSON integers with a positive denominator, a fraction in [0, 1) (default
-    [0, 1])."""
-    rearranged, cursor = fields.get("rearranged", False), fields.get("cursor", [0, 1])
+def _blocks_from_json(doc) -> BlockSequence:
+    """The BlockSequence of a decoded blocks.json document, whose levels are
+    read or still to read (_level_from_json): an object with J a JSON
+    integer, rearranged a JSON boolean (default false), cursor two JSON
+    integers with a positive denominator, a fraction in [0, 1) (default
+    [0, 1]), and levels an array."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a blocks.json document is an object, got {type(doc).__name__}")
+    rearranged, cursor, levels = doc.get("rearranged", False), doc.get("cursor", [0, 1]), doc["levels"]
     if not isinstance(rearranged, bool):
         raise ValueError(f"rearranged must be true or false, got {json.dumps(rearranged)}")
     if not isinstance(cursor, list) or len(cursor) != 2:
@@ -527,7 +488,10 @@ def _blocks_from_json(fields: dict, levels: list[BlockLevel]) -> BlockSequence:
         raise ValueError(f"cursor denominator must be positive, got {json.dumps(cursor)}")
     if not 0 <= num < den:
         raise ValueError(f"cursor must lie in [0, 1), got {json.dumps(cursor)}")
-    return BlockSequence(J=as_int(fields["J"], "J"), levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
+    if not isinstance(levels, list):
+        raise ValueError(f"levels must be an array, got {type(levels).__name__}")
+    levels = [lvl if isinstance(lvl, BlockLevel) else _level_from_json(lvl, i) for i, lvl in enumerate(levels)]
+    return BlockSequence(J=as_int(doc["J"], "J"), levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
                          rearranged=rearranged, cursor=Fraction(num, den))
 
 
@@ -543,8 +507,9 @@ def verify_blocks(blocks: BlockSequence) -> list[str]:
     if blocks.rearranged:
         expected = rearrange(blocks)  # its starts and cursor follow from the n_j alone
         for lvl, exp in zip(blocks.levels, expected.levels):
-            if (lvl.start_m, lvl.start_e) != (exp.start_m, exp.start_e):
-                problems.append(f"start_{lvl.j}={lvl.start} inconsistent with cursor rule ({exp.start})")
+            if (lvl.start_m, lvl.start_e) != (exp.start_m, exp.start_e):  # as pairs: start_j has j bits
+                problems.append(f"start_{lvl.j} = {lvl.start_m} * 2^{lvl.start_e} inconsistent with "
+                                f"cursor rule ({exp.start_m} * 2^{exp.start_e})")
         if blocks.cursor != expected.cursor:
             problems.append(f"cursor {blocks.cursor} != recomputed {expected.cursor}")
     elif blocks.cursor != 0:

@@ -16,8 +16,7 @@ from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_plat
 from besovlab.norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
 from besovlab.reporting import write_csv
 from besovlab.sequences import (
-    LEVEL_COLUMNS, BlockLevel, BlockSequence, _blocks_from_json, _diagnostic_term, _level_from_json, build_S,
-    level_table,
+    LEVEL_COLUMNS, BlockLevel, BlockSequence, _blocks_from_json, _diagnostic_term, build_S, level_table,
 )
 from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup, psi_dyadic, psi_dyadic_log
 
@@ -388,21 +387,22 @@ def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:
 
 
 def blocks_to_json(blocks: BlockSequence) -> str:
-    """blocks.json through the json encoder, without its final newline.
-    Byte oracle for sequences.write_blocks."""
+    """blocks.json through the json encoder, without its final newline: each
+    level object holds the BlockLevel fields.  Byte oracle for
+    sequences.write_blocks."""
     return json.dumps({
         "J": blocks.J,
         "rearranged": blocks.rearranged,
         "cursor": [blocks.cursor.numerator, blocks.cursor.denominator],
-        "levels": [{"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start} for lvl in blocks.levels],
+        "levels": [lvl._asdict() for lvl in blocks.levels],
     }, indent=2)
 
 
 def blocks_from_json(text: str) -> BlockSequence:
     """The BlockSequence of a whole blocks.json text, through json.loads and
-    read_blocks' checks of each value.  Test oracle for its streamed parse."""
-    data = json.loads(text)
-    return _blocks_from_json(data, [_level_from_json(d, i) for i, d in enumerate(data["levels"])])
+    read_blocks' checks of each value.  Test oracle for read_blocks, which
+    turns each level object into its BlockLevel as the decoder closes it."""
+    return _blocks_from_json(json.loads(text))
 
 
 def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from besovlab import cli, sequences
 from besovlab.atoms import AtomicField, eval_f, level_weight, level_weights
 from besovlab.cli import FIELD_EVAL_CHUNK, main
 from besovlab.atoms import psi0
-from besovlab.experiments import MAX_LEMMA_N, ExperimentConfig, config_from_dict
+from besovlab.experiments import MAX_LEMMA_N, config_from_dict
 from besovlab.params import load_config
 from oracles import blocks_to_json, field_eval_text, lemma_le_partials, write_level_csv
 
@@ -92,11 +93,11 @@ def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):
     out = tmp_path / "blocks.json"
     main(["--config", config_path, "--out", str(out), "seq-build", "--J", "8"])
     data = json.loads(out.read_text())
-    data["levels"][5]["start"] += 1
+    data["levels"][5]["start_m"] += 1  # start_5 = 0 becomes 1
     out.write_text(json.dumps(data))
     assert main(["seq-verify", str(out)]) == 1
-    capsys.readouterr()
-    data["levels"][5]["start"] -= 1
+    assert "violation: start_5 = 1 * 2^0 inconsistent with cursor rule (0 * 2^0)" in capsys.readouterr().err
+    data["levels"][5]["start_m"] -= 1
     out.write_bytes(_tampered(json.dumps(data), "theta", -0.5, 5))  # read, then flagged
     assert main(["seq-verify", str(out)]) == 1
     assert "violation: theta_5 negative" in capsys.readouterr().err
@@ -111,7 +112,7 @@ def test_seq_verify_flags_tampering(config_path, tmp_path, capsys):
 
 def _levels_doc(J: int, js) -> bytes:
     """A blocks.json at depth J whose levels carry the indices js."""
-    levels = [{"j": j, "theta": 0.0, "n": 0, "start": 0} for j in js]
+    levels = [{"j": j, "theta": 0.0, "n_m": 0, "n_e": 0, "start_m": 0, "start_e": 0} for j in js]
     return json.dumps({"J": J, "rearranged": True, "cursor": [0, 1], "levels": levels}).encode()
 
 
@@ -136,13 +137,17 @@ def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
     whose levels do not carry j = 0..J once each, files with a value of the
     wrong type, a level that is no object or lacks a key, a cursor outside
     [0, 1), or a cursor or theta that is no number; the message names the
-    level, the j, or the key."""
+    level, the j, or the key.  So do files with a negative shift and files
+    in the decimal layout, whose levels hold n and start in full."""
     out = tmp_path / "blocks.json"
     assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "12"]) == 0
     text = out.read_text()
     bad = tmp_path / "bad.json"
+    decimal = json.dumps({**json.loads(text), "levels": [
+        {"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start}
+        for lvl in config_from_dict(load_config(config_path)).blocks(12).levels]}).encode()
     for content in (text[: len(text) // 2].encode(), text[:-3].encode(), b"", b"\x89PNG\r\n\xff\xfe",
-                    text.replace('"start"', '"begin"', 1).encode(), (text + "]").encode()):
+                    text.replace('"start_m"', '"begin_m"', 1).encode(), (text + "]").encode()):
         bad.write_bytes(content)
         assert main(["seq-verify", str(bad)]) == 2, content[-20:]
         assert f"cannot read blocks from {bad}" in capsys.readouterr().err
@@ -160,23 +165,45 @@ def test_seq_verify_unreadable_blocks_exit_2(config_path, tmp_path, capsys):
                            (_tampered(text, "theta", "1e400", 5), "theta_5 must be finite, got Infinity"),
                            (_tampered(text, "theta", "0.5", 5), 'theta_5 must be a number, got "0.5"'),
                            (_tampered(text, "J", 6.7), "J must be an integer, got 6.7"),
-                           (_tampered(text, "n", 2.5, 5), "n_5 must be an integer, got 2.5"),
-                           (_tampered(text, "n", "3", 5), 'n_5 must be an integer, got "3"'),
-                           (_tampered(text, "n", True, 5), "n_5 must be an integer, got true"),
+                           (_tampered(text, "n_m", 2.5, 5), "n_m of level j=5 must be an integer, got 2.5"),
+                           (_tampered(text, "n_e", "3", 5), 'n_e of level j=5 must be an integer, got "3"'),
+                           (_tampered(text, "start_m", True, 5), "start_m of level j=5 must be an integer, got true"),
+                           (_tampered(text, "n_e", -1, 5), "n_e of level j=5 must be >= 0, got -1"),
+                           (_tampered(text, "start_e", -2, 5), "start_e of level j=5 must be >= 0, got -2"),
+                           (_tampered(text, "n_m", -3, 5), "n_5 out of range [0, 2^5]: negative"),
+                           (decimal, 'level j=0 has no "n_m"'),
                            (_tampered(text, "rearranged", "no"), 'rearranged must be true or false, got "no"'),
                            (_tampered(text, "cursor", [5, 3]), "cursor must lie in [0, 1), got [5, 3]"),
                            (_tampered(text, "cursor", [-1, 3]), "cursor must lie in [0, 1), got [-1, 3]"),
                            (_tampered(_tampered(text, "rearranged", False).decode(), "cursor", [5, 3]),
                             "cursor must lie in [0, 1), got [5, 3]"),
                            (_level_edited(text, 3, lambda level: 1), "level 3 must be an object, got 1"),
-                           (_level_edited(text, 5, lambda level: {k: v for k, v in level.items() if k != "start"}),
-                            'level j=5 has no "start"'),
+                           (_level_edited(text, 5, lambda level: {k: v for k, v in level.items() if k != "start_e"}),
+                            'level j=5 has no "start_e"'),
+                           (_level_edited(text, 5, lambda level: {k: v for k, v in level.items() if k != "n_e"}),
+                            'level j=5 has no "n_e"'),
                            (_level_edited(text, 4, lambda level: {k: v for k, v in level.items() if k != "j"}),
                             'level 4 has no "j"')):
         bad.write_bytes(content)
         assert main(["seq-verify", str(bad)]) == 2, named
         err = capsys.readouterr().err
         assert f"cannot read blocks from {bad}" in err and named in err, err
+
+
+def test_seq_verify_names_a_huge_shift_by_its_bit_length(config_path, tmp_path, capsys):
+    """A shift of 10^12 exits 2 at once with a one-line message: the range
+    check and its message never build the 2^(10^12)-bit integer."""
+    out = tmp_path / "blocks.json"
+    assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", "8"]) == 0
+    text, bad = out.read_text(), tmp_path / "bad.json"
+    for key, named in (("n", "n_5 out of range [0, 2^5]: 1000000000002 bits"),
+                       ("start", "start_5 out of range [0, 2^5): 1000000000002 bits")):
+        bad.write_bytes(_tampered(_tampered(text, f"{key}_m", 3, 5).decode(), f"{key}_e", 10**12, 5))
+        start = time.perf_counter()
+        assert main(["seq-verify", str(bad)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err and "MemoryError" not in err, err
 
 
 def test_field_eval(config_path, tmp_path, capsys):
@@ -660,31 +687,35 @@ def int_str_digits():
     sys.set_int_max_str_digits(before)
 
 
-def test_seq_build_past_the_int_str_digit_limit_exits_2(config_path, tmp_path, capsys, monkeypatch,
-                                                         int_str_digits):
-    """blocks.json, seq.csv and seq-verify's JSON decoder carry each start_j <
-    2^J as a decimal integer.  At the default limit of 4,300 digits seq-build
-    stops at J = 14,284: J = 14,285 exits 2 before any block is built."""
-    int_str_digits(4300)
-    monkeypatch.setattr(ExperimentConfig, "blocks", lambda *a, **k: pytest.fail("built blocks"))
-    out, table = tmp_path / "blocks.json", tmp_path / "seq.csv"
-    assert main(["--config", config_path, "--out", str(out),
-                 "seq-build", "--J", "14285", "--csv", str(table)]) == 2
-    assert "seq-build stops at J = 14284" in capsys.readouterr().err
-    assert not out.exists() and not table.exists()
-
-
-def test_seq_build_cap_follows_the_int_str_digit_limit(config_path, tmp_path, capsys, int_str_digits):
-    """At Python's least limit, 640 digits, the cap is J = 2126 (2^2126 <
-    10^640 < 2^2127): J = 2126 builds and reads back, J = 2127 exits 2."""
+def test_seq_build_under_the_least_int_str_digit_limit(config_path, tmp_path, capsys, int_str_digits):
+    """blocks.json holds each n_j and start_j as a (mantissa, shift) pair, so
+    no step reads a decimal back: at Python's least int-to-str limit, 640
+    digits, J = 2127 (2^2127 > 10^640) builds with its CSV and reads back,
+    and seq.csv spells its 641-digit start_j without int-to-str."""
+    J, config = 2127, config_from_dict(load_config(config_path))
+    write_level_csv(tmp_path / "oracle.csv", config.blocks(J), config.psi, config.params)
     int_str_digits(640)
-    out = tmp_path / "blocks.json"
-    assert main(["--config", config_path, "--out", str(tmp_path / "deeper.json"),
-                 "seq-build", "--J", "2127"]) == 2
-    assert main(["--config", config_path, "--out", str(out),
-                 "seq-build", "--J", "2126", "--csv", str(tmp_path / "seq.csv")]) == 0
+    out, table = tmp_path / "blocks.json", tmp_path / "seq.csv"
+    assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", str(J), "--csv", str(table)]) == 0
     assert main(["seq-verify", str(out)]) == 0
-    assert "ok: J=2126" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"ok: J={J}, rearranged=True\n"
+    assert table.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_seq_build_runs_to_max_seq_depth(config_path, tmp_path, capsys):
+    """seq-build stops at MAX_SEQ_DEPTH and nowhere below it: J =
+    MAX_SEQ_DEPTH builds, seq-verify reads it back whole, and one level
+    deeper exits 2 before any block is built."""
+    J, out = sequences.MAX_SEQ_DEPTH, tmp_path / "blocks.json"
+    assert main(["--config", config_path, "--out", str(out), "seq-build", "--J", str(J)]) == 0
+    assert main(["seq-verify", str(out)]) == 0
+    assert capsys.readouterr().out == f"ok: J={J}, rearranged=True\n"
+    with open(out) as stream:
+        again = sequences.read_blocks(stream)
+    assert again.levels == config_from_dict(load_config(config_path)).blocks(J).levels
+    assert main(["--config", config_path, "--out", str(tmp_path / "deeper.json"),
+                 "seq-build", "--J", str(J + 1)]) == 2
+    assert f"depth {J + 1} is above the block cap {J}" in capsys.readouterr().err
     assert not (tmp_path / "deeper.json").exists()
 
 

@@ -593,26 +593,27 @@ def _fields(blocks):
     return [getattr(blocks, f) for f in ("J", "levels", "rearranged", "cursor")]
 
 
-def _read(text, chunk):
-    """read_blocks on text, reading chunk characters at a time."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sequences, "_JSON_CHUNK", chunk)
+def _read(text, chunk=None):
+    """read_blocks on text; with chunk, from a file read through a buffer of
+    chunk bytes."""
+    if chunk is None:
         return read_blocks(io.StringIO(text))
+    raw = io.BufferedReader(io.BytesIO(text.encode()), buffer_size=chunk)
+    return read_blocks(io.TextIOWrapper(raw, encoding="utf-8", newline=""))
 
 
 def _doc(blocks, reverse=False):
     """blocks.json's object; reverse puts every key and the levels in reverse order."""
     order = reversed if reverse else list
-    levels = [dict(order(list({"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start}.items())))
-              for lvl in order(blocks.levels)]
+    levels = [dict(order(list(lvl._asdict().items()))) for lvl in order(blocks.levels)]
     return dict(order([("J", blocks.J), ("rearranged", blocks.rearranged),
                        ("cursor", [blocks.cursor.numerator, blocks.cursor.denominator]), ("levels", levels)]))
 
 
 @pytest.fixture(scope="module")
 def blocks_j64(flagship_params, psi_one):
-    """64 levels, whose starts have up to 20 digits, with thetas in exponent
-    notation such as 1.7782794100389228e-05."""
+    """64 levels, whose starts have mantissas of up to 64 bits, with thetas
+    in exponent notation such as 1.7782794100389228e-05."""
     blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, 64))
     levels = tuple(BlockLevel(lvl.j, lvl.theta * 1e-5, lvl.n, lvl.start) for lvl in blocks.levels)
     return BlockSequence(J=64, levels=levels, rearranged=True, cursor=blocks.cursor)
@@ -671,69 +672,114 @@ class TestSerialization:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
     def test_read_blocks_matches_whole_text_oracle(self, blocks_j8, blocks_j64, flagship_params, psi_one, chunk):
-        """write_blocks' own layout, rearranged or not, compact JSON and keys
-        and levels in reverse order, whatever chunk boundaries cut."""
-        for blocks in (blocks_j8, blocks_j64, build_lambda_blocks(psi_one, flagship_params, 8)):
+        """write_blocks' own layout, rearranged or not, compact JSON, keys and
+        levels in reverse order, numbers such as J = 0.4e+1 or theta = 3e+300
+        in exponent notation, and unknown top-level keys, also ones that hold
+        a level or an object with a "j", whatever buffer the file is read
+        through."""
+        levels = tuple(BlockLevel(lvl.j, theta, lvl.n, lvl.start) for lvl, theta in zip(blocks_j64.levels[:5],
+                                                                        (0.0, 2.0, 1.25e-05, 3e+300, 0.5)))
+        short = BlockSequence(J=4, levels=levels)
+        for blocks in (blocks_j8, blocks_j64, build_lambda_blocks(psi_one, flagship_params, 8), short):
             out = io.StringIO()
             write_blocks(blocks, out)
             texts = [out.getvalue(), json.dumps(_doc(blocks), separators=(",", ":")),
                      json.dumps(_doc(blocks, reverse=True), indent="\t")]
+            if blocks is short:
+                texts.append(texts[1].replace('"J":4', '"J":0.4e+1'))
+                texts.append(json.dumps({**_doc(blocks), "note": {"j": 1}, "first": _doc(blocks)["levels"][0]}))
             for text in texts:
                 assert _fields(_read(text, chunk)) == _fields(blocks_from_json(text)) == _fields(blocks)
 
     def test_read_blocks_at_every_chunk_boundary(self, blocks_j64):
-        """A chunk that ends anywhere, also inside a top-level number such as
-        J = 0.4e+1 after its ".", "e" or "e+", changes nothing."""
+        """A file whose first read stops anywhere, as a pipe's may, also inside
+        a top-level number such as J = 0.4e+1 after its ".", "e" or "e+",
+        is still read whole."""
         levels = tuple(BlockLevel(lvl.j, theta, lvl.n, lvl.start) for lvl, theta in zip(blocks_j64.levels[:5],
                                                                         (0.0, 2.0, 1.25e-05, 3e+300, 0.5)))
         text = json.dumps(_doc(BlockSequence(J=4, levels=levels))).replace('"J": 4', '"J": 0.4e+1')
+        data = text.encode()
         expected = _fields(blocks_from_json(text))
         assert expected[0] == 4
 
-        class CutStream:
-            """Reads as a file would, but the first read stops after cut characters."""
+        class CutFile(io.RawIOBase):
+            """Reads as a file would, but the first read stops after cut bytes."""
 
             def __init__(self, cut):
                 self.pos, self.cut = 0, cut
 
-            def read(self, n):
-                end = min(self.pos + n, self.cut if self.pos < self.cut else len(text))
-                piece, self.pos = text[self.pos:end], end
-                return piece
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                start = self.pos
+                self.pos = min(start + len(b), self.cut if start < self.cut else len(data))
+                b[:self.pos - start] = data[start:self.pos]
+                return self.pos - start
 
         for cut in range(1, len(text)):
-            assert _fields(read_blocks(CutStream(cut))) == expected, text[:cut]
+            stream = io.TextIOWrapper(io.BufferedReader(CutFile(cut)), encoding="utf-8", newline="")
+            assert _fields(read_blocks(stream)) == expected, text[:cut]
 
     @settings(max_examples=60, deadline=None)
-    @given(chunk=st.integers(1, 48), reverse=st.booleans(), sort_keys=st.booleans(),
+    @given(reverse=st.booleans(), sort_keys=st.booleans(),
            indent=st.one_of(st.none(), st.text(" \t\r\n", max_size=3)),
            comma=st.text(" \t\r\n", max_size=2), colon=st.text(" \t\r\n", max_size=2),
            around=st.text(" \t\r\n", max_size=3))
-    def test_read_blocks_takes_any_json_whitespace(self, blocks_j8, chunk, reverse, sort_keys,
+    def test_read_blocks_takes_any_json_whitespace(self, blocks_j8, reverse, sort_keys,
                                                    indent, comma, colon, around):
         text = around + json.dumps(_doc(blocks_j8, reverse), indent=indent, sort_keys=sort_keys,
                                    separators=("," + comma, ":" + colon)) + around
-        assert _fields(_read(text, chunk)) == _fields(blocks_from_json(text)) == _fields(blocks_j8)
+        assert _fields(_read(text)) == _fields(blocks_from_json(text)) == _fields(blocks_j8)
 
     def test_read_blocks_rejects_what_the_oracle_rejects(self, flagship_params, psi_one):
         """Every prefix of a document, and malformed ones, raise as json.loads
-        does; only the whole document (with or without its newline) parses."""
+        does; only the whole document (with or without its newline) parses.
+        So does a document in the decimal layout, with n and start in full."""
+        blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, 3))
         out = io.StringIO()
-        write_blocks(rearrange(build_lambda_blocks(psi_one, flagship_params, 3)), out)
+        write_blocks(blocks, out)
         text = out.getvalue()
+        decimal = json.dumps({**_doc(blocks), "levels": [
+            {"j": lvl.j, "theta": lvl.theta, "n": lvl.n, "start": lvl.start} for lvl in blocks.levels]})
+        zero = '{"j": 0, "theta": 0.0, "n_m": 0, "n_e": 0, "start_m": 0'
         bad = [text[:cut] for cut in range(len(text) - 1)] + [
             "{not json", "[]", "{}", '{"J": 2}', '{"J": 0, "levels": 5}', '{"J": 0, "levels": [1]}',
-            '{"J": 0, "levels": [{"j": 0, "theta": 0.0, "n": 0}]}', text + "x", text + "{}",
-            text.replace('"J"', "J"), text.replace(",", ",,", 1), text.replace("]", ",]", 1),
+            '{"J": 0, "levels": {}}', '{"J": 0, "levels": [' + zero + "}]}", text + "x", text + "{}",
+            text.replace('"J"', "J"), text.replace(",", ",,", 1), text.replace("]", ",]", 1), decimal,
         ]
         for doc in bad:
-            for chunk in (1, 5, 1 << 16):
-                with pytest.raises((ValueError, KeyError, TypeError)):
-                    _read(doc, chunk)
+            with pytest.raises((ValueError, KeyError, TypeError)):
+                _read(doc)
             with pytest.raises((ValueError, KeyError, TypeError)):
                 blocks_from_json(doc)
-        for doc in (text, text[:-1], '{"J": 0, "levels": [{"j": 0, "theta": 0.0, "n": 0, "start": 0}]}'):
-            assert _fields(_read(doc, 1)) == _fields(blocks_from_json(doc))
+        for doc in (text, text[:-1], '{"J": 0, "levels": [' + zero + ', "start_e": 0}]}'):
+            assert _fields(_read(doc)) == _fields(blocks_from_json(doc))
+
+    def test_read_blocks_normalises_each_pair(self, blocks_j64):
+        """A pair need not be canonical: (4, 0) reads as (1, 2), and every
+        level spelled as (n, 0) and (start, 0) reads as the same sequence."""
+        doc = _doc(blocks_j64)
+        for level in doc["levels"]:
+            level.update(n_m=level["n_m"] << level["n_e"], n_e=0,
+                         start_m=level["start_m"] << level["start_e"], start_e=0)
+        assert _fields(_read(json.dumps(doc))) == _fields(blocks_j64)
+        doc = _doc(BlockSequence(J=2, levels=tuple(BlockLevel(j, 0.0, 0, 0) for j in range(3))))
+        doc["levels"][2].update(n_m=4, n_e=0, start_m=2, start_e=0)
+        assert _read(json.dumps(doc)).levels[2] == (2, 0.0, 1, 2, 1, 1)
+
+    def test_read_blocks_rejects_a_shift_without_building_it(self, blocks_j8):
+        """A negative shift is rejected, and a shift of 10^12 is reported by
+        bit length in a short message, without building m << e."""
+        for key, value, named in (("n_e", -1, "n_e of level j=5 must be >= 0, got -1"),
+                                  ("start_e", -3, "start_e of level j=5 must be >= 0, got -3"),
+                                  ("n_e", 10**12, "n_5 out of range [0, 2^5]: 1000000000001 bits"),
+                                  ("start_e", 10**12, "start_5 out of range [0, 2^5): 1000000000001 bits")):
+            doc = _doc(blocks_j8)
+            doc["levels"][5].update({key: value, key[:-1] + "m": 1})
+            with pytest.raises(ValueError) as info:
+                _read(json.dumps(doc))
+            assert str(info.value) == named
 
     def test_verify_accepts_fresh_build(self, blocks_j8):
         assert verify_blocks(blocks_j8) == []
