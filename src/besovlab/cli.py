@@ -33,7 +33,7 @@ from .atoms import AtomicField, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
 from .params import load_config
 from .reporting import output, read_csv, write_json
-from .slowly_varying import slow_variation_deviation, summability_partial
+from .slowly_varying import classify_condition, slow_variation_deviation, summability_partial
 
 
 def _load_experiment_config(path: str | None) -> ExperimentConfig:
@@ -54,7 +54,7 @@ def cmd_psi_check(args) -> int:
     config.check_depth(max(PSI_CHECK_DEPTHS))
     kappa = config.params.kappa
     result = {  # kappa = inf (p = q) prints as null
-        "classification": experiments.classify_condition(config.psi, kappa),
+        "classification": classify_condition(config.psi, config.params.p, config.params.q),
         "kappa": kappa,
         "slow_variation_deviation_r0.5_j40": slow_variation_deviation(config.psi, 40),
     }

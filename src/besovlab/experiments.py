@@ -1,11 +1,9 @@
 """Experiment drivers reproducing the construction's logical arc at desk scale.
 
-Two-tier evidence: exact sequence diagnostics go deep (J up to 4096, O(J)
-memory), grid norm estimates stay shallow (J <= 10).  Each recorded row states
-which tier produced it.  Verdicts are pure functions of the recorded rows, so
-re-deriving them from the emitted CSVs reproduces verdicts.json; "divergent"
-at desk scale means strict monotone growth across the last sweep depths plus
-exceeding DIAG_THRESHOLD -- the report never claims infinity.
+Two-tier evidence: exact sequence diagnostics go deep (J up to
+sequences.MAX_SEQ_DEPTH = 2^15, O(J) memory), grid norm estimates stay
+shallow (J up to fieldnorms.grid_depth_cap, 15 for M = 2).  Each recorded
+row states which tier produced it; the rule table of `verdicts` judges them.
 """
 
 from __future__ import annotations
@@ -15,22 +13,14 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from . import fieldnorms, sequences
+from . import fieldnorms, sequences, verdicts
 from .atoms import AtomicField
 from .params import N, Params, as_float, as_int, params_from_dict, validate
 from .reporting import write_csv, write_json, write_svg_lines
-from .slowly_varying import (
-    SATISFIED,
-    PsiDescriptor,
-    classify_condition,
-    psi_from_dict,
-    table_depth,
-    weight_in_range,
-)
+from .slowly_varying import PsiDescriptor, psi_from_dict, table_depth, weight_in_range
+from .verdicts import DIAG_THRESHOLD
 
 LEMMA_CHECKPOINTS = (1, 2, 3, 5, 10, 12, 20, 50, 100, 1_000, 10_000, 20_000, 100_000, 200_000, 1_000_000)
-DIVERGENCE_PARTIAL_THRESHOLD = 10.0
-DIAG_THRESHOLD = 2.5
 # Settings with one value.  A config may name each, at that value only.
 FIXED_SETTINGS = {"N": N, "d": 1, "grid.res_scale": 1.0, "diag_threshold": DIAG_THRESHOLD, "emit_svg": True}
 MAX_PROBES = 127
@@ -38,7 +28,6 @@ MAX_PROBES = 127
 # so its memory does not grow with n_max: at this cap five m take about 0.35 s
 # and 32 MB of VmHWM in all, 2 MB above the resident size before the suite.
 MAX_LEMMA_N = 10**7
-CAUCHY_REL_TOL = 1e-3
 
 
 class ConfigError(ValueError):
@@ -196,37 +185,7 @@ def run_lemma_le(config: ExperimentConfig) -> Report:
     for m in config.lemma_m:
         partials = sequences.lemma_le_unit_partials(m, checkpoints)
         rows.extend({"m": m, "n": n, "partial_sum": v} for n, v in zip(checkpoints, partials))
-    verdicts = _verdicts("lemma_le", rows, config)
-    return Report("lemma_le", ["m", "n", "partial_sum"], rows, verdicts)
-
-
-def lemma_le_verdicts(rows: list[dict]) -> dict:
-    by_m: dict[float, list[tuple[int, float]]] = {}
-    for row in rows:
-        by_m.setdefault(float(row["m"]), []).append((int(row["n"]), float(row["partial_sum"])))
-    out = {}
-    for m, pts in sorted(by_m.items()):
-        pts.sort()
-        values = dict(pts)
-        # relative Cauchy tail over the largest doubling pair on record
-        pairs = [(n, 2 * n) for n, _ in pts if 2 * n in values]
-        rel_tail = None
-        if pairs:
-            n, n2 = pairs[-1]
-            rel_tail = (values[n2] - values[n]) / values[n2]
-        exceeds = next((n for n, v in pts if v > DIVERGENCE_PARTIAL_THRESHOLD), None)
-        if rel_tail is not None and rel_tail < CAUCHY_REL_TOL:
-            verdict = "convergent-at-scale"
-        elif exceeds is not None:
-            verdict = "divergent-at-scale"
-        else:
-            verdict = "inconclusive"
-        out[f"m={m:g}"] = {
-            "verdict": verdict,
-            "relative_tail": rel_tail,
-            "exceeds_10_by_n": exceeds,
-        }
-    return out
+    return Report("lemma_le", ["m", "n", "partial_sum"], rows, verdicts.evaluate("lemma_le", rows, config))
 
 
 # ---------------------------------------------------------------------------
@@ -298,66 +257,7 @@ def run_sequence_experiment(config: ExperimentConfig, exact: ExactTier | None = 
     rows.extend(exact.diagnostics)
     for J in (min(config.J_seq), max(config.J_seq)):
         rows.append(_bound_row("forced_bound", J, exact.S[J], params))
-    return Report("sequence", list(ROW_COLUMNS), rows, _verdicts("sequence", rows, config))
-
-
-def _rows_of_kind(rows: list[dict], kind: str) -> list[dict]:
-    return [r for r in rows if r["kind"] == kind]
-
-
-def _value_at(rows: list[dict], kind: str, J: int) -> float:
-    for r in _rows_of_kind(rows, kind):
-        if int(r["J"]) == J:
-            return float(r["value"])
-    raise KeyError(f"no {kind} row at J={J}")
-
-
-def _min_diag_by_depth(rows: list[dict]) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for r in _rows_of_kind(rows, "diagnostic"):
-        J = int(r["J"])
-        v = float(r["value"])
-        out[J] = min(out.get(J, math.inf), v)
-    return out
-
-
-def _divergence_verdicts(rows: list[dict]) -> dict:
-    """The minimum diagnostic over probes per depth, and whether it grows
-    strictly across the last three depths past DIAG_THRESHOLD."""
-    min_diag = _min_diag_by_depth(rows)
-    depths = sorted(min_diag)[-3:]
-    increasing = all(min_diag[a] < min_diag[b] for a, b in zip(depths, depths[1:]))
-    divergent = increasing and depths and min_diag[depths[-1]] > DIAG_THRESHOLD
-    return {
-        "diagnostic_divergent": bool(divergent),
-        "min_diagnostic_by_depth": {str(J): min_diag[J] for J in sorted(min_diag)},
-    }
-
-
-def _plateau_verdicts(rows: list[dict], kind: str) -> dict:
-    """Whether the `kind` bound at the deepest depth stays within 5% of the
-    shallowest, with both values; empty with fewer than two rows."""
-    bound_rows = sorted(_rows_of_kind(rows, kind), key=lambda r: int(r["J"]))
-    if len(bound_rows) < 2:
-        return {}
-    lo, hi = float(bound_rows[0]["value"]), float(bound_rows[-1]["value"])
-    return {
-        f"{kind}_plateau": bool(hi <= lo * 1.05),
-        f"{kind}_values": {str(int(bound_rows[0]["J"])): lo, str(int(bound_rows[-1]["J"])): hi},
-    }
-
-
-def sequence_verdicts(rows: list[dict], J_mixed) -> dict:
-    J1, J2 = J_mixed[-2], J_mixed[-1]
-    v1 = _value_at(rows, "mixed_norm", J1)
-    v2 = _value_at(rows, "mixed_norm", J2)
-    mixed_rel = abs(v2 - v1) / v1 if v1 else math.inf
-    return {
-        "mixed_norm_cauchy": bool(mixed_rel < 0.05),
-        "mixed_norm_relative_gap": mixed_rel,
-        **_divergence_verdicts(rows),
-        **_plateau_verdicts(rows, "forced_bound"),
-    }
+    return Report("sequence", list(ROW_COLUMNS), rows, verdicts.evaluate("sequence", rows, config))
 
 
 # ---------------------------------------------------------------------------
@@ -389,90 +289,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
         S = sequences.build_S(config.control_psi, params.kappa, max(config.J_seq))
         for J in (min(config.J_seq), max(config.J_seq)):
             rows.append(_bound_row("control_bound", J, float(S[J - 1]), params))
-    return Report("pathology", list(ROW_COLUMNS), rows, _verdicts("pathology", rows, config))
-
-
-def config_verdicts(name: str, config: ExperimentConfig) -> dict:
-    """The verdict keys of report `name` that follow from the configuration,
-    not from the recorded rows."""
-    if name == "lemma_le":
-        return {}
-    kappa = config.params.kappa
-    classification = classify_condition(config.psi, kappa)
-    out = {"condition_classification": classification}
-    if name == "sequence" and classification == SATISFIED:
-        out["note"] = "control run: condition satisfied, divergence not expected"
-    if name == "pathology":
-        if config.control_psi is not None:
-            out["control_classification"] = classify_condition(config.control_psi, kappa)
-        out["caveat"] = (
-            "finite probe sample: almost-everywhere statements about y are not "
-            "addressed; divergence means monotone growth past the threshold, not infinity"
-        )
-    return out
-
-
-def _by_probe_and_depth(rows: list[dict], kind: str) -> dict[float, dict[int, float]]:
-    out: dict[float, dict[int, float]] = {}
-    for r in _rows_of_kind(rows, kind):
-        out.setdefault(float(r["probe"]), {})[int(r["J"])] = float(r["value"])
-    return out
-
-
-def _pm_growth_where_covered(pm: dict, cov: dict) -> dict:
-    """Partial-map growth along each probe's coverage set.
-
-    A level whose on-window contains floor(2^j y) has positive weight at y and
-    an x1-support disjoint from the other levels', so it adds a positive term
-    to every modulus sum.  Hence across consecutive depths (J, J'] the
-    seminorm at y never decreases, and rises strictly where the exact coverage
-    count at y rises.  The converse need not hold: an atom reaches two cells
-    past its on-cell, so a level can raise the seminorm at y without covering
-    it.  Every interval must hold at least one covered rise, so the verdict is
-    never vacuously true.
-    """
-    depths = sorted({J for by_J in pm.values() for J in by_J})
-    ok = len(depths) >= 2
-    covered_rises: dict[str, int] = {}
-    for a, b in zip(depths, depths[1:]):
-        count = 0
-        for y, by_J in pm.items():
-            rise = by_J[a] < by_J[b]
-            ok = ok and by_J[a] <= by_J[b]
-            if cov[y][b] > cov[y][a]:
-                ok = ok and rise
-                count += rise
-        covered_rises[f"({a}, {b}]"] = count
-        ok = ok and count > 0
-    return {
-        "pm_seminorm_grows_where_covered": bool(ok),
-        "pm_seminorm_covered_rises": covered_rises,
-    }
-
-
-def pathology_verdicts(rows: list[dict]) -> dict:
-    norm_rows = sorted(_rows_of_kind(rows, "norm2d"), key=lambda r: int(r["J"]))
-    verdicts: dict = {}
-    if len(norm_rows) >= 2:
-        v1, v2 = float(norm_rows[-2]["value"]), float(norm_rows[-1]["value"])
-        rel = (v2 - v1) / v1 if v1 else math.inf  # a field with no active level has norm 0
-        verdicts["norm2d_saturates"] = bool(rel < 0.10)
-        verdicts["norm2d_relative_increase"] = rel
-    pm = _by_probe_and_depth(rows, "pm_seminorm")
-    if pm:
-        strict = []
-        for y, by_J in pm.items():
-            depths = sorted(by_J)
-            strict.append(all(by_J[a] < by_J[b] for a, b in zip(depths, depths[1:])))
-        verdicts["pm_seminorm_increasing_all_probes"] = bool(all(strict))
-        verdicts["pm_seminorm_increasing_probe_fraction"] = sum(strict) / len(strict)
-    cov = _by_probe_and_depth(rows, "pm_coverage")
-    if pm and cov:
-        verdicts.update(_pm_growth_where_covered(pm, cov))
-    if _rows_of_kind(rows, "diagnostic"):
-        verdicts.update(_divergence_verdicts(rows))
-    verdicts.update(_plateau_verdicts(rows, "control_bound"))
-    return verdicts
+    return Report("pathology", list(ROW_COLUMNS), rows, verdicts.evaluate("pathology", rows, config))
 
 
 # ---------------------------------------------------------------------------
@@ -490,41 +307,17 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
 
 
 def _trend_series(report: Report) -> dict[str, list[tuple[float, float]]]:
-    series: dict[str, list[tuple[float, float]]] = {}
     if report.name == "lemma_le":
+        series: dict[str, list[tuple[float, float]]] = {}
         for row in report.rows:
-            series.setdefault(f"m={float(row['m']):g}", []).append(
-                (float(row["n"]), float(row["partial_sum"]))
-            )
+            series.setdefault(f"m={float(row['m']):g}", []).append((float(row["n"]), float(row["partial_sum"])))
         return series
-    for kind in ("mixed_norm", "norm2d"):
-        pts = sorted((int(r["J"]), float(r["value"])) for r in _rows_of_kind(report.rows, kind))
-        if pts:
-            series[kind] = [(float(J), v) for J, v in pts]
-    min_diag = _min_diag_by_depth(report.rows)
-    if min_diag:
-        series["min_diagnostic"] = [(float(J), min_diag[J]) for J in sorted(min_diag)]
-    return series
+    pts = {kind: sorted((int(r["J"]), float(r["value"])) for r in report.rows if r["kind"] == kind)
+           for kind in ("mixed_norm", "norm2d")}
+    pts["min_diagnostic"] = list(report.verdicts.get("min_diagnostic_by_depth", {}).items())
+    return {kind: [(float(J), v) for J, v in line] for kind, line in pts.items() if line}
 
 
 def verdicts_from_csv_rows(name: str, rows: list[dict], config: ExperimentConfig) -> dict:
-    """Recompute a report's verdicts from its read_csv rows, plus the keys
-    that follow from the configuration.  Every verdict reads a cell through
-    int or float, and float(repr(x)) == x, so string cells give the run's
-    verdicts."""
-    return _verdicts(name, rows, config)
-
-
-def _verdicts(name: str, rows: list[dict], config: ExperimentConfig) -> dict:
-    """The verdicts of report `name` from its rows, plus the keys that follow
-    from the configuration."""
-    if name == "lemma_le":
-        verdicts = lemma_le_verdicts(rows)
-    elif name == "sequence":
-        verdicts = sequence_verdicts(rows, config.J_mixed)
-    elif name == "pathology":
-        verdicts = pathology_verdicts(rows)
-    else:
-        raise ValueError(f"unknown report name {name!r}")
-    verdicts.update(config_verdicts(name, config))
-    return verdicts
+    """A report's verdicts, the configuration's keys included, from its read_csv rows."""
+    return verdicts.evaluate(name, rows, config)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import count
 
 from .params import as_float, as_int
@@ -154,31 +155,31 @@ def summability_partial(desc: PsiDescriptor, kappa: float, J: int) -> float:
     return math.fsum(psi_dyadic(desc, j) ** kappa for j in range(J + 1))
 
 
-def classify_condition(desc: PsiDescriptor, kappa: float) -> str:
-    """Classify the summability condition sum_j Psi(2^-j)^kappa < inf.
+def classify_condition(desc: PsiDescriptor, p: float, q: float) -> str:
+    """Classify the summability condition sum_j Psi(2^-j)^kappa < inf, with
+    1/kappa = 1/p - 1/q.
 
-    Exact p-series / Bertrand-series criterion for catalog families; the
-    boundary exponent 1 classifies as violated (harmonic-type divergence).
-    Tabulated input is honestly inconclusive: finite data cannot settle
-    convergence.
+    Exact p-series / Bertrand-series criterion for catalog families, decided
+    on the exact rationals of the doubles: kappa = pq/(q - p), or p when
+    q = inf, times b (and b2) against 1, so the call is right at the boundary
+    where a float product rounds to 1.  The boundary exponent 1 classifies as
+    violated (harmonic-type divergence).  Tabulated input is honestly
+    inconclusive: finite data cannot settle convergence.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0 < p <= q:
+        raise ValueError(f"the condition needs 0 < p <= q, got p={p}, q={q}")
     if desc.family == TABULATED:
         return INCONCLUSIVE
-    if math.isinf(kappa):
-        # p = q convention: Psi only needs to be bounded, which every catalog
+    if p == q:
+        # kappa = inf: Psi only needs to be bounded, which every catalog
         # family is on (0,1].
         return SATISFIED
     if desc.family == CONSTANT:
         return VIOLATED
-    if desc.family == LOG_POWER:
-        return SATISFIED if desc.b * kappa > 1 else VIOLATED
-    # iterated-log-power: Bertrand series criterion
-    bk = desc.b * kappa
-    if bk > 1:
-        return SATISFIED
-    if bk == 1 and desc.b2 * kappa > 1:
+    kappa = Fraction(p) if math.isinf(q) else Fraction(p) * Fraction(q) / (Fraction(q) - Fraction(p))
+    bk = Fraction(desc.b) * kappa
+    # iterated-log-power at bk = 1: the Bertrand series criterion
+    if bk > 1 or bk == 1 and desc.family == ITERATED_LOG_POWER and Fraction(desc.b2) * kappa > 1:
         return SATISFIED
     return VIOLATED
 

@@ -43,10 +43,16 @@ class Box:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Finite union of axis-aligned boxes with a uniform grid resolution."""
+    """Finite union of axis-aligned boxes with a uniform grid resolution.
+
+    support: whether the function measured on the domain vanishes off the
+    boxes.  modulus then evaluates Delta_h^M f only at the grid cells whose
+    M + 1 stencil points meet a box: at every other cell it is exactly 0.
+    """
 
     boxes: tuple[Box, ...]
     resolution: float
+    support: bool = False
 
     def __post_init__(self):
         if not self.resolution > 0:
@@ -57,7 +63,8 @@ class BoxDomain:
         return self.boxes[0].ndim if self.boxes else 0
 
     def inflate(self, amount: float) -> "BoxDomain":
-        return BoxDomain(tuple(b.inflate(amount) for b in self.boxes), self.resolution)
+        # a function that vanishes off the boxes vanishes off larger ones
+        return replace(self, boxes=tuple(b.inflate(amount) for b in self.boxes))
 
 
 def finite_diff(f, M: int, h, x) -> np.ndarray:
@@ -85,27 +92,52 @@ def _box_grid(box: Box, resolution: float) -> list[np.ndarray]:
     return axes
 
 
-def _box_lp_pow(f, p: float, box: Box, resolution: float) -> float:
-    """integral over box of |f|^p by the midpoint rule, as a float."""
+def _stencil_cells(axes: list[np.ndarray], M: int, h, boxes) -> np.ndarray:
+    """The cells of the grid `axes` (a flat boolean mask) with one of the
+    M + 1 stencil points x + i h, i = 0..M, in a closed box of `boxes`.  The
+    points are formed as finite_diff forms them, and each (shift, box) marks
+    one index rectangle, from one np.searchsorted per axis."""
+    mask = np.zeros([axis.size for axis in axes], dtype=bool)
+    steps = np.broadcast_to(np.asarray(h, dtype=float), (len(axes),))
+    for i in range(M + 1):
+        shifted = [axis + i * step for axis, step in zip(axes, steps)]
+        for box in boxes:
+            mask[tuple(
+                slice(np.searchsorted(x, lo, side="left"), np.searchsorted(x, hi, side="right"))
+                for x, lo, hi in zip(shifted, box.lo, box.hi)
+            )] = True
+    return mask.ravel()
+
+
+def _box_lp_pow(f, p: float, box: Box, resolution: float, keep=None) -> float:
+    """integral over box of |f|^p by the midpoint rule, as a float.  keep, if
+    given, maps the grid's axes to the cells where f may be nonzero: f is
+    evaluated there only, and every other cell counts as 0 in the same sum."""
     axes = _box_grid(box, resolution)
     ndim = len(axes)
     if ndim == 1:
-        vals = np.asarray(f(axes[0]))
+        pts = axes[0]
     else:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    if keep is None:
         vals = np.asarray(f(pts))
+    else:
+        cells = keep(axes)
+        vals = np.zeros(cells.size)
+        if cells.any():
+            vals[cells] = f(pts[cells])
     cell = resolution**ndim
     return float(np.sum(np.abs(vals) ** p)) * cell
 
 
-def lp_quasinorm(f, p: float, domain: BoxDomain) -> float:
+def lp_quasinorm(f, p: float, domain: BoxDomain, keep=None) -> float:
     """(sum over midpoint grid cells |f(center)|^p * cell volume)^(1/p)."""
     if not (0 < p and math.isfinite(p)):
         raise ValueError(f"p must be positive and finite, got {p}")
     if not domain.boxes:
         return 0.0
-    total = math.fsum(_box_lp_pow(f, p, b, domain.resolution) for b in domain.boxes)
+    total = math.fsum(_box_lp_pow(f, p, b, domain.resolution, keep) for b in domain.boxes)
     return total ** (1.0 / p)
 
 
@@ -121,7 +153,8 @@ def modulus(f, M: int, p: float, t: float, domain: BoxDomain) -> float:
     inflated = domain.inflate(M * t)
     best = 0.0
     for h in default_h_set(domain.ndim, t):
-        val = lp_quasinorm(lambda x: finite_diff(f, M, h, x), p, inflated)
+        keep = (lambda axes: _stencil_cells(axes, M, h, domain.boxes)) if domain.support else None
+        val = lp_quasinorm(lambda x: finite_diff(f, M, h, x), p, inflated, keep)
         best = max(best, val)
     return best
 
@@ -196,7 +229,7 @@ def support_boxes(field: AtomicField, inflate: float = 0.0, resolution: float | 
     boxes = tuple(level_box(field, j).inflate(inflate) for j in field.active_levels())
     if resolution is None:
         resolution = 2.0 ** (-(field.J + 3))
-    return BoxDomain(boxes, resolution)
+    return BoxDomain(boxes, resolution, support=True)
 
 
 def partial_map(field: AtomicField, y: float):

@@ -201,10 +201,10 @@ def test_criterion_06_condition_classifier():
     for (p, q), kap in kappas.items():
         assert Params(p=p, q=q, s=1.5, M=2, L=0.1).kappa == pytest.approx(kap)
         for bk in (0.5, 0.9, 1.0, 1.1, 2.0):
-            got = classify_condition(log_power(bk / kap), kap)
+            got = classify_condition(log_power(bk / kap), p, q)
             expected = SATISFIED if bk > 1.0 else VIOLATED
             all_ok &= got == expected
-        all_ok &= classify_condition(constant(1.0), kap) == VIOLATED
+        all_ok &= classify_condition(constant(1.0), p, q) == VIOLATED
     _report("6", all_ok, "log-power satisfied iff b*kappa > 1; constant always violated")
     assert all_ok
 

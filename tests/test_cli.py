@@ -254,6 +254,26 @@ def test_pathology_run_and_report_agree(config_path, tmp_path):
     assert "caveat" in json.loads(first)["pathology"]
 
 
+RECORDED = Path(__file__).resolve().parent / "recorded"
+
+
+@pytest.mark.parametrize("name", ["flagship", "decaying_psi", "p_below_one", "q_inf"])
+def test_pathology_run_and_report_reproduce_the_recorded_verdicts(name, tmp_path):
+    """pathology-run, then report, write the recorded verdicts.json byte for
+    byte: on the flagship and on three corners of the abstract, a decaying
+    Psi (log-power b = 0.25, J.seq to 2^15), p < 1 (p = 0.5, q = 1) and
+    q = inf.  The recordings keep the threshold verdicts that misfire on the
+    corners: mixed_norm_cauchy false at gaps of 5.73% and 8.81%, and
+    control_bound_plateau false on q = inf, whose control is satisfied."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "flagship.json"
+    if name != "flagship":
+        config = RECORDED / f"{name}.json"
+    out = tmp_path / "out"
+    for command in ("pathology-run", "report"):
+        assert main(["--config", str(config), "--out", str(out), command]) == 0
+        assert (out / "verdicts.json").read_bytes() == (RECORDED / f"{name}_verdicts.json").read_bytes(), command
+
+
 def test_pathology_run_is_deterministic_across_processes(tmp_path):
     """Two separate processes write byte-identical CSVs and verdicts."""
     root = Path(__file__).resolve().parent.parent

@@ -1,3 +1,4 @@
+import fnmatch
 import json
 import math
 import os
@@ -8,17 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from besovlab import experiments, sequences
+from besovlab import experiments, sequences, verdicts
+from besovlab.cli import main
 from besovlab.experiments import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
     emit_report,
-    lemma_le_verdicts,
     run_lemma_le,
     run_pathology,
     run_sequence_experiment,
-    sequence_verdicts,
     verdicts_from_csv_rows,
     x_probe_points,
 )
@@ -41,6 +41,14 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def sequence_verdicts(rows, config=None):
+    return verdicts.evaluate("sequence", rows, config or small_config())
+
+
+def pathology_verdicts(rows):
+    return verdicts.evaluate("pathology", rows, small_config())
 
 
 class TestConfig:
@@ -120,8 +128,9 @@ class TestLemmaLE:
         assert values[100] == pytest.approx(sum(1.0 / j for j in range(1, 101)), rel=1e-12)
 
     def test_verdicts_pure_function_of_rows(self):
-        report = run_lemma_le(small_config())
-        assert lemma_le_verdicts(report.rows) == report.verdicts
+        config = small_config()
+        report = run_lemma_le(config)
+        assert verdicts.evaluate("lemma_le", report.rows, config) == report.verdicts
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
     def test_flagship_suite_peak_memory_stays_small(self):
@@ -224,7 +233,7 @@ class TestSequenceExperiment:
     def test_verdicts_recomputable(self):
         config = small_config()
         report = run_sequence_experiment(config)
-        again = sequence_verdicts(report.rows, config.J_mixed)
+        again = sequence_verdicts(report.rows, config)
         for key, value in again.items():
             assert report.verdicts[key] == value
 
@@ -253,7 +262,7 @@ class TestPathology:
         # J_norm = (1, 2): levels 0 and 1 are off, so the first norm is 0
         rows = [{"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": v}
                 for J, v in ((1, 0.0), (2, 0.5))]
-        v = experiments.pathology_verdicts(rows)
+        v = pathology_verdicts(rows)
         assert v["norm2d_saturates"] is False
         assert v["norm2d_relative_increase"] == math.inf
 
@@ -290,7 +299,7 @@ class TestPartialMapGrowthVerdict:
 
     def verdicts(self, seminorms=None, coverage=None):
         rows = pm_rows(seminorms or self.SEMINORMS, coverage or self.COVERAGE)
-        return experiments.pathology_verdicts(rows)
+        return pathology_verdicts(rows)
 
     def test_growth_along_coverage_passes(self):
         v = self.verdicts()
@@ -340,7 +349,7 @@ class TestPartialMapGrowthVerdict:
         as_text = [{k: repr(v) if isinstance(v, float) else str(v) for k, v in r.items()}
                    for r in rows]
         recomputed = verdicts_from_csv_rows("pathology", as_text, small_config())
-        direct = experiments.pathology_verdicts(rows)
+        direct = pathology_verdicts(rows)
         assert recomputed["pm_seminorm_grows_where_covered"] is expected
         for key in ("pm_seminorm_grows_where_covered", "pm_seminorm_covered_rises"):
             assert recomputed[key] == direct[key]
@@ -354,38 +363,87 @@ def bound_rows(kind, lo, hi):
 
 
 class TestSharedVerdicts:
-    """sequence_verdicts and pathology_verdicts read diagnostics and bounds
-    through the same helpers, so they must agree on the same rows."""
+    """The sequence and pathology reports read diagnostics and bounds through
+    the same rules, so they must agree on the same rows."""
 
     @pytest.mark.parametrize("threshold", [0.0, 2.5, 1e9])
     def test_divergence_keys_agree(self, threshold, monkeypatch):
-        monkeypatch.setattr(experiments, "DIAG_THRESHOLD", threshold)
+        # the line is set on the diagnostic_divergent rule of both reports
+        for name in ("sequence", "pathology"):
+            monkeypatch.setitem(verdicts.RULES, name, tuple(
+                rule._replace(line=threshold) if rule.key == "diagnostic_divergent" else rule
+                for rule in verdicts.RULES[name]))
         config = small_config()
         rows = run_sequence_experiment(config).rows
         diagnostics = [r for r in rows if r["kind"] == "diagnostic"]
-        seq = sequence_verdicts(rows, config.J_mixed)
-        path = experiments.pathology_verdicts(diagnostics)
+        seq = sequence_verdicts(rows, config)
+        path = pathology_verdicts(diagnostics)
         for key in ("diagnostic_divergent", "min_diagnostic_by_depth"):
             assert seq[key] == path[key]
         assert seq["diagnostic_divergent"] is (threshold == 0.0)
 
     def test_divergence_keys_without_diagnostic_rows(self):
         mixed = [r for r in run_sequence_experiment(small_config()).rows if r["kind"] == "mixed_norm"]
-        seq = sequence_verdicts(mixed, (16, 32))
+        seq = sequence_verdicts(mixed)
         assert seq["diagnostic_divergent"] is False
         assert seq["min_diagnostic_by_depth"] == {}
-        path = experiments.pathology_verdicts([])
+        path = pathology_verdicts([])
         assert "diagnostic_divergent" not in path and "min_diagnostic_by_depth" not in path
 
     @pytest.mark.parametrize("hi, plateau", [(2.1, True), (math.nextafter(2.1, 3.0), False)])
     def test_plateaus_flip_at_ratio_1_05(self, hi, plateau):
         assert 2.0 * 1.05 == 2.1
         mixed = [r for r in run_sequence_experiment(small_config()).rows if r["kind"] == "mixed_norm"]
-        seq = sequence_verdicts(mixed + bound_rows("forced_bound", 2.0, hi), (16, 32))
-        path = experiments.pathology_verdicts(bound_rows("control_bound", 2.0, hi))
+        seq = sequence_verdicts(mixed + bound_rows("forced_bound", 2.0, hi))
+        path = pathology_verdicts(bound_rows("control_bound", 2.0, hi))
         assert seq["forced_bound_plateau"] is plateau
         assert path["control_bound_plateau"] is plateau
         assert seq["forced_bound_values"] == path["control_bound_values"] == {"16": 2.0, "64": hi}
+
+    @pytest.mark.parametrize("v2, cauchy", [(21.0, False), (19.0, False), (math.nextafter(21.0, 0.0), True)])
+    def test_mixed_norm_cauchy_flips_at_gap_0_05(self, v2, cauchy):
+        """The gap |v2 - v1| / v1 between the last two J.mixed depths must be
+        strictly under 0.05, on either side of v1."""
+        assert 1.0 / 20.0 == 0.05
+        rows = [{"kind": "mixed_norm", "tier": "exact", "J": J, "probe": None, "value": v}
+                for J, v in ((16, 20.0), (32, v2))]
+        seq = sequence_verdicts(rows)
+        assert seq["mixed_norm_cauchy"] is cauchy
+        assert seq["mixed_norm_relative_gap"] == abs(v2 - 20.0) / 20.0
+
+    @pytest.mark.parametrize("v2, saturates", [(11.0, False), (math.nextafter(11.0, 0.0), True), (9.0, True)])
+    def test_norm2d_saturates_flips_at_rise_0_10(self, v2, saturates):
+        """The signed rise (v2 - v1) / v1 over the last two norms must be
+        strictly under 0.10: a fall saturates."""
+        assert 1.0 / 10.0 == 0.10
+        rows = [{"kind": "norm2d", "tier": "grid", "J": J, "probe": None, "value": v}
+                for J, v in ((4, 10.0), (6, v2))]
+        path = pathology_verdicts(rows)
+        assert path["norm2d_saturates"] is saturates
+        assert path["norm2d_relative_increase"] == (v2 - 10.0) / 10.0
+
+
+def test_every_flagship_verdict_key_comes_from_one_rule(tmp_path, monkeypatch):
+    """Each rule of a report, evaluated alone on the flagship's CSV rows,
+    writes only keys that its key or echo names (as globs), no two rules
+    write the same key, and together they write the recorded verdicts.json."""
+    root = Path(__file__).resolve().parent.parent
+    config_path = root / "configs" / "flagship.json"
+    config = config_from_dict(load_config(config_path))
+    recorded = json.loads((root / "tests" / "recorded" / "flagship_verdicts.json").read_text())
+    assert main(["--config", str(config_path), "--out", str(tmp_path), "pathology-run"]) == 0
+    assert set(recorded) == set(verdicts.RULES)
+    for name, rules in verdicts.RULES.items():
+        rows = read_csv(tmp_path / f"{name}.csv")
+        union: dict = {}
+        for rule in rules:
+            monkeypatch.setitem(verdicts.RULES, name, (rule,))
+            keys = verdicts.evaluate(name, rows, config)
+            for key in keys:
+                assert any(fnmatch.fnmatchcase(key, glob) for glob in (rule.key, rule.echo) if glob), key
+                assert key not in union, key
+            union.update(keys)
+        assert json.loads(json.dumps(union)) == recorded[name]
 
 
 class TestEmission:

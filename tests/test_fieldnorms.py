@@ -35,6 +35,7 @@ from oracles import (
     full_grid_diff_lp_pow,
     full_scan_plateau_cuts,
     level_box,
+    modulus,
     partial_map,
     per_row_stencil_rows,
     per_step_diff_lp_pow,
@@ -171,6 +172,35 @@ class TestAgainstGenericPath:
                 best = max(best, total ** (1.0 / params.p))
             fast_terms.append((2.0 ** (jt * params.s)) * best)
         assert max(fast_terms) == pytest.approx(generic.value, rel=5e-3)
+
+
+    def test_support_mask_is_bitwise_the_full_grid(self, flagship_params, psi_one):
+        """On a support domain the generic estimator evaluates Delta_h^M f
+        only at cells whose stencil meets a support box.  Each modulus, of
+        the field and of a partial map, equals the full grid's bitwise, from
+        fewer evaluated points."""
+        J, M, p = 3, flagship_params.M, flagship_params.p
+        field = AtomicField(flagship_params, sequences.rearrange(
+            sequences.build_lambda_blocks(psi_one, flagship_params, J)), J)
+        x1_boxes = tuple(Box((level_box(field, j).lo[0],), (level_box(field, j).hi[0],))
+                         for j in field.active_levels())
+
+        def moduli(f, domain):
+            """The moduli at t = 2^0..2^-4, and how many points f was given."""
+            sizes = []
+
+            def counted(x):
+                sizes.append(len(x))
+                return f(x)
+
+            return [modulus(counted, M, p, 2.0**-jt, domain) for jt in range(5)], sum(sizes)
+
+        for f, domain in ((lambda x: eval_f(field, x), support_boxes(field, resolution=2.0**-6)),
+                          (partial_map(field, 1.51), BoxDomain(x1_boxes, 2.0**-6, support=True))):
+            masked, masked_points = moduli(f, domain)
+            full, full_points = moduli(f, replace(domain, support=False))
+            assert masked == full
+            assert 0 < masked_points < full_points
 
 
 class TestTopLevel:

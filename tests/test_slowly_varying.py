@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from besovlab import params
 from besovlab.slowly_varying import (
     INCONCLUSIVE,
     SATISFIED,
@@ -92,25 +94,48 @@ class TestSummability:
 
     def test_classifier_constant_always_violated(self):
         for kap in (0.5, 1.0, 7.0):
-            assert classify_condition(constant(2.0), kap) == VIOLATED
+            assert classify_condition(constant(2.0), kap / 2, kap) == VIOLATED
 
     @pytest.mark.parametrize("bk", [0.5, 0.9, 1.0, 1.1, 2.0])
     @pytest.mark.parametrize("kap", [2.0, 1.0, 1.0])
     def test_classifier_log_power_threshold(self, bk, kap):
         desc = log_power(bk / kap)
         expected = SATISFIED if bk > 1.0 else VIOLATED
-        assert classify_condition(desc, kap) == expected
+        # kappa = p when q = inf, and 1/(kap/2) - 1/kap = 1/kap
+        for p, q in ((kap, math.inf), (kap / 2, kap)):
+            assert classify_condition(desc, p, q) == expected
 
     def test_classifier_bertrand_boundary(self):
         # b*kappa == 1: the iterated factor decides
-        assert classify_condition(iterated_log_power(0.5, 1.0), 2.0) == SATISFIED
-        assert classify_condition(iterated_log_power(0.5, 0.5), 2.0) == VIOLATED
+        assert classify_condition(iterated_log_power(0.5, 1.0), 1.0, 2.0) == SATISFIED
+        assert classify_condition(iterated_log_power(0.5, 0.5), 1.0, 2.0) == VIOLATED
 
     def test_classifier_infinite_kappa(self):
-        assert classify_condition(constant(1.0), math.inf) == SATISFIED
+        assert classify_condition(constant(1.0), 1.0, 1.0) == SATISFIED
 
     def test_classifier_tabulated_inconclusive(self):
-        assert classify_condition(tabulated([(0, 1.0)]), 2.0) == INCONCLUSIVE
+        assert classify_condition(tabulated([(0, 1.0)]), 1.0, 2.0) == INCONCLUSIVE
+
+    def test_classifier_is_exact_where_the_float_product_rounds_to_1(self):
+        """b kappa exceeds 1 by 1.2e-16 on the exact rationals of these
+        doubles, while the double product rounds to 1.0."""
+        p, q, b = 0.7, 1.9, 0.9022556390977445
+        assert b * params.kappa(p, q) == 1.0
+        assert Fraction(b) * Fraction(p) * Fraction(q) / (Fraction(q) - Fraction(p)) > 1
+        assert classify_condition(log_power(b), p, q) == SATISFIED
+        assert classify_condition(iterated_log_power(b, -5.0), p, q) == SATISFIED
+
+    def test_classifier_exact_boundary_is_violated(self):
+        assert classify_condition(log_power(0.5), 1.0, 2.0) == VIOLATED
+
+    @pytest.mark.parametrize("p, q", [(1.0, 2.0), (1.0, math.inf), (0.5, 1.0)])
+    def test_classifier_iterated_log_at_the_boundary(self, p, q):
+        """b kappa = 1 exactly; the iterated factor decides on b2 kappa > 1,
+        with b2 one ulp on either side of 1/kappa and at it."""
+        inv = 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)
+        for b2, expected in ((math.nextafter(inv, 2.0), SATISFIED), (inv, VIOLATED),
+                             (math.nextafter(inv, 0.0), VIOLATED)):
+            assert classify_condition(iterated_log_power(inv, b2), p, q) == expected
 
 
 def _weight_in_range_oracle(desc, kappa, J):
