@@ -71,8 +71,9 @@ def cmd_seq_build(args) -> int:
     blocks = config.blocks(args.J)
     csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
     with output(args.out) as out, csv_out as stream:
-        table = None if stream is None else (stream, sequences.level_table(blocks, config.psi, config.params))
-        sequences.write_blocks(blocks, out, table)
+        table = None if stream is None else sequences.level_table(blocks, config.psi, config.params)
+        rows = None if table is None else (stream, zip(table.S, table.gamma, table.average, table.partial))
+        sequences.write_blocks(blocks, out, rows)
     return 0
 
 

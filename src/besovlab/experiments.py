@@ -203,44 +203,32 @@ def _row(kind: str, tier: str, J: int, probe, value: float) -> dict:
 @dataclass(frozen=True)
 class ExactTier:
     """The exact tier of one configuration, shared by its sequence and
-    pathology reports: the rearranged blocks at config.deepest, the S_j and
-    mixed_norm_partial columns of their sequences.level_table (indexed by
-    j), and the sup_diagnostic and coverage_count rows over J_seq and the
-    x-probes, from one sequences.covering_profile, which finds each probe's
-    covering levels by bisect on one window prefix.  Blocks are
-    built prefix-stable (running sums and cursor), so every value read at a
-    depth J equals one from blocks built at J.  Only the two columns are
-    kept: the table's other two columns would raise the flagship's peak
-    memory."""
+    pathology reports: the level_table of the rearranged blocks at
+    config.deepest, and the sup_diagnostic and coverage_count rows over
+    J_seq and the x-probes, from one covering_profile on that table.  Blocks
+    are built prefix-stable (running sums and cursor), so every value read
+    at a depth J equals one from blocks built at J."""
 
-    blocks: sequences.BlockSequence
-    S: list[float]
-    mixed_norm_partial: list[float]
+    table: sequences.LevelTable
     diagnostics: list[dict]
     coverage: list[dict]
 
 
 def exact_tier(config: ExperimentConfig) -> ExactTier:
-    params, desc, p = config.params, config.psi, config.params.p
-    blocks = config.blocks(config.deepest)
-    S, partials = [], []
-    for S_j, _, _, partial in sequences.level_table(blocks, desc, params):
-        S.append(S_j)
-        partials.append(partial)
+    table = sequences.level_table(config.blocks(config.deepest), config.psi, config.params)
     probes = x_probe_points(config.x_probes)
-    profiles = sequences.covering_profile(blocks, desc, p, probes, config.J_seq)
+    profiles = sequences.covering_profile(table, config.psi, config.params.p, probes, config.J_seq)
     diagnostics, coverage = [], []
     for d, J in enumerate(config.J_seq):
         for x, profile in zip(probes, profiles):
             diagnostic, count = profile[d]
             diagnostics.append(_row("diagnostic", "exact", J, x, diagnostic))
             coverage.append(_row("coverage", "exact", J, x, float(count)))
-    return ExactTier(blocks=blocks, S=S, mixed_norm_partial=partials,
-                     diagnostics=diagnostics, coverage=coverage)
+    return ExactTier(table, diagnostics, coverage)
 
 
 def _mixed_norm_row(exact: ExactTier, J: int) -> dict:
-    return _row("mixed_norm", "exact", J, None, exact.mixed_norm_partial[J])
+    return _row("mixed_norm", "exact", J, None, exact.table.partial[J])
 
 
 def _bound_row(kind: str, J: int, S_J: float, params: Params) -> dict:
@@ -256,7 +244,7 @@ def run_sequence_experiment(config: ExperimentConfig, exact: ExactTier | None = 
     rows.extend(exact.coverage)
     rows.extend(exact.diagnostics)
     for J in (min(config.J_seq), max(config.J_seq)):
-        rows.append(_bound_row("forced_bound", J, exact.S[J], params))
+        rows.append(_bound_row("forced_bound", J, exact.table.S[J], params))
     return Report("sequence", list(ROW_COLUMNS), rows, verdicts.evaluate("sequence", rows, config))
 
 
@@ -268,7 +256,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     params, desc = config.params, config.psi
     if exact is None:
         exact = exact_tier(config)
-    blocks = exact.blocks
+    blocks = exact.table.blocks
     rows = []
     j_max = max(config.J_norm)  # common t-depth so the sweep compares like with like
     for J in config.J_norm:
@@ -277,7 +265,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
         rows.append(_row("norm2d", "grid", J, None, est.value))
         rows.append(_mixed_norm_row(exact, J))
     y_probes = x_probe_points(config.y_probes)
-    coverage = sequences.covering_profile(blocks, desc, params.p, y_probes, config.J_norm)
+    coverage = sequences.covering_profile(exact.table, desc, params.p, y_probes, config.J_norm)
     for d, J in enumerate(config.J_norm):
         field = AtomicField(params, blocks, J)
         for y, profile in zip(y_probes, coverage):

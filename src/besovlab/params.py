@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 INF = math.inf
@@ -21,20 +22,20 @@ def sigma_p(p: float, N: int) -> float:
 
 
 def kappa(p: float, q: float) -> float:
-    """Exponent with 1/kappa = 1/p - 1/q.  +inf when p == q, p when q = inf."""
+    """Exponent with 1/kappa = 1/p - 1/q: pq / (q - p) of the exact rationals of
+    p and q, correctly rounded.  +inf when p == q or past the double range, p when q = inf."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if q < p:
         # The summability condition degenerates for q <= p (the function is
         # merely required to be bounded); callers handle that case themselves.
         raise ValueError(f"kappa requires p <= q, got p={p}, q={q}")
-    if p == q:
-        return INF
     if math.isinf(q):
         return p
-    gap = 1.0 / p - 1.0 / q
-    # q a few ulps above p: the reciprocals round equal, while q - p is exact (Sterbenz)
-    return 1.0 / gap if gap else p * q / (q - p)
+    try:
+        return float(Fraction(p) * Fraction(q) / (Fraction(q) - Fraction(p)))
+    except (OverflowError, ZeroDivisionError):  # past the double range, or p == q
+        return INF
 
 
 @dataclass(frozen=True)

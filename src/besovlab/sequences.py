@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from functools import cached_property
+from itertools import repeat
 from typing import TextIO
 
 import numpy as np
@@ -166,12 +168,17 @@ def build_S(desc: PsiDescriptor, kappa: float, J: int) -> np.ndarray:
     return np.cumsum(terms)
 
 
+def _gamma(kappa: float, log_psi: float, S_j: float, m: float = 1.0) -> float:
+    """Psi(2^-j)^kappa / S_j^m from ln Psi(2^-j), in log space; at m = 1 the double build_lambda_blocks floors."""
+    return math.exp(kappa * log_psi - m * math.log(S_j))
+
+
 def gamma(desc: PsiDescriptor, kappa: float, j: int, m: float) -> float:
-    """Psi(2^-j)^kappa / S_j^m."""
+    """Psi(2^-j)^kappa / S_j^m, as _gamma forms it."""
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     S = build_S(desc, kappa, j)
-    return float(psi_dyadic(desc, j) ** kappa / S[-1] ** m)
+    return _gamma(kappa, psi_dyadic_log(desc, j), float(S[-1]), m)
 
 
 def _floor_count(g: float, j: int) -> tuple[int, int]:
@@ -201,8 +208,7 @@ def build_lambda_blocks(desc: PsiDescriptor, params: Params, J: int) -> BlockSeq
         log_psi = psi_dyadic_log(desc, j)
         # powers in log space so deep levels neither overflow nor underflow
         theta = math.exp(params.L * math.log(S[j - 1]) - params.p * log_psi)
-        g = math.exp(kap * log_psi - math.log(S[j - 1]))
-        levels.append(BlockLevel._of(j, theta, _floor_count(g, j), (0, 0)))
+        levels.append(BlockLevel._of(j, theta, _floor_count(_gamma(kap, log_psi, S[j - 1]), j), (0, 0)))
     return BlockSequence(J=J, levels=tuple(levels))
 
 
@@ -291,35 +297,60 @@ LEVEL_COLUMNS = (
 )
 
 
-def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> Iterator[tuple[float, ...]]:
-    """(S_j, Gamma_j1, block_average, mixed_norm_partial) for each level j =
-    0..blocks.J, in one pass.
+@dataclass(frozen=True)
+class LevelTable:
+    """The exact tier's per-level columns of blocks (level_table), each an
+    array('d') indexed by j = 0..blocks.J, and its window prefix."""
 
-    Each equals its per-j oracle: S_j = build_S(j)[-1], Gamma_j1 =
-    gamma(j, 1.0), block_average(j) and mixed_norm(blocks, p, q, j); S_j and
-    Gamma_j1 are 0.0 at j = 0.  S comes from one build_S, whose cumulative
-    sum is prefix-stable.  The mixed-norm partial keeps the exact running
-    sum of block_average^(q/p) as one integer in units of 2^-1074, which
-    every double is a whole multiple of, and rounds it once, as math.fsum
-    over the prefix does; for q = inf it keeps the running max of
-    block_average^(1/p).  Values are yielded one level at a time, so a deep
-    table never sits in memory.
-    """
+    blocks: BlockSequence
+    S: array  # S_j, 0.0 at j = 0
+    gamma: array  # Gamma_{j,1}, 0.0 at j = 0
+    average: array  # the block average A_j
+    partial: array  # the mixed-norm partial
+
+    @cached_property
+    def prefix(self) -> tuple[array, int, int]:
+        """(laps, K, W), built on first use: floor(W_j) of each level j, and W_J = W / 2^K."""
+        laps, W, K = array("q"), 0, 0
+        for W, K in _window_prefix(self.blocks.levels):
+            laps.append(W >> K)
+        return laps, K, W
+
+    def window_end(self, j: int) -> int:
+        """W_j 2^K of a rearranged sequence: W_j = floor(W_j) + start_{j+1} 2^-(j+1),
+        as level j+1's window starts at W_j mod 1."""
+        laps, K, W = self.prefix
+        if j == self.blocks.J:
+            return W
+        nxt = self.blocks.levels[j + 1]  # start_m odd, so its denominator 2^(j + 1 - start_e) divides 2^K
+        return (laps[j] << K) + (nxt.start_m << (K + nxt.start_e - j - 1) if nxt.start_m else 0)
+
+
+def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> LevelTable:
+    """The LevelTable of blocks in one pass, each entry equal to its per-j
+    oracle: S_j = build_S(j)[-1], from one prefix-stable build_S; Gamma_{j,1}
+    = gamma(j, 1.0), the double build_lambda_blocks floors; block_average(j);
+    and mixed_norm(blocks, p, q, j), the exact running sum of
+    block_average^(q/p) kept as one integer in units of 2^-1074, which every
+    double is a whole multiple of, and rounded once, as math.fsum over the
+    prefix does, or for q = inf the running max of block_average^(1/p)."""
     kappa, p, q = params.kappa, params.p, params.q
-    S = build_S(desc, kappa, blocks.J)
-    total, unit = 0, 1 << 1074
-    best = 0.0
+    S = array("d", [0.0, *build_S(desc, kappa, blocks.J)])
+    table = LevelTable(blocks, S, array("d", [0.0]), array("d"), array("d"))
+    total, unit, best = 0, 1 << 1074, 0.0
     for j in range(blocks.J + 1):
+        if j:
+            table.gamma.append(_gamma(kappa, psi_dyadic_log(desc, j), S[j]))
         average = block_average(blocks, j)
         if math.isinf(q):
-            best = max(best, average ** (1.0 / p))
-            partial = best
+            partial = best = max(best, average ** (1.0 / p))
         else:
             num, den = (average ** (q / p)).as_integer_ratio()
             total += num << (1075 - den.bit_length())  # den = 2^(bit_length - 1)
             partial = (total / unit) ** (1.0 / q)
-        S_j = float(S[j - 1]) if j >= 1 else 0.0
-        yield S_j, psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0, average, partial
+        table.average.append(average)
+        table.partial.append(partial)
+    return table
 
 
 def _diagnostic_term(lvl: BlockLevel, desc: PsiDescriptor, p: float) -> float:
@@ -334,28 +365,9 @@ def sup_diagnostic(blocks: BlockSequence, desc: PsiDescriptor, p: float, x, J: i
     return max((_diagnostic_term(lvl, desc, p) for lvl in _covering_levels(blocks, x, J)), default=0.0)
 
 
-def _prefix_lookup(blocks: BlockSequence, J: int) -> tuple[int, Callable[[int], int]]:
-    """(K, j -> W_j 2^K) for j = 0..J of a rearranged sequence, with 2^K the
-    denominator of W_J, keeping one small integer per level.  Level j+1's
-    window starts at W_j mod 1, so W_j = floor(W_j) + start_{j+1} 2^-(j+1):
-    one pass over the window prefix keeps only its laps floor(W_j)."""
-    laps, levels = [], blocks.levels
-    for W, K in islice(_window_prefix(levels), J + 1):
-        laps.append(W >> K)
-
-    def scaled(j: int) -> int:
-        if j == J:
-            return W
-        nxt = levels[j + 1]  # start_m odd, so its denominator 2^(j + 1 - start_e) divides 2^K
-        frac = nxt.start_m << (K + nxt.start_e - j - 1) if nxt.start_m else 0
-        return (laps[j] << K) + frac
-
-    return K, scaled
-
-
-def _bisect_covering_levels(blocks: BlockSequence, prefix, J: int, x) -> Iterator[BlockLevel]:
+def _bisect_covering_levels(table: LevelTable, J: int, x) -> Iterator[BlockLevel]:
     """The levels j <= J of _covering_levels, found by bisect on the window
-    prefix (K, j -> W_j 2^K) of a rearranged sequence.
+    prefix (LevelTable.window_end) of a rearranged sequence.
 
     The windows [W_{j-1}, W_j) tile [0, W_J) and are at most 1 long, so level
     j covers x = 1 + y iff W_{j-1} <= y + m < W_j for one integer m >= 0, and
@@ -365,30 +377,28 @@ def _bisect_covering_levels(blocks: BlockSequence, prefix, J: int, x) -> Iterato
     xf = Fraction(x)
     if not 1 <= xf < 2:
         raise ValueError(f"x must lie in [1,2), got {x}")
-    K, scaled = prefix
-    den = xf.denominator
+    K, den = table.prefix[1], xf.denominator
     target = (xf.numerator - den) << K  # (y + m) den 2^K, m = 0
     j = 0
-    while (j := bisect_right(range(J + 1), target, lo=j, key=lambda i: scaled(i) * den)) <= J:
-        lvl = blocks.levels[j]
+    while (j := bisect_right(range(J + 1), target, lo=j, key=lambda i: table.window_end(i) * den)) <= J:
+        lvl = table.blocks.levels[j]
         if lvl.active:
             yield lvl
         target += den << K
         j += 1
 
 
-def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, probes, depths) -> list[list[tuple[float, int]]]:
+def covering_profile(table: LevelTable, desc: PsiDescriptor, p: float, probes, depths) -> list[list[tuple[float, int]]]:
     """(sup_diagnostic, coverage_count) at each probe x for each J in depths,
-    read off the levels covering x at the deepest J.  One pass over the
-    window prefix serves every probe; it reads the starts that rearrange
-    stored, so `blocks` must come from rearrange."""
-    if not blocks.rearranged:
+    read off the levels covering x at the deepest J.  The table's one window
+    prefix serves every probe and every call; it reads the starts that
+    rearrange stored, so the table's blocks must come from rearrange."""
+    if not table.blocks.rearranged:
         raise ValueError("covering_profile needs a rearranged BlockSequence")
-    J = min(max(depths), blocks.J)
-    prefix = _prefix_lookup(blocks, J)
+    J = min(max(depths), table.blocks.J)
     profiles = []
     for x in probes:
-        terms = [(lvl.j, _diagnostic_term(lvl, desc, p)) for lvl in _bisect_covering_levels(blocks, prefix, J, x)]
+        terms = [(lvl.j, _diagnostic_term(lvl, desc, p)) for lvl in _bisect_covering_levels(table, J, x)]
         profiles.append([
             (max((t for j, t in terms if j <= depth), default=0.0), sum(1 for j, _ in terms if j <= depth))
             for depth in depths
@@ -398,8 +408,8 @@ def covering_profile(blocks: BlockSequence, desc: PsiDescriptor, p: float, probe
 
 def write_blocks(blocks: BlockSequence, out: TextIO,
                  table: tuple[TextIO, Iterable[tuple[float, ...]]] | None = None) -> None:
-    """blocks as indented JSON to out and, given table = (stream, the
-    level_table of blocks), the LEVEL_COLUMNS CSV to that stream, in one
+    """blocks as indented JSON to out and, given table = (stream, the rows
+    of blocks' LevelTable), the LEVEL_COLUMNS CSV to that stream, in one
     streamed pass over the levels: the bytes of json.dumps(indent=2) and
     reporting.write_csv (tests/oracles.py).  blocks.json holds each n_j and
     start_j as its (mantissa, shift) pair; the CSV spells them in decimal,

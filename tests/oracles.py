@@ -438,12 +438,17 @@ def blocks_from_json(text: str) -> BlockSequence:
     return _blocks_from_json(json.loads(text))
 
 
+def level_rows(table) -> list[tuple[float, ...]]:
+    """(S_j, Gamma_j1, block_average, mixed_norm_partial) of a LevelTable, level by level."""
+    return list(zip(table.S, table.gamma, table.average, table.partial))
+
+
 def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:
     """seq.csv through reporting.write_csv.  Byte oracle for sequences.write_blocks."""
     derived = ("S_j", "Gamma_j1", "block_average", "mixed_norm_partial")
     write_csv(path, list(LEVEL_COLUMNS), (
         {"j": lvl.j, "n_j": lvl.n, "theta_j": lvl.theta, "start_j": lvl.start, **dict(zip(derived, row))}
-        for lvl, row in zip(blocks.levels, level_table(blocks, desc, params))))
+        for lvl, row in zip(blocks.levels, level_rows(level_table(blocks, desc, params)))))
 
 
 def field_eval_text(field: AtomicField, pts: np.ndarray) -> str:
@@ -500,8 +505,9 @@ def jbit_rearrange(levels) -> tuple[list[JbitLevel], Fraction]:
 
 
 def jbit_level_table(levels, desc: PsiDescriptor, params) -> list[tuple[float, ...]]:
-    """level_table's values, each block average n_j / 2^j * theta_j an int
-    true division and each mixed-norm partial a math.fsum over the prefix."""
+    """level_table's rows, each Gamma_j1 exp(kappa ln Psi(2^-j) - ln S_j),
+    each block average n_j / 2^j * theta_j an int true division and each
+    mixed-norm partial a math.fsum over the prefix."""
     kappa, p, q = params.kappa, params.p, params.q
     S = build_S(desc, kappa, len(levels) - 1)
     rows, powers, best = [], [], 0.0
@@ -515,7 +521,8 @@ def jbit_level_table(levels, desc: PsiDescriptor, params) -> list[tuple[float, .
             powers.append(average ** (q / p))
             partial = math.fsum(powers) ** (1.0 / q)
         S_j = float(S[j - 1]) if j >= 1 else 0.0
-        rows.append((S_j, psi_dyadic(desc, j) ** kappa / S_j if j >= 1 else 0.0, average, partial))
+        gamma_j = math.exp(kappa * psi_dyadic_log(desc, j) - math.log(S_j)) if j >= 1 else 0.0
+        rows.append((S_j, gamma_j, average, partial))
     return rows
 
 

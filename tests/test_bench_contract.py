@@ -119,6 +119,29 @@ def test_exact_eval_commands_keep_sequences_metrics(tmp_path):
     assert len(table.read_text().splitlines()) == J + 2
 
 
+def test_window_prefix_walks(tmp_path, monkeypatch):
+    """pathology-run walks the window prefix twice: in rearrange, and once
+    for the exact tier's LevelTable, whose prefix serves both the x-probe
+    and the y-probe profile.  seq-build --csv walks it once, in rearrange:
+    its table's columns never read the prefix."""
+    from besovlab import cli, sequences
+
+    walks, walk = [], sequences._window_prefix
+
+    def counted(levels):
+        walks.append(None)
+        return walk(levels)
+
+    monkeypatch.setattr(sequences, "_window_prefix", counted)
+    config = _tiny_config(tmp_path)
+    assert cli.main(["--config", config, "--out", str(tmp_path / "out"), "pathology-run"]) == 0
+    assert len(walks) == 2
+    walks.clear()
+    assert cli.main(["--config", config, "--out", str(tmp_path / "blocks.json"),
+                     "seq-build", "--J", "64", "--csv", str(tmp_path / "seq.csv")]) == 0
+    assert len(walks) == 1
+
+
 def test_field_eval_oracle_calls():
     """The in-process calls of the field-eval stage's dense-oracle check."""
     from besovlab import sequences

@@ -191,7 +191,7 @@ class TestSequenceExperiment:
         # the shared exact tier is built once, at config.deepest
         config = small_config(control_psi=log_power(1.0))
         exact = experiments.exact_tier(config)
-        assert exact.blocks.J == config.deepest == 64
+        assert exact.table.blocks.J == config.deepest == 64
         rows = run_sequence_experiment(config, exact).rows + run_pathology(config, exact).rows
         checked = [row for row in rows if row["tier"] == "exact"]
         assert {row["kind"] for row in checked} == {
@@ -214,8 +214,8 @@ class TestSequenceExperiment:
         p, psi = config.params.p, config.psi
         for diagnostic, coverage, x in zip(exact.diagnostics, exact.coverage, probes * len(config.J_seq)):
             J = diagnostic["J"]
-            assert diagnostic["value"] == sequences.sup_diagnostic(exact.blocks, psi, p, x, J)
-            assert coverage["value"] == float(sequences.coverage_count(exact.blocks, x, J))
+            assert diagnostic["value"] == sequences.sup_diagnostic(exact.table.blocks, psi, p, x, J)
+            assert coverage["value"] == float(sequences.coverage_count(exact.table.blocks, x, J))
 
     def test_exact_tier_builds_no_jbit_integer(self, monkeypatch):
         """The flagship's exact tier reads each level's count and start as a
@@ -228,7 +228,8 @@ class TestSequenceExperiment:
         monkeypatch.setattr(sequences.BlockLevel, "n", property(jbit))
         monkeypatch.setattr(sequences.BlockLevel, "start", property(jbit))
         exact = experiments.exact_tier(config)
-        assert len(exact.S) == len(exact.mixed_norm_partial) == config.deepest + 1
+        table = exact.table
+        assert len(table.S) == len(table.gamma) == len(table.average) == len(table.partial) == config.deepest + 1
 
     def test_verdicts_recomputable(self):
         config = small_config()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,12 +56,36 @@ class TestKappa:
         st.floats(min_value=0.0, max_value=10.0),
     )
     def test_identity_holds_generally(self, p, dq):
+        # against the exact rational 1/p - 1/q, which the doubles' difference loses when q is near p
         q = p + dq
         k = kappa(p, q)
         if p == q:
             assert math.isinf(k)
         else:
-            assert 1.0 / k == pytest.approx(1.0 / p - 1.0 / q, rel=1e-12)
+            gap = 1 / Fraction(p) - 1 / Fraction(q)
+            assert abs(1 / Fraction(k) - gap) <= Fraction(1e-12) * gap
+
+    @pytest.mark.parametrize("p, q, expected", [
+        (1.0, 1.5, 3.0), (1.0, 3.0, 1.5), (2.0, 3.0, 6.0), (1.0, 1.25, 5.0),
+        (1.0, math.nextafter(1.0, 2.0), 4503599627370497.0),
+    ])
+    def test_exact_where_the_quotient_is_a_double(self, p, q, expected):
+        assert kappa(p, q) == expected
+
+    def test_past_the_double_range_is_infinite(self):
+        assert kappa(1e300, math.nextafter(1e300, INF)) == INF
+
+    @given(st.floats(min_value=0.1, max_value=8.0), st.floats(min_value=0.1, max_value=8.0))
+    def test_correctly_rounded(self, a, b):
+        """kappa is the double nearest the exact 1 / (1/p - 1/q): neither
+        neighbouring double is closer."""
+        p, q = min(a, b), max(a, b)
+        if p == q:
+            return
+        exact = 1 / (1 / Fraction(p) - 1 / Fraction(q))
+        k = kappa(p, q)
+        error = abs(Fraction(k) - exact)
+        assert all(error <= abs(Fraction(math.nextafter(k, to)) - exact) for to in (0.0, INF))
 
 
 class TestParams:

@@ -35,7 +35,7 @@ from besovlab.slowly_varying import constant, iterated_log_power, log_power, tab
 from oracles import (
     blocks_from_json, blocks_to_json, exact_floor_count, fraction_cursor_rearrange, jbit_blocks,
     jbit_covering_profile, jbit_level_table, jbit_rearrange, lemma_le_partial, lemma_le_partials,
-    materialize, total_window_weight, window_prefix, write_level_csv,
+    level_rows, materialize, total_window_weight, window_prefix, write_level_csv,
 )
 
 # lemma.m of configs/flagship.json
@@ -257,8 +257,9 @@ def _assert_tier_equals_jbit_oracle(desc, params, J, probes, depths):
     oracle, cursor = jbit_rearrange(oracle_built)
     assert [(lvl.j, lvl.theta, lvl.n, lvl.start) for lvl in blocks.levels] == oracle
     assert blocks.cursor == cursor
-    assert repr(list(level_table(blocks, desc, params))) == repr(jbit_level_table(oracle, desc, params))
-    assert covering_profile(blocks, desc, params.p, probes, depths) == jbit_covering_profile(
+    table = level_table(blocks, desc, params)
+    assert repr(level_rows(table)) == repr(jbit_level_table(oracle, desc, params))
+    assert covering_profile(table, desc, params.p, probes, depths) == jbit_covering_profile(
         oracle, desc, params.p, probes, depths)
     return blocks
 
@@ -306,6 +307,17 @@ class TestAgainstJbitOracle:
         probes = x_probe_points(64) + _window_edges(jbit_blocks(desc, flagship_params, J), 64)
         _assert_tier_equals_jbit_oracle(desc, flagship_params, J, probes, [64, 512, J])
 
+    @pytest.mark.parametrize("desc", [constant(1.0), log_power(0.25), log_power(0.75), iterated_log_power(0.5, 1.0)],
+                             ids=["constant", "log-power-0.25", "log-power-0.75", "iterated-log"])
+    def test_counts_are_the_floors_of_the_table_gamma_at_4096(self, flagship_params, desc):
+        """seq.csv's Gamma_j1 is the double the construction floors: n_j =
+        min(floor(2^j Gamma_j1), 2^j) at every level j >= 2, exactly."""
+        J = 4096
+        blocks = build_lambda_blocks(desc, flagship_params, J)
+        table = level_table(blocks, desc, flagship_params)
+        for lvl in blocks.levels[2:]:
+            assert lvl.n == min(math.floor(Fraction(table.gamma[lvl.j]) * (1 << lvl.j)), 1 << lvl.j), lvl.j
+
     def test_tiny_tabulated_weight_raises_the_prefix_denominator_past_1000_bits(self, flagship_params):
         """Gamma_j = 2^-1022 / S_j rounds to a double over 2^1072, so from
         j = 1072 each term n_j 2^-j is that fine, and so is the prefix."""
@@ -317,19 +329,17 @@ class TestAgainstJbitOracle:
 
 
 def test_deep_tier_memory_is_linear():
-    """config.blocks(2^15), one level_table pass and covering_profile (64
-    probes, depths up to 2^15) peak under 16 MB of traced allocations: each
-    level holds O(1) words.  With j-bit n_j and start_j it was 147 MB."""
+    """config.blocks(2^15), its level_table and covering_profile (64 probes,
+    depths up to 2^15) on that table peak under 16 MB of traced allocations:
+    each level holds O(1) words.  With j-bit n_j and start_j it was 147 MB."""
     import tracemalloc
     from pathlib import Path
 
     config = config_from_dict(load_config(Path(__file__).resolve().parent.parent / "configs" / "flagship.json"))
     tracemalloc.start()
     try:
-        blocks = config.blocks(2**15)
-        for _ in level_table(blocks, config.psi, config.params):
-            pass
-        covering_profile(blocks, config.psi, config.params.p, x_probe_points(64), [64, 512, 4096, 2**15])
+        table = level_table(config.blocks(2**15), config.psi, config.params)
+        covering_profile(table, config.psi, config.params.p, x_probe_points(64), [64, 512, 4096, 2**15])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -373,16 +383,17 @@ class TestCoverage:
         count = coverage_count(blocks, x)
         assert count >= math.floor(total_window_weight(blocks)) - 1
 
-    def test_rejects_x_outside_unit_shift(self, blocks_j8):
+    def test_rejects_x_outside_unit_shift(self, blocks_j8, flagship_params):
         with pytest.raises(ValueError):
             coverage_count(blocks_j8, Fraction(5, 2))
         with pytest.raises(ValueError):
-            covering_profile(blocks_j8, constant(1.0), 1.0, [Fraction(5, 2)], [8])
+            covering_profile(level_table(blocks_j8, constant(1.0), flagship_params), constant(1.0), 1.0,
+                             [Fraction(5, 2)], [8])
 
     def test_profile_needs_rearranged_blocks(self, flagship_params, psi_one):
-        blocks = build_lambda_blocks(psi_one, flagship_params, 8)
+        table = level_table(build_lambda_blocks(psi_one, flagship_params, 8), psi_one, flagship_params)
         with pytest.raises(ValueError):
-            covering_profile(blocks, psi_one, 1.0, [Fraction(3, 2)], [8])
+            covering_profile(table, psi_one, 1.0, [Fraction(3, 2)], [8])
 
 
 def _edge_probes(blocks):
@@ -416,26 +427,28 @@ class TestCoveringProfile:
             blocks = _theta_zero_level(blocks, 9)
         return psi, blocks
 
-    def test_equals_walk_and_dense_on_window_edges(self, case):
+    def test_equals_walk_and_dense_on_window_edges(self, case, flagship_params):
         psi, blocks = case
         p = 1.0
         depths = range(blocks.J + 1)
         probes = _edge_probes(blocks)
         dense = materialize(blocks)
-        for x, profile in zip(probes, covering_profile(blocks, psi, p, probes, depths)):
+        table = level_table(blocks, psi, flagship_params)
+        for x, profile in zip(probes, covering_profile(table, psi, p, probes, depths)):
             for J, (diagnostic, count) in zip(depths, profile):
                 covered = sum(1 for j in range(J + 1) if dense[math.floor(math.ldexp(x, j))] > 0.0)
                 assert count == coverage_count(blocks, x, J) == covered, (x, J)
                 assert diagnostic == sup_diagnostic(blocks, psi, p, x, J), (x, J)
 
-    def test_on_level_with_zero_theta_is_skipped(self):
+    def test_on_level_with_zero_theta_is_skipped(self, flagship_params):
         # W_2 = 1/2, W_3 = 1, W_4 = 3/2: level 3's window is [1/2, 1) and
         # carries 0, level 4's wraps onto [0, 1/2)
         levels = [BlockLevel(0, 0.0, 0, 0), BlockLevel(1, 0.0, 0, 0), BlockLevel(2, 1.0, 2, 0),
                   BlockLevel(3, 0.0, 4, 0), BlockLevel(4, 2.0, 8, 0)]
         blocks = rearrange(BlockSequence(J=4, levels=tuple(levels)))
         probes = [Fraction(5, 4), Fraction(7, 4)]
-        profiles = covering_profile(blocks, constant(1.0), 1.0, probes, [3, 4])
+        profiles = covering_profile(level_table(blocks, constant(1.0), flagship_params), constant(1.0), 1.0,
+                                    probes, [3, 4])
         assert profiles == [[(1.0, 1), (2.0, 2)], [(0.0, 0), (0.0, 0)]]
         for x, profile in zip(probes, profiles):
             assert [count for _, count in profile] == [coverage_count(blocks, x, J) for J in (3, 4)]
@@ -492,7 +505,7 @@ class TestLevelTable:
     def case(self, request):
         psi, params = _TABLE_CASES[request.param]
         blocks = rearrange(build_lambda_blocks(psi, params, _TABLE_J))
-        return psi, params, blocks, list(level_table(blocks, psi, params))
+        return psi, params, blocks, level_rows(level_table(blocks, psi, params))
 
     def test_rows_equal_per_level_oracles(self, case):
         psi, params, blocks, table = case
@@ -513,7 +526,7 @@ class TestLevelTable:
         psi, params, _, table = case
         for J in (2, 17, 64):
             shallow = rearrange(build_lambda_blocks(psi, params, J))
-            assert list(level_table(shallow, psi, params)) == table[: J + 1]
+            assert level_rows(level_table(shallow, psi, params)) == table[: J + 1]
 
 
 @st.composite
@@ -550,7 +563,7 @@ class TestExactWithoutFraction:
     def test_running_sum_equals_fraction_sum(self, blocks, params):
         p, q = params.p, params.q
         total = Fraction(0)
-        for (_, _, average, partial), lvl in zip(level_table(blocks, constant(1.0), params), blocks.levels):
+        for (_, _, average, partial), lvl in zip(level_rows(level_table(blocks, constant(1.0), params)), blocks.levels):
             assert average == float(Fraction(lvl.n, 1 << lvl.j)) * lvl.theta
             total += Fraction(average ** (q / p))
             assert partial == float(total) ** (1.0 / q)
@@ -632,7 +645,7 @@ class TestSerialization:
         blocks = build_lambda_blocks(psi_one, flagship_params, J)
         assert not blocks.rearranged
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
+        write_blocks(blocks, out, (table, level_rows(level_table(blocks, psi_one, flagship_params))))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
@@ -643,7 +656,7 @@ class TestSerialization:
         2,466 digits at J = 8192, spelled as str() of each int spells it."""
         blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, J))
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
+        write_blocks(blocks, out, (table, level_rows(level_table(blocks, psi_one, flagship_params))))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
@@ -665,7 +678,7 @@ class TestSerialization:
         assert any(lvl.n_m.bit_length() > 64 and lvl.n_e >= 64 for lvl in blocks.levels)
         assert any(lvl.start_m and lvl.start_e < lvl.j - 64 for lvl in blocks.levels)
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
+        write_blocks(blocks, out, (table, level_rows(level_table(blocks, psi_one, flagship_params))))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
