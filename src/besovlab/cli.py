@@ -15,7 +15,6 @@ import contextlib
 import csv
 import itertools
 import math
-import operator
 import os
 import re
 import sys
@@ -102,46 +101,11 @@ _ROWS_PER_WRITE = 1 << 9
 _NUMBER_BYTES = b"0123456789+-.eE"
 
 
-def _lines(fh):
-    """(read, lines): the lines of an open text file, and a function giving
-    how many of them have been read so far."""
-    numbers, reads = itertools.count(1), itertools.count(1)
-    lines = map(operator.itemgetter(0), zip(fh, numbers))  # fh first: no number is drawn at its end
-
-    def read() -> int:  # a call draws one number too, which reads counts out
-        return next(numbers) - next(reads)
-
-    return read, lines
-
-
-def _rows(lines):
-    """The lines of a points CSV after its header, if it has one."""
-    def first_row():  # the first line is a header when its first two cells read x1, x2
-        first = next(lines, "")
-        if [c.strip() for c in first.split(",")[:2]] != ["x1", "x2"]:
-            yield first
-
-    return itertools.chain(first_row(), lines)
-
-
 def _load_points(rows, max_rows: int) -> np.ndarray:
     """The first two cells of the next max_rows data rows; loadtxt reads no line past the last."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a blank line, or no points left
         return np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2, max_rows=max_rows)
-
-
-def _line_of_point(fh, chunk: int, row: int) -> str:
-    """", line <n>" for row `row` of the 0-based chunk `chunk` of the points
-    file fh, read again up to that row.  "" if fh cannot seek."""
-    if not fh.seekable():
-        return ""
-    fh.seek(0)
-    read, lines = _lines(fh)
-    rows = _rows(lines)
-    for size in [FIELD_EVAL_CHUNK] * chunk + [row + 1]:  # chunk by chunk, as _point_chunks read them
-        _load_points(rows, size)
-    return f", line {read()}"
 
 
 def _is_plain(text: str) -> bool:
@@ -176,28 +140,36 @@ def _point_chunks(fh, path: str):
     """(points, cells) of an open points CSV, chunk by chunk: an (n, 2)
     array of its first two columns, n <= FIELD_EVAL_CHUNK, and the n "x1,x2"
     cells as the file spells them (_line_cells).  Every cell must be a finite
-    number; a bad cell is reported with its line in the file."""
-    read, lines = _lines(fh)
-    lines, echo = itertools.tee(lines)  # echo holds the lines loadtxt has read and the writer has not
-    rows, echoed = _rows(lines), 0
-    for chunk in itertools.count():
+    number; a bad cell or point is reported with its line in the file."""
+    read = []  # the lines loadtxt has read for this chunk
+    lines = map(lambda line: read.append(line) or line, fh)
+    rows, before = None, 0  # before: the number of lines of earlier chunks
+    while True:
         try:
+            if rows is None:  # the first line is a header when its first two cells read x1, x2
+                first = next(lines, "")
+                if [c.strip() for c in first.split(",")[:2]] == ["x1", "x2"]:
+                    rows, before = lines, len(read)
+                    read.clear()
+                else:
+                    rows = itertools.chain([first], lines)
             pts = _load_points(rows, FIELD_EVAL_CHUNK)
         except (OSError, UnicodeError) as exc:  # text is decoded in blocks, ahead of the lines
             raise ConfigError(f"points file {path}: {exc}") from exc
         except ValueError as exc:  # loadtxt stops at the bad line, and counts its rows within the chunk
             message = re.sub(r" at row [0-9]+", "", str(exc))
-            raise ConfigError(f"points file {path}, line {read()}: {message}") from exc
+            raise ConfigError(f"points file {path}, line {before + len(read)}: {message}") from exc
         if not len(pts):
             return
         if not np.isfinite(pts).all():
-            line = _line_of_point(fh, chunk, int(np.argmin(np.isfinite(pts).all(axis=1))))
-            raise ConfigError(f"points file {path}{line}: a point is not finite")
-        seen = read()
-        chunk_lines = itertools.islice(echo, seen - echoed)  # exactly the lines loadtxt read
-        cells, echoed = _echo("".join(_rows(chunk_lines) if chunk == 0 else chunk_lines)), seen
+            data_lines = [n for n, line in enumerate(read, before + 1) if _line_cells(line.rstrip("\n")) is not None]
+            at = data_lines[np.argmin(np.isfinite(pts).all(axis=1))]
+            raise ConfigError(f"points file {path}, line {at}: a point is not finite")
+        cells = _echo("".join(read))
         if len(cells) != len(pts):
             raise RuntimeError(f"points file {path}: the lines read hold {len(cells)} rows, not {len(pts)}")
+        before += len(read)
+        read.clear()
         yield pts, cells
 
 

@@ -21,19 +21,22 @@ def sigma_p(p: float, N: int) -> float:
     return N * max(1.0 / p - 1.0, 0.0)
 
 
+def exact_kappa(p: float, q: float) -> Fraction:
+    """The exponent with 1/kappa = 1/p - 1/q on the exact rationals of the
+    doubles p < q: pq / (q - p), or p when q = inf."""
+    return Fraction(p) if math.isinf(q) else Fraction(p) * Fraction(q) / (Fraction(q) - Fraction(p))
+
+
 def kappa(p: float, q: float) -> float:
-    """Exponent with 1/kappa = 1/p - 1/q: pq / (q - p) of the exact rationals of
-    p and q, correctly rounded.  +inf when p == q or past the double range, p when q = inf."""
+    """exact_kappa(p, q) correctly rounded; +inf when p == q or past the double range."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if q < p:
         # The summability condition degenerates for q <= p (the function is
         # merely required to be bounded); callers handle that case themselves.
         raise ValueError(f"kappa requires p <= q, got p={p}, q={q}")
-    if math.isinf(q):
-        return p
     try:
-        return float(Fraction(p) * Fraction(q) / (Fraction(q) - Fraction(p)))
+        return float(exact_kappa(p, q))
     except (OverflowError, ZeroDivisionError):  # past the double range, or p == q
         return INF
 

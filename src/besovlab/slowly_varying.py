@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 
-from .params import as_float, as_int
+from .params import as_float, as_int, exact_kappa
 
 LN2 = math.log(2.0)
 
@@ -160,10 +160,10 @@ def classify_condition(desc: PsiDescriptor, p: float, q: float) -> str:
     1/kappa = 1/p - 1/q.
 
     Exact p-series / Bertrand-series criterion for catalog families, decided
-    on the exact rationals of the doubles: kappa = pq/(q - p), or p when
-    q = inf, times b (and b2) against 1, so the call is right at the boundary
-    where a float product rounds to 1.  The boundary exponent 1 classifies as
-    violated (harmonic-type divergence).  Tabulated input is honestly
+    on the exact rationals of the doubles: exact_kappa(p, q), the rational
+    that params.kappa rounds, times b (and b2) against 1, so the call is
+    right at the boundary where a float product rounds to 1.  The boundary
+    exponent 1 classifies as violated (harmonic-type divergence).  Tabulated input is honestly
     inconclusive: finite data cannot settle convergence.
     """
     if not 0 < p <= q:
@@ -176,7 +176,7 @@ def classify_condition(desc: PsiDescriptor, p: float, q: float) -> str:
         return SATISFIED
     if desc.family == CONSTANT:
         return VIOLATED
-    kappa = Fraction(p) if math.isinf(q) else Fraction(p) * Fraction(q) / (Fraction(q) - Fraction(p))
+    kappa = exact_kappa(p, q)
     bk = Fraction(desc.b) * kappa
     # iterated-log-power at bk = 1: the Bertrand series criterion
     if bk > 1 or bk == 1 and desc.family == ITERATED_LOG_POWER and Fraction(desc.b2) * kappa > 1:

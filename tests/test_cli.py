@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from besovlab import cli, sequences
 from besovlab.atoms import AtomicField, eval_f, level_weight, level_weights
@@ -892,16 +892,71 @@ def test_field_eval_names_the_file_line_of_a_non_finite_point(config_path, tmp_p
     assert len(captured.out.splitlines()) == 1 + 3
 
 
-def test_field_eval_names_no_line_for_a_non_finite_point_in_a_pipe(config_path, capsys):
-    """A points file that cannot seek is not read again for the line."""
+def _field_eval_on_a_pipe(config_path, data: bytes) -> tuple[int, str]:
+    """field-eval's exit code on points read from a pipe that holds data, and
+    the points path it was given."""
     read, write = os.pipe()
-    os.write(write, b"x1,x2\n12.0,1.5\nnan,1.5\n")
+    os.write(write, data)
     os.close(write)
+    path = f"/dev/fd/{read}"
     try:
-        assert main(["--config", config_path, "field-eval", "--J", "4", "--points", f"/dev/fd/{read}"]) == 2
+        return main(["--config", config_path, "field-eval", "--J", "4", "--points", path]), path
     finally:
         os.close(read)
-    assert capsys.readouterr().err == f"configuration error: points file /dev/fd/{read}: a point is not finite\n"
+
+
+def test_field_eval_names_the_line_of_a_non_finite_point_in_a_pipe(config_path, capsys):
+    """A points file that cannot seek names a non-finite point's line too."""
+    code, path = _field_eval_on_a_pipe(config_path, b"x1,x2\n12.0,1.5\nnan,1.5\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: points file {path}, line 3: a point is not finite\n"
+
+
+_bad_lines = {"1.5,abc": "could not convert string 'abc' to float64, column 2.", "nan,1.5": "a point is not finite",
+              "16.0,inf": "a point is not finite", "-inf,-inf": "a point is not finite"}
+_other_lines = st.lists(st.sampled_from(["12.0,1.5", "", "# c", "#", " 13.0 ,\t1.5 # n, 2", "14.0,1.5,7"]),
+                        max_size=9)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.booleans(), before=_other_lines, bad=st.sampled_from(sorted(_bad_lines)), after=_other_lines,
+       crlf=st.booleans())
+def test_field_eval_names_the_line_of_a_bad_line_in_a_file_and_in_a_pipe(config_path, tmp_path, capsys, monkeypatch,
+                                                                          header, before, bad, after, crlf):
+    """A bad cell or a non-finite point anywhere among blank lines, # lines
+    and data lines, after an optional header, with LF or CRLF endings and
+    chunks of 3 points, is reported with its 1-based line in the file, read
+    from the file and from a pipe."""
+    monkeypatch.setattr(cli, "FIELD_EVAL_CHUNK", 3)
+    lines = ["x1,x2"] * header + before + [bad] + after
+    data = ("\r\n" if crlf else "\n").join(lines).encode() + b"\n"
+    points = tmp_path / "pts.csv"
+    points.write_bytes(data)
+    code = main(["--config", config_path, "field-eval", "--J", "4", "--points", str(points)])
+    runs = [(code, str(points), capsys.readouterr().err)]
+    runs.append((*_field_eval_on_a_pipe(config_path, data), capsys.readouterr().err))
+    for code, path, err in runs:
+        assert code == 2
+        assert err == f"configuration error: points file {path}, line {header + len(before) + 1}: {_bad_lines[bad]}\n"
+
+
+@pytest.mark.parametrize("data, chunk", [
+    (b"\xff,1.5\n12.0,1.5\n", FIELD_EVAL_CHUNK),
+    (b"12.0,1.5\n" * 2000 + b"\xff,1.5\n", 3),
+], ids=["first-line", "later-chunk"])
+def test_field_eval_rejects_undecodable_points(config_path, tmp_path, capsys, monkeypatch, data, chunk):
+    """Bytes that are not UTF-8, on the first line (no header) or past the
+    first decoded block, where loadtxt reads a later chunk, exit 2 with the
+    codec's message."""
+    monkeypatch.setattr(cli, "FIELD_EVAL_CHUNK", chunk)
+    points = tmp_path / "pts.csv"
+    points.write_bytes(data)
+    assert main(["--config", config_path, "field-eval", "--J", "4", "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: points file {points}: "
+                                   "'utf-8' codec can't decode byte 0xff ")
+    assert captured.err.count("\n") == 1
+    assert (len(captured.out.splitlines()) > 1) is (chunk == 3)  # a later chunk: the earlier ones are written
 
 
 def test_field_eval_streams_odd_lines_across_chunks(config_path, tmp_path, monkeypatch):

@@ -125,6 +125,20 @@ class TestSummability:
         assert classify_condition(log_power(b), p, q) == SATISFIED
         assert classify_condition(iterated_log_power(b, -5.0), p, q) == SATISFIED
 
+    @pytest.mark.parametrize("p, q", [(0.3, math.inf), (0.7, 1.9), (1.0, 2.0)])
+    def test_classifier_flips_at_the_exact_kappa(self, p, q):
+        """kappa and the classifier read one rational: a log-power b is
+        violated up to 1/kappa and satisfied from the next double above it,
+        and kappa is that rational rounded."""
+        exact = params.exact_kappa(p, q)
+        assert params.kappa(p, q) == float(exact)
+        b = float(1 / exact)
+        below = b if Fraction(b) <= 1 / exact else math.nextafter(b, 0.0)
+        above = math.nextafter(below, math.inf)
+        assert Fraction(below) <= 1 / exact < Fraction(above)
+        assert classify_condition(log_power(below), p, q) == VIOLATED
+        assert classify_condition(log_power(above), p, q) == SATISFIED
+
     def test_classifier_exact_boundary_is_violated(self):
         assert classify_condition(log_power(0.5), 1.0, 2.0) == VIOLATED
 
