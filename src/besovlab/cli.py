@@ -31,7 +31,7 @@ from . import experiments, fieldnorms, sequences
 from .atoms import AtomicField, eval_f
 from .experiments import ConfigError, ExperimentConfig, config_from_dict
 from .params import load_config
-from .reporting import output, read_csv, write_json
+from .reporting import output, read_blocks, read_csv, write_blocks, write_json
 from .slowly_varying import classify_condition, slow_variation_deviation, summability_partial
 
 
@@ -70,17 +70,16 @@ def cmd_seq_build(args) -> int:
     blocks = config.blocks(args.J)
     csv_out = output(args.csv) if args.csv else contextlib.nullcontext()
     with output(args.out) as out, csv_out as stream:
-        table = None if stream is None else sequences.level_table(blocks, config.psi, config.params)
-        rows = None if table is None else (stream, zip(table.S, table.gamma, table.average, table.partial))
-        sequences.write_blocks(blocks, out, rows)
+        table = None if stream is None else (stream, sequences.level_table(blocks, config.psi, config.params))
+        write_blocks(blocks, out, table)
     return 0
 
 
 def cmd_seq_verify(args) -> int:
     try:
         with open(args.infile) as stream:
-            blocks = sequences.read_blocks(stream)
-    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            blocks = read_blocks(stream)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read blocks from {args.infile}: {exc!r}") from exc
     problems = sequences.verify_blocks(blocks)
     for problem in problems:

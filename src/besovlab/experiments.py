@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+import numpy as np
+
 from . import fieldnorms, sequences, verdicts
 from .atoms import AtomicField
 from .params import N, Params, as_float, as_int, params_from_dict, validate
@@ -178,12 +180,37 @@ class Report:
 # Lemma LE partial-sum suite
 
 
+_LEMMA_CHUNK = 1 << 16  # terms per chunk of lemma_le_unit_partials: 0.5 MB a column
+
+
+def lemma_le_unit_partials(m: float, checkpoints) -> list[float]:
+    """lemma_le_partials(np.ones(n), m, n)[n_i - 1] (tests/oracles.py) at each
+    checkpoint n_i, bitwise, in memory that does not grow with n.
+
+    With u = 1 the running sum U_j is exactly j (for j < 2^53).  The series
+    is summed chunk by chunk, each chunk's cumsum starting from the partial
+    sum carried over, so the additions happen in numpy's sequential order.
+    """
+    if min(checkpoints) < 1:
+        raise ValueError(f"checkpoints must be >= 1, got {min(checkpoints)}")
+    n_max, values, total = max(checkpoints), {}, 0.0
+    for lo in range(0, n_max, _LEMMA_CHUNK):
+        hi = min(lo + _LEMMA_CHUNK, n_max)
+        U = np.arange(lo + 1, hi + 1, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):  # U**m past the double range: a term of 0 or inf
+            terms = 1.0 / U**m
+        partials = np.cumsum(np.concatenate([[total], terms]))  # partials[i] = S_(lo + i)
+        values.update((n, float(partials[n - lo])) for n in checkpoints if lo < n <= hi)
+        total = partials[-1]
+    return [values[n] for n in checkpoints]
+
+
 def run_lemma_le(config: ExperimentConfig) -> Report:
     rows = []
     n_max = config.lemma_n_max
     checkpoints = sorted({n for n in LEMMA_CHECKPOINTS if n <= n_max} | {n_max})
     for m in config.lemma_m:
-        partials = sequences.lemma_le_unit_partials(m, checkpoints)
+        partials = lemma_le_unit_partials(m, checkpoints)
         rows.extend({"m": m, "n": n, "partial_sum": v} for n, v in zip(checkpoints, partials))
     return Report("lemma_le", ["m", "n", "partial_sum"], rows, verdicts.evaluate("lemma_le", rows, config))
 
@@ -276,7 +303,7 @@ def run_pathology(config: ExperimentConfig, exact: ExactTier | None = None) -> R
     if config.control_psi is not None:
         S = sequences.build_S(config.control_psi, params.kappa, max(config.J_seq))
         for J in (min(config.J_seq), max(config.J_seq)):
-            rows.append(_bound_row("control_bound", J, float(S[J - 1]), params))
+            rows.append(_bound_row("control_bound", J, S[J - 1], params))
     return Report("pathology", list(ROW_COLUMNS), rows, verdicts.evaluate("pathology", rows, config))
 
 

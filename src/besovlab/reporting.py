@@ -1,11 +1,12 @@
-"""CSV / JSON / SVG emission for experiment reports.
+"""CSV / JSON / SVG emission for experiment reports, and the blocks.json codec.
 
 Every output opens through `output`, which leaves no partial file behind.
 CSV cells are written with Python's shortest round-trip float repr, so a run
 with a fixed configuration is byte-reproducible.  JSON is strict: a
 non-finite float is written as null.  The SVG writer is a tiny built-in line
 chart (no plotting dependency): depth on a logarithmic axis, one polyline
-per series.
+per series.  blocks.json holds each level's n_j and start_j as (mantissa,
+shift) pairs; only seq.csv spells them in decimal, in time linear in j.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable
+from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
+from typing import TextIO
+
+from .params import as_float, as_int
+from .sequences import BlockLevel, BlockSequence, LevelTable, _dyadic
 
 
 @contextlib.contextmanager
@@ -152,3 +159,110 @@ def write_svg_lines(
     parts.append("</svg>")
     with output(path) as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+LEVEL_COLUMNS = ("j", "S_j", "Gamma_j1", "n_j", "theta_j", "start_j", "block_average", "mixed_norm_partial")
+
+
+def write_blocks(blocks: BlockSequence, out: TextIO, table: tuple[TextIO, LevelTable] | None = None) -> None:
+    """blocks as indented JSON to out and, given table = (stream, blocks'
+    LevelTable), the LEVEL_COLUMNS CSV to that stream, in one streamed pass
+    over the levels: the bytes of json.dumps(indent=2) and write_csv
+    (tests/oracles.py).  blocks.json holds each n_j and start_j as its
+    (mantissa, shift) pair; the CSV spells them in decimal, by
+    decimal_spelling, in time linear in j."""
+    text = decimal_spelling()
+    cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
+    out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
+              f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
+    csv_out, columns = table or (None, None)
+    rows = zip(columns.S, columns.gamma, columns.average, columns.partial) if table else repeat(None)
+    if csv_out is not None:
+        csv_out.write(",".join(LEVEL_COLUMNS) + "\n")
+    sep = ""
+    for lvl, row in zip(blocks.levels, rows):
+        out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
+                  f'      "n_m": {lvl.n_m},\n      "n_e": {lvl.n_e},\n'
+                  f'      "start_m": {lvl.start_m},\n      "start_e": {lvl.start_e}\n    }}')
+        sep = ","
+        if csv_out is not None:
+            S_j, gamma_j, average, partial = row
+            n, start = text(lvl.n_m, lvl.n_e), text(lvl.start_m, lvl.start_e)
+            csv_out.write(f"{lvl.j},{S_j!r},{gamma_j!r},{n},{lvl.theta!r},{start},{average!r},{partial!r}\n")
+    out.write("\n  ]\n}\n")
+
+
+_PAIR_KEYS = ("n_m", "n_e", "start_m", "start_e")  # a level's n and start in blocks.json
+
+
+def read_blocks(stream: TextIO) -> BlockSequence:
+    """The BlockSequence of a blocks.json document: the top-level keys in any
+    order, any JSON whitespace.  Each level object becomes its BlockLevel as
+    the decoder closes it, so the document never holds its level dicts.
+    Equals json.load and then the same checks (tests/oracles.py); a
+    malformed or truncated document raises ValueError."""
+    def level(d: dict):
+        """d's BlockLevel.  The document, and any object that fails the checks
+        of a level, stay dicts: _blocks_from_json reads the document and
+        checks each level again, to reject one with its index."""
+        if "levels" in d:
+            return d
+        try:
+            return _level_from_json(d, 0)
+        except ValueError:
+            return d
+
+    return _blocks_from_json(json.load(stream, object_hook=level))
+
+
+def _level_from_json(d, index: int) -> BlockLevel:
+    """The level of the blocks.json level object at position index of the
+    levels array: j, the pairs (n_m, n_e) and (start_m, start_e) JSON
+    integers (4.0 reads as 4), each shift >= 0, theta a finite JSON number.
+    A pair need not be canonical: (4, 0) reads as (1, 2)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"level {index} must be an object, got {json.dumps(d)}")
+    if "j" not in d:
+        raise ValueError(f'level {index} has no "j"')
+    j = as_int(d["j"], "j")
+    for key in ("theta", *_PAIR_KEYS):
+        if key not in d:
+            raise ValueError(f'level j={j} has no "{key}"')
+    theta = as_float(d["theta"], f"theta_{j}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta_{j} must be finite, got {json.dumps(theta)}")
+    n_m, n_e, start_m, start_e = (as_int(d[key], f"{key} of level j={j}") for key in _PAIR_KEYS)
+    for key, e in (("n_e", n_e), ("start_e", start_e)):
+        if e < 0:
+            raise ValueError(f"{key} of level j={j} must be >= 0, got {e}")
+    return BlockLevel._of(j, theta, _dyadic(n_m, n_e), _dyadic(start_m, start_e))
+
+
+def _blocks_from_json(doc) -> BlockSequence:
+    """The BlockSequence of a decoded blocks.json document, whose levels are
+    read or still to read (_level_from_json): an object with J a JSON
+    integer, rearranged a JSON boolean (default false), cursor two JSON
+    integers with a positive denominator, a fraction in [0, 1) (default
+    [0, 1]), and levels an array."""
+    if isinstance(doc, BlockLevel):  # read_blocks' hook reads a level-shaped document as its BlockLevel
+        doc = doc._asdict()
+    if not isinstance(doc, dict):
+        raise ValueError(f"a blocks.json document is an object, got {type(doc).__name__}")
+    for key in ("levels", "J"):
+        if key not in doc:
+            raise ValueError(f'blocks.json has no "{key}"')
+    rearranged, cursor, levels = doc.get("rearranged", False), doc.get("cursor", [0, 1]), doc["levels"]
+    if not isinstance(rearranged, bool):
+        raise ValueError(f"rearranged must be true or false, got {json.dumps(rearranged)}")
+    if not isinstance(cursor, list) or len(cursor) != 2:
+        raise ValueError(f"cursor must be [numerator, denominator], got {json.dumps(cursor)}")
+    num, den = (as_int(c, "cursor") for c in cursor)
+    if den <= 0:
+        raise ValueError(f"cursor denominator must be positive, got {json.dumps(cursor)}")
+    if not 0 <= num < den:
+        raise ValueError(f"cursor must lie in [0, 1), got {json.dumps(cursor)}")
+    if not isinstance(levels, list):
+        raise ValueError(f"levels must be an array, got {type(levels).__name__}")
+    levels = [lvl if isinstance(lvl, BlockLevel) else _level_from_json(lvl, i) for i, lvl in enumerate(levels)]
+    return BlockSequence(J=as_int(doc["J"], "J"), levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
+                         rearranged=rearranged, cursor=Fraction(num, den))

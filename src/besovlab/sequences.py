@@ -1,4 +1,4 @@
-"""Dyadic block sequences: series test, block construction, rearrangement.
+"""Dyadic block sequences: block construction, rearrangement.
 
 A BlockSequence stores O(1) machine words per level: the on-value, and the
 on-count and window start each as an odd mantissa and a shift; the dense
@@ -9,14 +9,11 @@ exact window prefix W_j = sum_{i<=j} n_i 2^-i, a dyadic number kept as an
 integer over 2^K, K raised when a finer term arrives: n_j = floor(2^j g_j)
 of a double g_j has at most 53 significant bits, so K stays near 53 +
 log2(1/g_j), not j.  The windows tile [0, W_J) end to end, so a probe's
-covering levels are found by bisect on the same prefix.  blocks.json holds
-the pairs too; only seq.csv spells n_j and start_j in decimal, in time
-linear in j.
+covering levels are found by bisect on the same prefix.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from bisect import bisect_right
@@ -25,13 +22,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from typing import TextIO
+from itertools import accumulate
 
-import numpy as np
-
-from .params import Params, as_float, as_int
-from .reporting import decimal_spelling
+from .params import Params
 from .slowly_varying import PsiDescriptor, psi_dyadic, psi_dyadic_log
 
 # Deepest BlockSequence a command or configuration may build.  A level is
@@ -114,6 +107,8 @@ class BlockSequence:
     cursor: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if self.J < 0:
+            raise ValueError(f"J must be >= 0, got {self.J}")
         if len(self.levels) != self.J + 1:
             raise ValueError("levels must cover j = 0..J")
         if (problem := _level_index_problem(self.levels, self.J)) is not None:
@@ -135,37 +130,11 @@ class BlockSequence:
         return (k - size - lvl.start) % size < lvl.n
 
 
-_LEMMA_CHUNK = 1 << 16  # terms per chunk of lemma_le_unit_partials: 0.5 MB a column
-
-
-def lemma_le_unit_partials(m: float, checkpoints) -> list[float]:
-    """lemma_le_partials(np.ones(n), m, n)[n_i - 1] (tests/oracles.py) at each
-    checkpoint n_i, bitwise, in memory that does not grow with n.
-
-    With u = 1 the running sum U_j is exactly j (for j < 2^53).  The series
-    is summed chunk by chunk, each chunk's cumsum starting from the partial
-    sum carried over, so the additions happen in numpy's sequential order.
-    """
-    if min(checkpoints) < 1:
-        raise ValueError(f"checkpoints must be >= 1, got {min(checkpoints)}")
-    n_max, values, total = max(checkpoints), {}, 0.0
-    for lo in range(0, n_max, _LEMMA_CHUNK):
-        hi = min(lo + _LEMMA_CHUNK, n_max)
-        U = np.arange(lo + 1, hi + 1, dtype=float)
-        with np.errstate(over="ignore", divide="ignore"):  # U**m past the double range: a term of 0 or inf
-            terms = 1.0 / U**m
-        partials = np.cumsum(np.concatenate([[total], terms]))  # partials[i] = S_(lo + i)
-        values.update((n, float(partials[n - lo])) for n in checkpoints if lo < n <= hi)
-        total = partials[-1]
-    return [values[n] for n in checkpoints]
-
-
-def build_S(desc: PsiDescriptor, kappa: float, J: int) -> np.ndarray:
-    """(S_1, ..., S_J) with S_j = sum_{k=1..j} Psi(2^-k)^kappa."""
+def build_S(desc: PsiDescriptor, kappa: float, J: int) -> array:
+    """(S_1, ..., S_J) with S_j = sum_{k=1..j} Psi(2^-k)^kappa, summed in order."""
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    terms = np.array([psi_dyadic(desc, j) ** kappa for j in range(1, J + 1)])
-    return np.cumsum(terms)
+    return array("d", accumulate(psi_dyadic(desc, j) ** kappa for j in range(1, J + 1)))
 
 
 def _gamma(kappa: float, log_psi: float, S_j: float, m: float = 1.0) -> float:
@@ -177,8 +146,7 @@ def gamma(desc: PsiDescriptor, kappa: float, j: int, m: float) -> float:
     """Psi(2^-j)^kappa / S_j^m, as _gamma forms it."""
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
-    S = build_S(desc, kappa, j)
-    return _gamma(kappa, psi_dyadic_log(desc, j), float(S[-1]), m)
+    return _gamma(kappa, psi_dyadic_log(desc, j), build_S(desc, kappa, j)[-1], m)
 
 
 def _floor_count(g: float, j: int) -> tuple[int, int]:
@@ -292,11 +260,6 @@ def mixed_norm(blocks: BlockSequence, p: float, q: float, J: int | None = None) 
     return total ** (1.0 / q)
 
 
-LEVEL_COLUMNS = (
-    "j", "S_j", "Gamma_j1", "n_j", "theta_j", "start_j", "block_average", "mixed_norm_partial",
-)
-
-
 @dataclass(frozen=True)
 class LevelTable:
     """The exact tier's per-level columns of blocks (level_table), each an
@@ -335,7 +298,7 @@ def level_table(blocks: BlockSequence, desc: PsiDescriptor, params: Params) -> L
     double is a whole multiple of, and rounded once, as math.fsum over the
     prefix does, or for q = inf the running max of block_average^(1/p)."""
     kappa, p, q = params.kappa, params.p, params.q
-    S = array("d", [0.0, *build_S(desc, kappa, blocks.J)])
+    S = array("d", [0.0]) + build_S(desc, kappa, blocks.J)
     table = LevelTable(blocks, S, array("d", [0.0]), array("d"), array("d"))
     total, unit, best = 0, 1 << 1074, 0.0
     for j in range(blocks.J + 1):
@@ -404,105 +367,6 @@ def covering_profile(table: LevelTable, desc: PsiDescriptor, p: float, probes, d
             for depth in depths
         ])
     return profiles
-
-
-def write_blocks(blocks: BlockSequence, out: TextIO,
-                 table: tuple[TextIO, Iterable[tuple[float, ...]]] | None = None) -> None:
-    """blocks as indented JSON to out and, given table = (stream, the rows
-    of blocks' LevelTable), the LEVEL_COLUMNS CSV to that stream, in one
-    streamed pass over the levels: the bytes of json.dumps(indent=2) and
-    reporting.write_csv (tests/oracles.py).  blocks.json holds each n_j and
-    start_j as its (mantissa, shift) pair; the CSV spells them in decimal,
-    by reporting.decimal_spelling, in time linear in j."""
-    text = decimal_spelling()
-    cursor, flag = blocks.cursor, "true" if blocks.rearranged else "false"
-    out.write(f'{{\n  "J": {blocks.J},\n  "rearranged": {flag},\n  "cursor": [\n'
-              f'    {cursor.numerator},\n    {cursor.denominator}\n  ],\n  "levels": [')
-    csv, rows = table or (None, repeat(None))
-    if csv is not None:
-        csv.write(",".join(LEVEL_COLUMNS) + "\n")
-    sep = ""
-    for lvl, row in zip(blocks.levels, rows):
-        out.write(f'{sep}\n    {{\n      "j": {lvl.j},\n      "theta": {lvl.theta!r},\n'
-                  f'      "n_m": {lvl.n_m},\n      "n_e": {lvl.n_e},\n'
-                  f'      "start_m": {lvl.start_m},\n      "start_e": {lvl.start_e}\n    }}')
-        sep = ","
-        if csv is not None:
-            S_j, gamma_j, average, partial = row
-            n, start = text(lvl.n_m, lvl.n_e), text(lvl.start_m, lvl.start_e)
-            csv.write(f"{lvl.j},{S_j!r},{gamma_j!r},{n},{lvl.theta!r},{start},{average!r},{partial!r}\n")
-    out.write("\n  ]\n}\n")
-
-
-_PAIR_KEYS = ("n_m", "n_e", "start_m", "start_e")  # a level's n and start in blocks.json
-
-
-def read_blocks(stream: TextIO) -> BlockSequence:
-    """The BlockSequence of a blocks.json document: the top-level keys in any
-    order, any JSON whitespace.  Each level object becomes its BlockLevel as
-    the decoder closes it, so the document never holds its level dicts.
-    Equals json.load and then the same checks (tests/oracles.py); a
-    malformed or truncated document raises ValueError, KeyError or TypeError."""
-    def level(d: dict):
-        """d's BlockLevel.  The document, and any object that fails the checks
-        of a level, stay dicts: _blocks_from_json reads the document and
-        checks each level again, to reject one with its index."""
-        if "levels" in d:
-            return d
-        try:
-            return _level_from_json(d, 0)
-        except ValueError:
-            return d
-
-    return _blocks_from_json(json.load(stream, object_hook=level))
-
-
-def _level_from_json(d, index: int) -> BlockLevel:
-    """The level of the blocks.json level object at position index of the
-    levels array: j, the pairs (n_m, n_e) and (start_m, start_e) JSON
-    integers (4.0 reads as 4), each shift >= 0, theta a finite JSON number.
-    A pair need not be canonical: (4, 0) reads as (1, 2)."""
-    if not isinstance(d, dict):
-        raise ValueError(f"level {index} must be an object, got {json.dumps(d)}")
-    if "j" not in d:
-        raise ValueError(f'level {index} has no "j"')
-    j = as_int(d["j"], "j")
-    for key in ("theta", *_PAIR_KEYS):
-        if key not in d:
-            raise ValueError(f'level j={j} has no "{key}"')
-    theta = as_float(d["theta"], f"theta_{j}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta_{j} must be finite, got {json.dumps(theta)}")
-    n_m, n_e, start_m, start_e = (as_int(d[key], f"{key} of level j={j}") for key in _PAIR_KEYS)
-    for key, e in (("n_e", n_e), ("start_e", start_e)):
-        if e < 0:
-            raise ValueError(f"{key} of level j={j} must be >= 0, got {e}")
-    return BlockLevel._of(j, theta, _dyadic(n_m, n_e), _dyadic(start_m, start_e))
-
-
-def _blocks_from_json(doc) -> BlockSequence:
-    """The BlockSequence of a decoded blocks.json document, whose levels are
-    read or still to read (_level_from_json): an object with J a JSON
-    integer, rearranged a JSON boolean (default false), cursor two JSON
-    integers with a positive denominator, a fraction in [0, 1) (default
-    [0, 1]), and levels an array."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a blocks.json document is an object, got {type(doc).__name__}")
-    rearranged, cursor, levels = doc.get("rearranged", False), doc.get("cursor", [0, 1]), doc["levels"]
-    if not isinstance(rearranged, bool):
-        raise ValueError(f"rearranged must be true or false, got {json.dumps(rearranged)}")
-    if not isinstance(cursor, list) or len(cursor) != 2:
-        raise ValueError(f"cursor must be [numerator, denominator], got {json.dumps(cursor)}")
-    num, den = (as_int(c, "cursor") for c in cursor)
-    if den <= 0:
-        raise ValueError(f"cursor denominator must be positive, got {json.dumps(cursor)}")
-    if not 0 <= num < den:
-        raise ValueError(f"cursor must lie in [0, 1), got {json.dumps(cursor)}")
-    if not isinstance(levels, list):
-        raise ValueError(f"levels must be an array, got {type(levels).__name__}")
-    levels = [lvl if isinstance(lvl, BlockLevel) else _level_from_json(lvl, i) for i, lvl in enumerate(levels)]
-    return BlockSequence(J=as_int(doc["J"], "J"), levels=tuple(sorted(levels, key=lambda lvl: lvl.j)),
-                         rearranged=rearranged, cursor=Fraction(num, den))
 
 
 def verify_blocks(blocks: BlockSequence) -> list[str]:

@@ -14,10 +14,8 @@ import numpy as np
 from besovlab import atoms, fieldnorms, norms
 from besovlab.atoms import AtomicField, _bump_factor, bump_u, eval_f, level_plateau, level_weight, level_weights, psi0
 from besovlab.norms import NormEstimate, _dyadic_seminorm, _stencil_coeffs, default_h_set
-from besovlab.reporting import write_csv
-from besovlab.sequences import (
-    LEVEL_COLUMNS, BlockLevel, BlockSequence, _blocks_from_json, _diagnostic_term, build_S, level_table,
-)
+from besovlab.reporting import LEVEL_COLUMNS, _blocks_from_json, write_csv
+from besovlab.sequences import BlockLevel, BlockSequence, _diagnostic_term, build_S, level_table
 from besovlab.slowly_varying import CONSTANT, TABULATED, PsiDescriptor, _log_psi_from_ell, _table_lookup, psi_dyadic, psi_dyadic_log
 
 _DENSE_J_CAP = 22  # dense materialization is a test oracle, never a data path
@@ -422,7 +420,7 @@ def materialize(blocks: BlockSequence, J: int | None = None) -> np.ndarray:
 def blocks_to_json(blocks: BlockSequence) -> str:
     """blocks.json through the json encoder, without its final newline: each
     level object holds the BlockLevel fields.  Byte oracle for
-    sequences.write_blocks."""
+    reporting.write_blocks."""
     return json.dumps({
         "J": blocks.J,
         "rearranged": blocks.rearranged,
@@ -444,7 +442,7 @@ def level_rows(table) -> list[tuple[float, ...]]:
 
 
 def write_level_csv(path, blocks: BlockSequence, desc: PsiDescriptor, params) -> None:
-    """seq.csv through reporting.write_csv.  Byte oracle for sequences.write_blocks."""
+    """seq.csv through reporting.write_csv.  Byte oracle for reporting.write_blocks."""
     derived = ("S_j", "Gamma_j1", "block_average", "mixed_norm_partial")
     write_csv(path, list(LEVEL_COLUMNS), (
         {"j": lvl.j, "n_j": lvl.n, "theta_j": lvl.theta, "start_j": lvl.start, **dict(zip(derived, row))}

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from besovlab import cli, sequences
+from besovlab import cli, reporting, sequences
 from besovlab.atoms import AtomicField, eval_f, level_weight, level_weights
 from besovlab.cli import FIELD_EVAL_CHUNK, main
 from besovlab.atoms import psi0
@@ -332,6 +333,19 @@ def test_library_modules_leave_the_environment_alone():
     assert out.split() == ["None"]
 
 
+def test_the_construction_loads_no_numpy_and_no_codec():
+    """import besovlab.sequences loads neither numpy nor the blocks.json codec
+    (reporting), and sequences imports no json itself: json comes only
+    through params, which reads configurations."""
+    out = _fresh_python("import sys, besovlab.sequences; "
+                        "print(*(name in sys.modules for name in ('numpy', 'besovlab.reporting')))")
+    assert out.split() == ["False", "False"]
+    tree = ast.parse(Path(sequences.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not imported & {"numpy", "json", "reporting"}, imported
+
+
 def test_pathology_run_does_not_load_numpy_ma(config_path, tmp_path):
     """The flagship path uses no masked arrays, so it pays no numpy.ma import
     (numpy's np.unique would load it)."""
@@ -457,6 +471,10 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         ({"psi": {"family": "tabulated", "table": [[j, "1.0"] for j in range(513)]}}, ["psi-check"]),
         ({"psi": {"family": "tabulated", "table": [[str(j), 1.0] for j in range(513)]}}, ["psi-check"]),
         ({"control_psi": {"family": "log-power", "b": "0.75"}}, ["pathology-run"]),
+        ({}, ["seq-verify", '{"J": -1, "levels": []}']),
+        ({}, ["seq-verify", '{"levels": []}']),
+        ({}, ["seq-verify", '{"J": 0}']),
+        ({}, ["seq-verify", '{"j": 0, "theta": 0.0, "n_m": 0, "n_e": 0, "start_m": 0, "start_e": 0}']),
     ],
     ids=[
         "x-probes-128", "y-probes-0", "one-mixed-depth", "norm-depth-above-grid-cap",
@@ -488,12 +506,17 @@ DEEP = str(sequences.MAX_SEQ_DEPTH + 1)
         "y-probes-string", "J-norm-string", "J-seq-true", "J-mixed-string", "lemma-m-string",
         "lemma-n-max-string", "psi-c-string", "psi-b-false", "psi-b2-string", "psi-table-value-string",
         "psi-table-j-string", "control-psi-b-string",
+        "seq-verify-J-negative", "seq-verify-no-J", "seq-verify-no-levels", "seq-verify-one-level",
     ],
 )
-def test_rejected_input_exits_2(config_path, tmp_path, capsys, request, changes, argv):
+def test_rejected_input_exits_2(config_path, tmp_path, capsys, monkeypatch, request, changes, argv):
     """A rejected input exits 2 with a message and writes nothing to --out."""
     path = _with(config_path, tmp_path, **changes)
     argv = list(argv)
+    if argv[0] == "seq-verify":  # the argument after seq-verify is the text of blocks.json, read from tmp_path
+        monkeypatch.chdir(tmp_path)
+        Path("blocks.json").write_text(argv[1])
+        argv[1] = "blocks.json"
     if "--points" in argv:  # the argument after --points is the file's text
         points = tmp_path / "points.csv"
         points.write_text(argv[argv.index("--points") + 1])
@@ -528,6 +551,9 @@ MESSAGE_START = {
     "psi-table-value-string": 'psi: table value must be a number, got "1.0"',
     "psi-table-j-string": 'psi: table j must be an integer, got "0"',
     "control-psi-b-string": 'control_psi: b must be a number, got "0.75"',
+    "seq-verify-J-negative": "cannot read blocks from blocks.json: ValueError('J must be >= 0, got -1')",
+    **{f"seq-verify-{case}": f"""cannot read blocks from blocks.json: ValueError('blocks.json has no "{key}"')"""
+       for case, key in (("no-J", "J"), ("no-levels", "levels"), ("one-level", "levels"))},
 }
 
 
@@ -731,7 +757,7 @@ def test_seq_build_runs_to_max_seq_depth(config_path, tmp_path, capsys):
     assert main(["seq-verify", str(out)]) == 0
     assert capsys.readouterr().out == f"ok: J={J}, rearranged=True\n"
     with open(out) as stream:
-        again = sequences.read_blocks(stream)
+        again = reporting.read_blocks(stream)
     assert again.levels == config_from_dict(load_config(config_path)).blocks(J).levels
     assert main(["--config", config_path, "--out", str(tmp_path / "deeper.json"),
                  "seq-build", "--J", str(J + 1)]) == 2

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+from array import array
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from besovlab import sequences
+from besovlab import experiments, sequences
 from besovlab.params import Params
 from besovlab.sequences import (
     BlockLevel,
@@ -21,17 +22,15 @@ from besovlab.sequences import (
     covering_profile,
     gamma,
     level_table,
-    lemma_le_unit_partials,
     mixed_norm,
-    read_blocks,
     rearrange,
     sup_diagnostic,
     verify_blocks,
-    write_blocks,
 )
-from besovlab.experiments import config_from_dict, x_probe_points
+from besovlab.experiments import config_from_dict, lemma_le_unit_partials, x_probe_points
+from besovlab.reporting import read_blocks, write_blocks
 from besovlab.params import load_config
-from besovlab.slowly_varying import constant, iterated_log_power, log_power, tabulated
+from besovlab.slowly_varying import constant, iterated_log_power, log_power, psi_dyadic, tabulated
 from oracles import (
     blocks_from_json, blocks_to_json, exact_floor_count, fraction_cursor_rearrange, jbit_blocks,
     jbit_covering_profile, jbit_level_table, jbit_rearrange, lemma_le_partial, lemma_le_partials,
@@ -93,7 +92,7 @@ class TestLemmaLE:
             assert lemma_le_unit_partials(m, checkpoints) == [float(partials[c - 1]) for c in checkpoints]
 
     def test_streamed_unit_partials_across_many_chunks(self, monkeypatch):
-        monkeypatch.setattr(sequences, "_LEMMA_CHUNK", 7)
+        monkeypatch.setattr(experiments, "_LEMMA_CHUNK", 7)
         n = 1000
         checkpoints = list(range(1, n + 1))
         for m in FLAGSHIP_LEMMA_M:
@@ -113,6 +112,17 @@ class TestBuild:
     def test_S_for_constant_psi(self, psi_one):
         S = build_S(psi_one, 2.0, 8)
         assert np.allclose(S, np.arange(1, 9))
+
+    @pytest.mark.parametrize("kappa", [0.7, 2.0])
+    @pytest.mark.parametrize("desc", [constant(1.0), log_power(0.25), log_power(1.0), iterated_log_power(0.5, 2.0)],
+                             ids=["constant", "log-power-0.25", "log-power-1", "iterated-log"])
+    def test_S_is_the_numpy_cumsum_bitwise(self, desc, kappa):
+        """build_S sums the terms in order into an array('d'): the doubles
+        np.cumsum gives for the same terms, to 20,000 levels."""
+        J = 20_000
+        S = build_S(desc, kappa, J)
+        assert type(S) is array and S.typecode == "d"
+        assert S.tobytes() == np.cumsum([psi_dyadic(desc, j) ** kappa for j in range(1, J + 1)]).tobytes()
 
     def test_gamma_values(self, psi_one):
         # Psi == 1: Gamma_{j,1} = 1/j
@@ -645,7 +655,7 @@ class TestSerialization:
         blocks = build_lambda_blocks(psi_one, flagship_params, J)
         assert not blocks.rearranged
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, (table, level_rows(level_table(blocks, psi_one, flagship_params))))
+        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
@@ -656,7 +666,7 @@ class TestSerialization:
         2,466 digits at J = 8192, spelled as str() of each int spells it."""
         blocks = rearrange(build_lambda_blocks(psi_one, flagship_params, J))
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, (table, level_rows(level_table(blocks, psi_one, flagship_params))))
+        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
@@ -678,7 +688,7 @@ class TestSerialization:
         assert any(lvl.n_m.bit_length() > 64 and lvl.n_e >= 64 for lvl in blocks.levels)
         assert any(lvl.start_m and lvl.start_e < lvl.j - 64 for lvl in blocks.levels)
         out, table = io.StringIO(), io.StringIO(newline="")
-        write_blocks(blocks, out, (table, level_rows(level_table(blocks, psi_one, flagship_params))))
+        write_blocks(blocks, out, (table, level_table(blocks, psi_one, flagship_params)))
         assert out.getvalue() == blocks_to_json(blocks) + "\n"
         write_level_csv(tmp_path / "oracle.csv", blocks, psi_one, flagship_params)
         assert table.getvalue().encode() == (tmp_path / "oracle.csv").read_bytes()
