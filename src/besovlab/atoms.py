@@ -169,23 +169,32 @@ def _on_cells(field: AtomicField, j, k: np.ndarray) -> np.ndarray:
     return (k >= size) & (k < 2 * size) & (((k - start[j]) & (size - 1)) < n[j])
 
 
+def _reaching_cells(field: AtomicField, j, xN: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(on, offset) at the flat points xN and level j: on[d + 1] whether cell
+    floor(2^j xN) + d is an on-cell for d = -1..2, of shape (4, n), and each
+    point's offset 2^j xN - floor(2^j xN)."""
+    base, offset = _cells(j, xN)
+    return _on_cells(field, j, base + np.arange(-1, 3)[:, None]), offset
+
+
 def level_weight(field: AtomicField, j, xN) -> np.ndarray:
     """Sum over on-cells k of (1/2) psi0((2^j xN - k)/2) at last coordinate xN
     and level j, an int or an integer array that broadcasts against xN.
 
-    One psi0 call per stencil row, on its on-cells, added in cell order: an
-    off-cell's 0.0 would leave the sum of terms >= 0 bitwise unchanged.  The
-    result has the broadcast shape, and for an int j the input's memory layout.
+    One psi0 call per cell row, on its on-cells, added in cell order: an
+    off-cell's 0.0 would leave the sum of terms >= 0 bitwise unchanged.  One
+    call on all four rows would hold psi0's temporaries for four times the
+    points at once.  The result has the broadcast shape, and for an int j the
+    input's memory layout.
     """
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
     out = np.zeros_like(xN_arr, shape=np.broadcast_shapes(xN_arr.shape, np.shape(j)))
     if np.ndim(j):
         j = np.broadcast_to(j, out.shape).reshape(-1)
-    base, offset = _cells(j, np.broadcast_to(xN_arr, out.shape).reshape(-1))
+    on, offset = _reaching_cells(field, j, np.broadcast_to(xN_arr, out.shape).reshape(-1))
     w = np.zeros(offset.shape)
-    for d in range(-1, 3):  # cells floor(2^j xN) - 1 .. + 2
-        on = _on_cells(field, j, base + d)
-        w[on] += 0.5 * psi0((offset[on] - d) / 2.0)
+    for d, row in zip(range(-1, 3), on):
+        w[row] += 0.5 * psi0((offset[row] - d) / 2.0)
     out[...] = w.reshape(out.shape)
     return out
 
@@ -195,8 +204,7 @@ def level_plateau(field: AtomicField, j: int, xN) -> np.ndarray:
     all four cells floor(2^j xN) - 1 .. + 2 are on-cells (the bumps are a
     partition of unity), 0 where none is (w_j = 0 exactly), -1 elsewhere."""
     xN_arr = np.atleast_1d(np.asarray(xN, dtype=float))
-    cells = _cells(j, xN_arr.reshape(-1))[0] + np.arange(-1, 3)[:, None]  # floor(2^j xN) - 1 .. + 2
-    count = _on_cells(field, j, cells).sum(axis=0).reshape(xN_arr.shape)
+    count = _reaching_cells(field, j, xN_arr.reshape(-1))[0].sum(axis=0).reshape(xN_arr.shape)
     return np.where(count == 4, 1, np.where(count == 0, 0, -1)).astype(np.int8)
 
 

@@ -19,9 +19,12 @@ weight is neither.  The rows of each run of one plateau state are counted in
 integer cell units, so no array spans the 2^(j+4)-row axis, and one pass
 computes every step of every t-level of a level: one level_weight call on
 all its unknown stencil points.  The pass is cached on the field cut at
-depth j, so every depth J >= j shares it.  Where the stencil translates are
-disjoint (|H| >= 4, or |h2| past the x2 extent) a difference norm is a
-binomial multiple of the level's L^p norm.
+depth j, so every depth J >= j shares it.  A partial map's level integrals
+form one such table per level, shared by every y-probe, which weighs it by
+|w_j(y)|^p; both estimators reduce their tables to the list of moduli (per
+t-level, the max over steps of the level sum) that the dyadic sum reads.
+Where the stencil translates are disjoint (|H| >= 4, or |h2| past the x2
+extent) a difference norm is a binomial multiple of the level's L^p norm.
 
 Difference norms are even in h: Delta_{-h}^M g(x) = (-1)^M Delta_h^M g(x - Mh),
 and the grid built for -h holds the points of the one for h shifted by Mh.  So
@@ -306,27 +309,27 @@ def field_lp(field: AtomicField) -> float:
     return total ** (1.0 / p)
 
 
-def _max_over_steps(levels, steps, diff_lp_pow, p: float, M: int) -> float:
-    """max over h in steps of (sum over (field, j, weight) in levels of
-    weight * diff_lp_pow(field, j, p, M, h, level resolution))^(1/p)."""
-    best = 0.0
-    for h in steps:
-        total = math.fsum(
-            wp * diff_lp_pow(lf, j, p, M, h, default_level_resolution(j))
-            for lf, j, wp in levels
-        )
-        best = max(best, total ** (1.0 / p))
-    return best
+def _moduli(levels, p: float, n_t: int) -> list[float]:
+    """At each t-level k < n_t, the max over steps s of (fsum over (weight,
+    table) in levels of weight * table[k][s])^(1/p); 0.0 with no level."""
+    weights = [wp for wp, _ in levels]
+    moduli = []
+    for k in range(n_t):
+        best = 0.0
+        for column in zip(*(table[k] for _, table in levels)):
+            best = max(best, math.fsum(wp * v for wp, v in zip(weights, column)) ** (1.0 / p))
+        moduli.append(best)
+    return moduli
 
 
-def _estimate(field: AtomicField, moduli, desc, q, j_max, h_samples):
-    """NormEstimate of the dyadic seminorm on level grids; moduli(ts) gives
-    the modulus at each t of ts."""
+def _estimate(field: AtomicField, moduli, args: tuple, desc, q, j_max, h_samples) -> NormEstimate:
+    """NormEstimate of the dyadic seminorm on level grids; moduli(field,
+    *args, ts) gives the modulus at each t = 2^-k of ts, k = 0..j_max."""
     s, M = field.params.s, field.params.M
     if not M > s:
         raise ValueError(f"M > s required, got M={M}, s={s}")
-    ts = tuple(2.0 ** (-k) for k in range(j_max + 1))  # the t of _dyadic_seminorm
-    value = _dyadic_seminorm(dict(zip(ts, moduli(ts))).__getitem__, desc, s, q, j_max)
+    ts = tuple(2.0 ** (-k) for k in range(j_max + 1))
+    value = _dyadic_seminorm(moduli(field, *args, ts), desc, s, q)
     finest = default_level_resolution(max(field.active_levels(), default=0))
     return NormEstimate(value=value, resolution=finest, t_levels=j_max + 1, h_samples=h_samples)
 
@@ -336,21 +339,15 @@ def field_moduli(field: AtomicField, ts) -> list[float]:
     ||Delta_h^M f||_p, from the 8 steps that stand for them (_field_steps)."""
     p, M = field.params.p, field.params.M
     ts = tuple(ts)
-    tables = [level_steps_lp_pow(lf, j, p, M, ts, default_level_resolution(j)) for lf, j in _level_fields(field)]
-    moduli = []
-    for k in range(len(ts)):
-        best = 0.0
-        for s in range(8):
-            best = max(best, math.fsum(table[k][s] for table in tables) ** (1.0 / p))
-        moduli.append(best)
-    return moduli
+    levels = [(1.0, level_steps_lp_pow(lf, j, p, M, ts, default_level_resolution(j)))
+              for lf, j in _level_fields(field)]
+    return _moduli(levels, p, len(ts))
 
 
 def field_seminorm(field: AtomicField, j_max: int) -> NormEstimate:
     """Level-decomposed 2-D classical (Psi = 1) Besov seminorm, in
     field.params' s, p, q, M: the norm of B^s_{p,q}(R^2) that f belongs to."""
-    return _estimate(field, lambda ts: field_moduli(field, ts), constant(1.0), field.params.q, j_max,
-                     h_samples=16)
+    return _estimate(field, field_moduli, (), constant(1.0), field.params.q, j_max, h_samples=16)
 
 
 def field_besov_norm(field: AtomicField, j_max: int) -> NormEstimate:
@@ -358,15 +355,28 @@ def field_besov_norm(field: AtomicField, j_max: int) -> NormEstimate:
     return replace(semi, value=semi.value + field_lp(field))
 
 
-def pm_modulus(field: AtomicField, y: float):
-    """t -> max over the 6 steps of default_h_set(1, t) of the partial map's
-    difference norm at y; the steps t, 3t/4 and t/2 stand for their pairs."""
+@lru_cache(maxsize=4096)
+def pm_level_steps_lp_pow(field: AtomicField, j: int, p: float, M: int, ts: tuple[float, ...],
+                          res: float) -> tuple[tuple[float, ...], ...]:
+    """pm_level_diff_lp_pow at the pm_moduli steps t, 3t/4 and t/2 of each t
+    in ts, one tuple per t.  Cached on the field cut at depth j, so every
+    y-probe and every depth J >= j shares it."""
+    return tuple(tuple(pm_level_diff_lp_pow(field, j, p, M, h, res) for h in default_h_set(1, t)[::2])
+                 for t in ts)
+
+
+def pm_moduli(field: AtomicField, y: float, ts) -> list[float]:
+    """At each t of ts, the max over the 6 steps of default_h_set(1, t) of the
+    partial map's difference norm at y: the steps t, 3t/4 and t/2 stand for
+    their pairs, and level j weighs its table by |w_j(y)|^p."""
     p, M = field.params.p, field.params.M
-    levels = [(field, j, abs(w) ** p) for j, w in level_weights(field, y).items() if w != 0.0]
-    return lambda t: _max_over_steps(levels, default_h_set(1, t)[::2], pm_level_diff_lp_pow, p, M)
+    ts = tuple(ts)
+    weights = level_weights(field, y)
+    levels = [(abs(weights[j]) ** p, pm_level_steps_lp_pow(lf, j, p, M, ts, default_level_resolution(j)))
+              for lf, j in _level_fields(field) if weights[j] != 0.0]
+    return _moduli(levels, p, len(ts))
 
 
 def pm_seminorm(field: AtomicField, y: float, desc: PsiDescriptor, j_max: int) -> NormEstimate:
     """1-D generalized seminorm of the partial map at y, q = inf, in field.params' s, p, M."""
-    omega = pm_modulus(field, y)
-    return _estimate(field, lambda ts: [omega(t) for t in ts], desc, math.inf, j_max, h_samples=6)
+    return _estimate(field, pm_moduli, (y,), desc, math.inf, j_max, h_samples=6)

@@ -45,15 +45,15 @@ def default_h_set(ndim: int, t: float) -> list:
     raise ValueError(f"no default step set for dimension {ndim}")
 
 
-def _dyadic_seminorm(omega, desc: PsiDescriptor, s: float, q: float, j_max: int) -> float:
+def _dyadic_seminorm(moduli: list[float], desc: PsiDescriptor, s: float, q: float) -> float:
     """Dyadic discretization of the generalized Besov seminorm from the
-    modulus omega(t): terms 2^(js) Psi(2^-j) omega(2^-j) for j = 0..j_max.
+    moduli, moduli[j] = omega(2^-j): terms 2^(js) Psi(2^-j) omega(2^-j) for
+    j = 0..len(moduli) - 1.
 
     For q < inf the t-integral against dt/t turns into a sum with weight ln 2
     per dyadic level; for q = inf, a max.
     """
-    terms = [(2.0 ** (j * s)) * psi_dyadic(desc, j) * omega(2.0 ** (-j))
-             for j in range(j_max + 1)]
+    terms = [(2.0 ** (j * s)) * psi_dyadic(desc, j) * omega for j, omega in enumerate(moduli)]
     if math.isinf(q):
         return max(terms)
     return (math.fsum(term**q for term in terms) * LN2) ** (1.0 / q)

@@ -171,7 +171,7 @@ def seminorm(
     j = 0..j_max.  With Psi == 1 this is exactly the classical seminorm."""
     if not M > s:
         raise ValueError(f"M > s required, got M={M}, s={s}")
-    value = _dyadic_seminorm(lambda t: modulus(f, M, p, t, domain), desc, s, q, j_max)
+    value = _dyadic_seminorm([modulus(f, M, p, 2.0 ** (-j), domain) for j in range(j_max + 1)], desc, s, q)
     h_samples = len(default_h_set(domain.ndim, 1.0))
     return NormEstimate(value, domain.resolution, t_levels=j_max + 1, h_samples=h_samples)
 
@@ -340,20 +340,31 @@ def per_row_stencil_rows(M, H, du):
 
 def all_steps_field_modulus(field, t):
     """field_moduli at t with every one of the 16 steps of default_h_set(2, t)
-    computed.  Test oracle for the mirrored steps."""
-    levels = [(lf, j, 1.0) for lf, j in fieldnorms._level_fields(field)]
-    steps = [(float(h[0]), float(h[1])) for h in norms.default_h_set(2, t)]
+    computed, each level's integral on its own.  Test oracle for the mirrored
+    steps and the per-level tables."""
     p, M = field.params.p, field.params.M
-    return fieldnorms._max_over_steps(levels, steps, fieldnorms.level_diff_lp_pow, p, M)
+    best = 0.0
+    for h in norms.default_h_set(2, t):
+        step = (float(h[0]), float(h[1]))
+        total = math.fsum(fieldnorms.level_diff_lp_pow(lf, j, p, M, step, fieldnorms.default_level_resolution(j))
+                          for lf, j in fieldnorms._level_fields(field))
+        best = max(best, total ** (1.0 / p))
+    return best
 
 
 def all_steps_pm_modulus(field, y, t):
-    """pm_modulus(field, y)(t) with every one of the 6 steps of
-    default_h_set(1, t) computed.  Test oracle for the mirrored steps."""
+    """pm_moduli(field, y, [t]) with every one of the 6 steps of
+    default_h_set(1, t) computed, each level's integral on its own.  Test
+    oracle for the mirrored steps and the per-level tables."""
     p, M = field.params.p, field.params.M
-    levels = [(field, j, abs(w) ** p) for j, w in level_weights(field, y).items() if w != 0.0]
-    steps = norms.default_h_set(1, t)
-    return fieldnorms._max_over_steps(levels, steps, fieldnorms.pm_level_diff_lp_pow, p, M)
+    weights = {j: w for j, w in level_weights(field, y).items() if w != 0.0}
+    best = 0.0
+    for h in norms.default_h_set(1, t):
+        total = math.fsum(abs(w) ** p * fieldnorms.pm_level_diff_lp_pow(field, j, p, M, h,
+                                                                          fieldnorms.default_level_resolution(j))
+                          for j, w in weights.items())
+        best = max(best, total ** (1.0 / p))
+    return best
 
 
 def lemma_le_partial(u, m: float, n: int) -> float:

@@ -10,6 +10,7 @@ from besovlab.atoms import (
     eval_f,
     level_plateau,
     level_weight,
+    level_weights,
     psi0,
 )
 from besovlab.fieldnorms import (
@@ -22,7 +23,7 @@ from besovlab.fieldnorms import (
     level_diff_lp_pow,
     level_lp_pow,
     pm_level_diff_lp_pow,
-    pm_modulus,
+    pm_moduli,
     pm_seminorm,
 )
 from besovlab.experiments import x_probe_points
@@ -372,6 +373,19 @@ def test_level_pass_equals_per_step_oracle(flagship_params, psi):
         assert [v for row in table for v in row] == [v for k, v in enumerate(expected) if k % 8 < 4], j
 
 
+def test_pm_level_table_equals_per_step_integrals(field_j10, flagship_params):
+    """Each row of pm_level_steps_lp_pow equals pm_level_diff_lp_pow at the
+    steps t, 3t/4 and t/2 bitwise: each level of the field at J = 10, t = 2^-k
+    for k = 0..10."""
+    p, M = flagship_params.p, flagship_params.M
+    ts = tuple(2.0**-k for k in range(11))
+    for lf, j in fieldnorms._level_fields(field_j10):
+        res = default_level_resolution(j)
+        expected = tuple(tuple(pm_level_diff_lp_pow(field_j10, j, p, M, h, res) for h in (t, 0.75 * t, 0.5 * t))
+                         for t in ts)
+        assert fieldnorms.pm_level_steps_lp_pow(lf, j, p, M, ts, res) == expected, j
+
+
 def test_level_pass_equals_per_step_oracle_on_random_fields(window_field, rng):
     """The same on random one-level fields, p, M and steps: default_h_set's
     steps down to t = 2^-(j+2) and steps drawn in [-1.5, 1.5]^2."""
@@ -459,17 +473,16 @@ def test_mirrored_steps_give_the_same_integral(field_j10, flagship_params):
 
 @pytest.mark.parametrize("J", [6, 8, 10])
 def test_moduli_match_all_steps_oracle(field_j10, J):
-    """field_moduli and pm_modulus, which compute one step of each +-h pair,
-    equal the moduli over every step at the flagship's depths, t-levels and
-    16 y-probes."""
+    """field_moduli and pm_moduli, which compute one step of each +-h pair
+    from per-level tables, equal the moduli over every step, each level's
+    integral on its own, at the flagship's depths, t-levels and 16 y-probes."""
     field = AtomicField(field_j10.params, field_j10.blocks, J)
     ts = [2.0**-k for k in range(11)]
     for t, modulus in zip(ts, field_moduli(field, ts)):
         assert modulus == pytest.approx(all_steps_field_modulus(field, t), rel=1e-10, abs=0.0)
     for y in map(float, x_probe_points(16)):
-        omega = pm_modulus(field, y)
-        for t in ts:
-            assert omega(t) == pytest.approx(all_steps_pm_modulus(field, y, t), rel=1e-10, abs=0.0), (y, t)
+        for t, modulus in zip(ts, pm_moduli(field, y, ts)):
+            assert modulus == pytest.approx(all_steps_pm_modulus(field, y, t), rel=1e-10, abs=0.0), (y, t)
 
 
 class TestLevelReuse:
@@ -549,6 +562,31 @@ class TestLevelReuse:
         alone_value, alone_misses = norm_and_misses(fresh_blocks(), 6)
         assert 0 < deep_misses == alone_misses - shallow_misses
         assert deep_value == alone_value
+
+    def test_depths_share_partial_map_tables(self, flagship_params, psi_one):
+        """The 16 probes of a partial-map sweep build one table per level that
+        any of them reaches; a deeper sweep builds only the tables a shallower
+        one lacks, and gets the values it gets alone."""
+        p = flagship_params
+        probes = [float(y) for y in x_probe_points(16)]
+
+        def sweep_and_misses(blocks, J):
+            before = fieldnorms.pm_level_steps_lp_pow.cache_info().misses
+            field = AtomicField(p, blocks, J)
+            values = [pm_seminorm(field, y, psi_one, j_max=6).value for y in probes]
+            reached = {j for y in probes for j, w in level_weights(field, y).items() if w != 0.0}
+            return values, fieldnorms.pm_level_steps_lp_pow.cache_info().misses - before, len(reached)
+
+        def fresh_blocks():
+            return sequences.rearrange(sequences.build_lambda_blocks(psi_one, p, 6))
+
+        shared = fresh_blocks()
+        _, shallow_misses, _ = sweep_and_misses(shared, 4)
+        deep_values, deep_misses, _ = sweep_and_misses(shared, 6)
+        alone_values, alone_misses, reached = sweep_and_misses(fresh_blocks(), 6)
+        assert alone_misses == reached
+        assert 0 < deep_misses == alone_misses - shallow_misses
+        assert deep_values == alone_values
 
     def test_grid_depth_cap(self):
         assert grid_depth_cap(2) == 15  # C_M = 8
